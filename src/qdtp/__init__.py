@@ -33,7 +33,6 @@ from .manifests import (
     run_manifest,
 )
 from .metrics import (
-    QueueSeries,
     RunComparison,
     SummaryStats,
     compare_runs,
@@ -86,7 +85,6 @@ __all__ = [
     "PacketRecord",
     "QdtpConfig",
     "QdtpError",
-    "QueueSeries",
     "RunComparison",
     "Scenario",
     "ServiceModel",

@@ -13,7 +13,6 @@ from typing import Optional, Sequence
 from . import metrics
 from .errors import ContractViolation
 from .simulator import PacketRecord, TraceSeries
-from .timebase import s_to_ns
 
 PACKET_FIELDS = [
     "id",
@@ -145,14 +144,17 @@ def write_comparison_csv(comparison: metrics.RunComparison, path) -> None:
 
 
 def write_histogram_csv(edges: Sequence[float], columns: dict, path) -> None:
-    """Aligned histograms; ``columns`` maps column name to per-bin counts."""
+    """Aligned histograms; ``columns`` maps column name to per-bin counts.
+
+    ``edges`` are in milliseconds and are written as given.
+    """
     names = list(columns)
     with open(path, "w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh)
         writer.writerow(["bin_lo_ms", "bin_hi_ms"] + names)
         for i in range(len(edges) - 1):
             writer.writerow(
-                [f"{edges[i] * 1e3:.6g}", f"{edges[i + 1] * 1e3:.6g}"]
+                [f"{edges[i]:.6g}", f"{edges[i + 1]:.6g}"]
                 + [columns[n][i] for n in names]
             )
 
@@ -167,16 +169,12 @@ def trace_from_records(
     seed: Optional[int] = None,
 ) -> TraceSeries:
     """Rebuild a TraceSeries (sampled queue curves included) from records."""
-    interval_ns = s_to_ns(sampling_interval)
-    sqf_e, sqf_x = metrics.queue_intervals(records, "sqf")
-    srv_e, srv_x = metrics.queue_intervals(records, "server")
-    last = max(sqf_x[-1] if sqf_x else 0, srv_x[-1] if srv_x else 0)
-    grid = [k * interval_ns for k in range(-(-last // interval_ns) + 1)]
+    grid, sqf_counts, server_counts = metrics.sample_queues(records, sampling_interval)
     return TraceSeries(
         sampling_interval=sampling_interval,
-        times_ns=tuple(grid),
-        sqf_counts=tuple(metrics.occupancy_counts(sqf_e, sqf_x, grid)),
-        server_counts=tuple(metrics.occupancy_counts(srv_e, srv_x, grid)),
+        times_ns=grid,
+        sqf_counts=sqf_counts,
+        server_counts=server_counts,
         per_packet=list(records),
         d_ns=d_ns,
         mitigation=mitigation,

@@ -14,7 +14,6 @@ violation, 4 I/O error.
 from __future__ import annotations
 
 import argparse
-import json
 import sys
 from pathlib import Path
 

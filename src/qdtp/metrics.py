@@ -1,4 +1,4 @@
-"""Measurement helpers: summary statistics, queue-length series, checks.
+"""Measurement helpers: summary statistics, queue sampling, checks.
 
 Records are duck-typed: anything with ``a_ns``, ``t_ns``, ``service_start_ns``,
 ``service_end_ns`` and ``dropped`` works, so the functions apply equally to
@@ -13,15 +13,14 @@ from dataclasses import dataclass
 from typing import Iterable, Optional, Sequence
 
 from .errors import ContractViolation
-from .timebase import ns_to_s, s_to_ns
+from .timebase import s_to_ns
 
 __all__ = [
     "SummaryStats",
-    "QueueSeries",
     "RunComparison",
     "summarize",
-    "queue_series",
     "queue_intervals",
+    "sample_queues",
     "occupancy_counts",
     "peak_occupancy",
     "littles_law_check",
@@ -91,23 +90,6 @@ def summarize(values: Iterable[float]) -> SummaryStats:
     )
 
 
-@dataclass(frozen=True)
-class QueueSeries:
-    """Queue occupancy sampled on a uniform grid."""
-
-    interval: float
-    times_ns: tuple[int, ...]
-    counts: tuple[int, ...]
-
-    @property
-    def points(self) -> list[tuple[float, int]]:
-        return [(ns_to_s(t), c) for t, c in zip(self.times_ns, self.counts)]
-
-    @property
-    def peak(self) -> int:
-        return max(self.counts) if self.counts else 0
-
-
 def queue_intervals(records, which: str) -> tuple[list[int], list[int]]:
     """Sorted (entries, exits) of one queue's occupancy intervals.
 
@@ -169,26 +151,27 @@ def peak_occupancy(entries: Sequence[int], exits: Sequence[int]) -> int:
     return peak
 
 
-def _grid(max_ns: int, interval_ns: int) -> list[int]:
-    steps = -(-max_ns // interval_ns)  # ceil
-    return [k * interval_ns for k in range(steps + 1)]
+def sample_queues(
+    records, interval: float
+) -> tuple[tuple[int, ...], tuple[int, ...], tuple[int, ...]]:
+    """Sample both queues' occupancy every ``interval`` seconds from zero.
 
-
-def queue_series(records, which: str, interval: float) -> QueueSeries:
-    """Sample one queue's occupancy every ``interval`` seconds from zero.
-
-    The grid extends one step past the final exit, so the series always
-    returns to zero.  An empty record set yields the single sample (0, 0).
+    Returns ``(grid_ns, sqf_counts, server_counts)``.  The grid extends one
+    step past the last exit from either queue, so both series return to
+    zero.  An empty record set yields the single grid instant 0.
     """
-    if interval <= 0:
-        raise ContractViolation("sampling interval must be positive")
     interval_ns = s_to_ns(interval)
-    entries, exits = queue_intervals(records, which)
-    if not entries:
-        return QueueSeries(interval, (0,), (0,))
-    grid = _grid(exits[-1], interval_ns)
-    counts = occupancy_counts(entries, exits, grid)
-    return QueueSeries(interval, tuple(grid), tuple(counts))
+    if interval_ns <= 0:
+        raise ContractViolation("sampling interval must be positive")
+    sqf_entries, sqf_exits = queue_intervals(records, "sqf")
+    srv_entries, srv_exits = queue_intervals(records, "server")
+    last = max(sqf_exits[-1] if sqf_exits else 0, srv_exits[-1] if srv_exits else 0)
+    grid = [k * interval_ns for k in range(-(-last // interval_ns) + 1)]
+    return (
+        tuple(grid),
+        tuple(occupancy_counts(sqf_entries, sqf_exits, grid)),
+        tuple(occupancy_counts(srv_entries, srv_exits, grid)),
+    )
 
 
 def littles_law_check(records, which: str, *, tolerance: float = 1e-6) -> dict:

@@ -1,19 +1,23 @@
 """Exact per-packet recursions for FIFO service and spaced forwarding.
 
 This module is the analytical core of the package.  It implements four
-closely related recursions over packet sequences:
+public recursions over packet sequences:
 
 * ``lindley_waits`` -- waiting times in a plain FIFO single-server queue,
   i.e. what a device experiences when traffic hits it directly.
 * ``qdtp_schedule`` -- the forwarding instants of a pacing gate that
   releases packets in arrival order but never closer than ``D`` apart:
   ``t[0] = a[0]``, ``t[n+1] = max(t[n] + D, a[n+1])``.
-* ``qdtp_delays`` -- the queueing delay inside that gate, computed through
-  its own recursion (``q[n+1] = max(q[n] + D - (a[n+1] - a[n]), 0)``)
-  rather than by subtracting schedule values, so the two routes can be
-  cross-checked for exact equality.
+* ``qdtp_delays_ns`` -- the queueing delay inside that gate, computed as a
+  FIFO queue whose every service time is ``D``
+  (``q[n+1] = max(q[n] + D - (a[n+1] - a[n]), 0)``) rather than by
+  subtracting schedule values, so the two routes can be cross-checked for
+  exact equality.
 * ``server_waits`` -- waiting times of a FIFO server that is fed by the
   paced stream instead of the raw arrivals.
+
+``lindley_waits``, ``qdtp_delays_ns`` and ``server_waits`` are the same
+Lindley recursion on different inputs and share one loop, ``_lindley``.
 
 All sequences carry integer nanoseconds internally.  Constructors accept
 floats in seconds and convert once; results expose both representations.
@@ -23,6 +27,7 @@ Computations on the integer values are exact, which is what makes the
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import islice, repeat
 from typing import Iterable, Sequence, Union
 
 from .errors import ContractViolation
@@ -200,6 +205,20 @@ def _as_config(cfg: ConfigLike) -> QdtpConfig:
     return QdtpConfig.from_seconds(float(cfg))
 
 
+def _lindley(times_ns: Sequence[int], services_ns: Iterable[int]) -> list[int]:
+    """FIFO waits: ``w[0] = 0``, ``w[n+1] = max(w[n] + s[n] - (x[n+1] - x[n]), 0)``."""
+    if not times_ns:
+        return []
+    waits = [0]
+    w = 0
+    for s, prev, cur in zip(services_ns, times_ns, islice(times_ns, 1, None)):
+        w += s - (cur - prev)
+        if w < 0:
+            w = 0
+        waits.append(w)
+    return waits
+
+
 def lindley_waits(arrivals: ArrivalsLike, services: ServicesLike) -> WaitSequence:
     """Waiting times of a FIFO single-server queue fed directly.
 
@@ -215,17 +234,7 @@ def lindley_waits(arrivals: ArrivalsLike, services: ServicesLike) -> WaitSequenc
     t = _as_services(services)
     if len(a) != len(t):
         raise ContractViolation("need one service duration per arrival")
-    n = len(a)
-    waits = [0] * n
-    at = a.times_ns
-    dur = t.durations_ns
-    w = 0
-    for i in range(n - 1):
-        w = w + dur[i] - (at[i + 1] - at[i])
-        if w < 0:
-            w = 0
-        waits[i + 1] = w
-    return WaitSequence(tuple(waits), queue="server")
+    return WaitSequence(tuple(_lindley(a.times_ns, t.durations_ns)), queue="server")
 
 
 def qdtp_schedule(arrivals: ArrivalsLike, cfg: ConfigLike) -> ForwardSchedule:
@@ -255,22 +264,14 @@ def qdtp_schedule(arrivals: ArrivalsLike, cfg: ConfigLike) -> ForwardSchedule:
 def qdtp_delays_ns(arrivals: ArrivalsLike, cfg: ConfigLike) -> list[int]:
     """Gate queueing delays in nanoseconds, via the standalone recursion.
 
-    ``q[0] = 0``, ``q[n+1] = max(q[n] + D - (a[n+1] - a[n]), 0)``.  This is
+    ``q[0] = 0``, ``q[n+1] = max(q[n] + D - (a[n+1] - a[n]), 0)``: the
+    Lindley recursion with every service time equal to D.  This is
     deliberately *not* computed from :func:`qdtp_schedule`; agreement of the
     two routes on the integer values is one of the package self-checks.
     """
     a = _as_arrivals(arrivals)
     c = _as_config(cfg)
-    at = a.times_ns
-    n = len(at)
-    out = [0] * n
-    q = 0
-    for i in range(n - 1):
-        q = q + c.d_ns - (at[i + 1] - at[i])
-        if q < 0:
-            q = 0
-        out[i + 1] = q
-    return out
+    return _lindley(a.times_ns, repeat(c.d_ns))
 
 
 def qdtp_delays(arrivals: ArrivalsLike, cfg: ConfigLike) -> list[float]:
@@ -290,26 +291,17 @@ def server_waits(schedule: ForwardSchedule, services: ServicesLike) -> WaitSeque
     t = _as_services(services)
     if len(schedule) != len(t):
         raise ContractViolation("need one service duration per scheduled packet")
-    n = len(schedule)
-    waits = [0] * n
-    ts = schedule.times_ns
-    dur = t.durations_ns
-    w = 0
-    for i in range(n - 1):
-        w = w + dur[i] - (ts[i + 1] - ts[i])
-        if w < 0:
-            w = 0
-        waits[i + 1] = w
-    return WaitSequence(tuple(waits), queue="paced_server")
+    return WaitSequence(
+        tuple(_lindley(schedule.times_ns, t.durations_ns)), queue="paced_server"
+    )
 
 
 def check_result1(services: ServicesLike, cfg: ConfigLike) -> bool:
     """True when D strictly exceeds every supplied processing time.
 
     Under that condition a server behind the gate never queues: each packet
-    is done before the next one can legally be forwarded.  Used by tests and
-    by the spacing advisor in the analyze command.  Vacuously true for an
-    empty sequence.
+    is done before the next one can legally be forwarded.  Vacuously true
+    for an empty sequence.
     """
     t = _as_services(services)
     c = _as_config(cfg)

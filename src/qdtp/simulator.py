@@ -21,22 +21,26 @@ from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass, field
-from typing import Callable, Optional, Sequence
+from typing import Callable, Optional
 
 from . import metrics
 from .errors import ConfigurationError, ContractViolation, InvariantViolation
 from .mitigation import MitigationGate, MitigationPolicy
 from .recursions import (
     ArrivalSequence,
+    ConfigLike,
     QdtpConfig,
     ServiceSequence,
+    _as_arrivals,
+    _as_config,
+    _as_services,
     lindley_waits,
     qdtp_delays_ns,
     qdtp_schedule,
     server_waits,
 )
 from .scenario import LabeledArrivals, Scenario, ServiceSampler, generate_arrivals
-from .timebase import ns_to_s, s_to_ns
+from .timebase import ns_to_s
 
 __all__ = [
     "PacketRecord",
@@ -117,14 +121,6 @@ class TraceSeries:
     # back through scenario.sample_services reproduces the drawn durations
     service_regime: list[bool] = field(default_factory=list)
 
-    @property
-    def sqf_queue(self) -> list[tuple[float, int]]:
-        return [(ns_to_s(t), c) for t, c in zip(self.times_ns, self.sqf_counts)]
-
-    @property
-    def server_queue(self) -> list[tuple[float, int]]:
-        return [(ns_to_s(t), c) for t, c in zip(self.times_ns, self.server_counts)]
-
     def completed(self) -> list[PacketRecord]:
         return [r for r in self.per_packet if not r.dropped]
 
@@ -132,18 +128,10 @@ class TraceSeries:
         return [r for r in self.per_packet if r.dropped]
 
 
-def _coerce_cfg(cfg) -> Optional[QdtpConfig]:
-    if cfg is None:
-        return None
-    if isinstance(cfg, QdtpConfig):
-        return cfg
-    return QdtpConfig.from_seconds(float(cfg))
-
-
 def _engine(
     labeled: LabeledArrivals,
     service_source: Callable[[int, bool], int],
-    cfg: Optional[QdtpConfig],
+    cfg: Optional[ConfigLike],
     mitigation,
     *,
     sampling_interval: float,
@@ -160,7 +148,7 @@ def _engine(
         raise ConfigurationError("gate capacity without a gate")
 
     use_gate = cfg is not None
-    d = cfg.d_ns if use_gate else 0
+    d = _as_config(cfg).d_ns if use_gate else 0
     gate_filter = None
     if mitigation is not None:
         gate_filter = MitigationGate(MitigationPolicy.coerce(mitigation), d)
@@ -255,16 +243,12 @@ def _engine(
         for j in range(n)
     ]
 
-    interval_ns = s_to_ns(sampling_interval)
-    sqf_entries, sqf_exits = metrics.queue_intervals(records, "sqf")
-    srv_entries, srv_exits = metrics.queue_intervals(records, "server")
-    last = max(sqf_exits[-1] if sqf_exits else 0, srv_exits[-1] if srv_exits else 0)
-    grid = [k * interval_ns for k in range(-(-last // interval_ns) + 1)]
+    grid, sqf_counts, server_counts = metrics.sample_queues(records, sampling_interval)
     return TraceSeries(
         sampling_interval=sampling_interval,
-        times_ns=tuple(grid),
-        sqf_counts=tuple(metrics.occupancy_counts(sqf_entries, sqf_exits, grid)),
-        server_counts=tuple(metrics.occupancy_counts(srv_entries, srv_exits, grid)),
+        times_ns=grid,
+        sqf_counts=sqf_counts,
+        server_counts=server_counts,
         per_packet=records,
         d_ns=d if use_gate else None,
         mitigation=(
@@ -298,7 +282,7 @@ def simulate(
     return _engine(
         labeled,
         lambda _j, congested: sampler.draw_ns(congested),
-        _coerce_cfg(cfg),
+        cfg,
         mitigation,
         sampling_interval=sampling_interval,
         congestion_threshold=s.congestion_threshold,
@@ -324,8 +308,8 @@ def simulate_sequences(
     are dropped; drops simply leave their duration unused.  Handy for
     pinning the simulator against hand-computed examples.
     """
-    a = arrivals if isinstance(arrivals, ArrivalSequence) else ArrivalSequence.from_seconds(arrivals)
-    svc = services if isinstance(services, ServiceSequence) else ServiceSequence.from_seconds(services)
+    a = _as_arrivals(arrivals)
+    svc = _as_services(services)
     if len(a) != len(svc):
         raise ContractViolation("need one service duration per arrival")
     labeled = LabeledArrivals(
@@ -337,7 +321,7 @@ def simulate_sequences(
     return _engine(
         labeled,
         lambda j, _congested: dur[j],
-        _coerce_cfg(cfg),
+        cfg,
         mitigation,
         sampling_interval=sampling_interval,
         congestion_threshold=congestion_threshold,
@@ -374,24 +358,46 @@ def drain_time(trace: TraceSeries, queue: str = "server") -> float:
     return ns_to_s(last - attack_end)
 
 
+def _match(name: str, expected: tuple, recorded: tuple, admitted) -> None:
+    """Raise naming the first packet where a recursion and the trace differ."""
+    if expected == recorded:
+        return
+    for rec, want, got in zip(admitted, expected, recorded):
+        if want != got:
+            raise InvariantViolation(
+                f"{name} disagrees with the trace at packet {rec.id}: "
+                f"expected {want} ns, recorded {got} ns"
+            )
+    raise InvariantViolation(f"{name} and the trace differ in length")
+
+
 def verify_trace(trace: TraceSeries) -> None:
     """Cross-check a finished run against the closed-form recursions.
 
     Admitted packets are replayed through ``qdtp_schedule`` /
-    ``qdtp_delays`` / ``server_waits`` (or ``lindley_waits`` when no gate
+    ``qdtp_delays_ns`` / ``server_waits`` (or ``lindley_waits`` when no gate
     was configured) and must agree with the recorded timestamps to the
-    nanosecond.  Conservation, FIFO order and the occupancy identity are
-    checked as well.  Raises InvariantViolation on the first failure.
+    nanosecond; a mismatch names the recursion, the first diverging packet
+    and both values.  Every record must be consistently admitted or dropped,
+    and FIFO order and the occupancy identity are checked as well.  Raises
+    InvariantViolation on the first failure.
     """
     records = trace.per_packet
-    admitted = [r for r in records if not r.dropped]
-    if len(admitted) + len(trace.dropped()) != len(records):
-        raise InvariantViolation("packet conservation broken")
-    for r in admitted:
+    admitted = []
+    for r in records:
+        if r.dropped:
+            if r.drop_reason not in ("mitigation", "capacity"):
+                raise InvariantViolation(f"packet {r.id}: dropped with reason {r.drop_reason!r}")
+            if r.t_ns is not None or r.service_start_ns is not None or r.service_end_ns is not None:
+                raise InvariantViolation(f"packet {r.id}: dropped yet has gate/device timestamps")
+            continue
+        if r.drop_reason is not None:
+            raise InvariantViolation(f"packet {r.id}: admitted yet has a drop reason")
         if r.t_ns is None or r.service_start_ns is None or r.service_end_ns is None:
             raise InvariantViolation("admitted packet missing timestamps")
         if not (r.a_ns <= r.t_ns <= r.service_start_ns <= r.service_end_ns):
             raise InvariantViolation("packet timestamps out of order")
+        admitted.append(r)
     for prev, cur in zip(admitted, admitted[1:]):
         if cur.t_ns < prev.t_ns or cur.service_start_ns < prev.service_start_ns:
             raise InvariantViolation("FIFO order violated")
@@ -405,17 +411,24 @@ def verify_trace(trace: TraceSeries) -> None:
     if trace.d_ns is not None:
         cfg = QdtpConfig(trace.d_ns)
         sched = qdtp_schedule(a, cfg)
-        if sched.times_ns != tuple(r.t_ns for r in admitted):
-            raise InvariantViolation("gate schedule disagrees with recursion")
-        if tuple(qdtp_delays_ns(a, cfg)) != tuple(r.gate_delay_ns for r in admitted):
-            raise InvariantViolation("gate delays disagree with recursion")
+        _match("qdtp_schedule", sched.times_ns, tuple(r.t_ns for r in admitted), admitted)
+        _match(
+            "qdtp_delays_ns",
+            tuple(qdtp_delays_ns(a, cfg)),
+            tuple(r.gate_delay_ns for r in admitted),
+            admitted,
+        )
         waits = server_waits(sched, services)
     else:
         if any(r.t_ns != r.a_ns for r in admitted):
             raise InvariantViolation("no gate configured yet t differs from a")
         waits = lindley_waits(a, services)
-    if waits.waits_ns != tuple(r.server_wait_ns for r in admitted):
-        raise InvariantViolation("device waits disagree with recursion")
+    _match(
+        "server_waits" if trace.d_ns is not None else "lindley_waits",
+        waits.waits_ns,
+        tuple(r.server_wait_ns for r in admitted),
+        admitted,
+    )
 
     for which in ("sqf", "server"):
         if not metrics.littles_law_check(records, which)["ok"]:

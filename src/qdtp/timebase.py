@@ -6,7 +6,6 @@ equality.  Floats (seconds) only appear at API boundaries and are converted
 once, here.
 """
 
-NS_PER_US = 1_000
 NS_PER_MS = 1_000_000
 NS_PER_S = 1_000_000_000
 
@@ -16,21 +15,5 @@ def s_to_ns(seconds: float) -> int:
     return round(seconds * NS_PER_S)
 
 
-def ms_to_ns(millis: float) -> int:
-    return round(millis * NS_PER_MS)
-
-
-def us_to_ns(micros: float) -> int:
-    return round(micros * NS_PER_US)
-
-
 def ns_to_s(ns: int) -> float:
     return ns / NS_PER_S
-
-
-def ns_to_ms(ns: int) -> float:
-    return ns / NS_PER_MS
-
-
-def ns_to_us(ns: int) -> float:
-    return ns / NS_PER_US

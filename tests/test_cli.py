@@ -158,6 +158,26 @@ class TestAnalyze:
             csv.writer(fh).writerows(rows)
         assert main(["analyze", str(seed_dir)]) == 3
 
+    def test_histogram_labels_are_milliseconds(self, tmp_path):
+        # every packet finds the device idle, so every sojourn is exactly 3 ms
+        scenario = dict(
+            TINY_SCENARIO,
+            normal_sources=[{"kind": "periodic", "rate": 10.0, "duration": 1.0}],
+            service_no_attack={"mode": "constant", "mean": 0.003},
+        )
+        path = tmp_path / "even.json"
+        path.write_text(json.dumps(scenario))
+        assert main([
+            "simulate", "--scenario", str(path), "--name", "even",
+            "--out", str(tmp_path / "runs"),
+        ]) == 0
+        seed_dir = tmp_path / "runs" / "even" / "seed0005"
+        assert main(["analyze", str(seed_dir)]) == 0
+        with open(seed_dir / "figure_delay_histogram.csv", newline="") as fh:
+            rows = list(csv.DictReader(fh))
+        assert float(rows[0]["bin_lo_ms"]) == 3.0
+        assert sum(int(r["all"]) for r in rows) == 10
+
     def test_analyze_without_summary_uses_cli_interval(self, tmp_path,
                                                        tiny_scenario):
         seed_dir = run_tiny(tmp_path, tiny_scenario)

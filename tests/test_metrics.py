@@ -1,4 +1,4 @@
-"""Tests for summary statistics, queue series and run comparison."""
+"""Tests for summary statistics, queue sampling and run comparison."""
 import math
 import random
 
@@ -14,8 +14,8 @@ from qdtp.metrics import (
     littles_law_check,
     occupancy_counts,
     peak_occupancy,
-    queue_series,
     run_summary,
+    sample_queues,
     summarize,
 )
 from qdtp.recursions import QdtpConfig
@@ -83,27 +83,31 @@ class TestSummarize:
 class TestQueueSeries:
     def test_single_packet_example(self):
         rec = [make_record(0, 0, 0, 0, 3 * MS)]
-        series = queue_series(rec, "server", 0.001)
-        assert series.counts == (1, 1, 1, 0)
-        assert series.times_ns == (0, MS, 2 * MS, 3 * MS)
+        grid, sqf, server = sample_queues(rec, 0.001)
+        assert server == (1, 1, 1, 0)
+        assert sqf == (0, 0, 0, 0)
+        assert grid == (0, MS, 2 * MS, 3 * MS)
 
     def test_empty_records(self):
-        series = queue_series([], "server", 0.001)
-        assert series.counts == (0,)
-        assert series.peak == 0
+        assert sample_queues([], 0.001) == ((0,), (0,), (0,))
 
     def test_inconsistent_timestamps_rejected(self):
         rec = [make_record(0, 5 * MS, 5 * MS, 5 * MS, 3 * MS)]
         with pytest.raises(ContractViolation):
-            queue_series(rec, "server", 0.001)
+            sample_queues(rec, 0.001)
+
+    def test_nonpositive_interval_rejected(self):
+        with pytest.raises(ContractViolation):
+            sample_queues([], 0.0)
 
     def test_dropped_packets_occupy_nothing(self):
         rec = [
             make_record(0, 0, 0, 0, 3 * MS),
             make_record(1, 0, None, None, None, dropped=True, reason="mitigation"),
         ]
-        series = queue_series(rec, "server", 0.001)
-        assert series.peak == 1
+        _, sqf, server = sample_queues(rec, 0.001)
+        assert max(server) == 1
+        assert max(sqf) == 0
 
     def test_peak_occupancy_exact_vs_sampled(self):
         # two overlapping stays: exact peak 2, coarse sampling can miss it
@@ -114,8 +118,8 @@ class TestQueueSeries:
         entries = sorted([0, MS])
         exits = sorted([3 * MS, 5 * MS])
         assert peak_occupancy(entries, exits) == 2
-        series = queue_series(rec, "server", 0.004)
-        assert series.peak <= 2
+        _, _, server = sample_queues(rec, 0.004)
+        assert max(server) <= 2
 
     @given(st.lists(st.tuples(st.integers(0, 1000), st.integers(0, 1000)), max_size=30))
     @settings(deadline=None)

@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from qdtp.errors import ConfigurationError, ContractViolation
+from qdtp.errors import ConfigurationError, ContractViolation, InvariantViolation
 from qdtp.mitigation import MitigationPolicy
 from qdtp.recursions import (
     ArrivalSequence,
@@ -110,6 +110,35 @@ class TestGatedFeed:
         )
         assert trace.mitigation == (10, 3)
         assert len(trace.completed()) == 10
+
+
+class TestVerifyTrace:
+    def test_dropped_packet_with_gate_timestamp_rejected(self):
+        trace = simulate_sequences(
+            [0.0] * 10, [0.001] * 10, QdtpConfig.from_seconds(0.003), sqf_capacity=4
+        )
+        doctored = trace.dropped()[0]
+        doctored.t_ns = doctored.a_ns
+        with pytest.raises(InvariantViolation, match=f"packet {doctored.id}: dropped"):
+            verify_trace(trace)
+
+    def test_admitted_packet_with_drop_reason_rejected(self):
+        trace = simulate_sequences([0.0, 0.0], [0.001] * 2, QdtpConfig.from_seconds(0.003))
+        trace.per_packet[1].drop_reason = "capacity"
+        with pytest.raises(InvariantViolation, match="packet 1: admitted"):
+            verify_trace(trace)
+
+    def test_divergence_names_recursion_packet_and_values(self):
+        # gate releases at 0, 1, 2 ms; packet 1 waits for packet 0 until 3 ms
+        trace = simulate_sequences([0.0] * 3, [0.003] * 3, QdtpConfig.from_seconds(0.001))
+        verify_trace(trace)
+        trace.per_packet[0].service_end_ns = 2_500_000
+        with pytest.raises(InvariantViolation) as err:
+            verify_trace(trace)
+        assert str(err.value) == (
+            "server_waits disagrees with the trace at packet 1: "
+            "expected 1500000 ns, recorded 2000000 ns"
+        )
 
 
 class TestScenarioRuns:
