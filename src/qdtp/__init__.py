@@ -36,6 +36,7 @@ from .metrics import (
     RunComparison,
     SummaryStats,
     compare_runs,
+    drain_time,
     run_summary,
     summarize,
 )
@@ -63,7 +64,6 @@ from .scenario import (
 from .simulator import (
     PacketRecord,
     TraceSeries,
-    drain_time,
     simulate,
     simulate_sequences,
     verify_trace,

@@ -12,7 +12,7 @@ from typing import Optional, Sequence
 
 from . import metrics
 from .errors import ContractViolation
-from .simulator import PacketRecord, TraceSeries
+from .simulator import PacketRecord, TraceSeries, check_records
 
 PACKET_FIELDS = [
     "id",
@@ -168,14 +168,17 @@ def trace_from_records(
     attack_window_ns: Optional[tuple[int, int]] = None,
     seed: Optional[int] = None,
 ) -> TraceSeries:
-    """Rebuild a TraceSeries (sampled queue curves included) from records."""
-    grid, sqf_counts, server_counts = metrics.sample_queues(records, sampling_interval)
+    """Rebuild a TraceSeries from records that pass ``check_records`` (no recursion replay)."""
+    check_records(records)
+    intervals = metrics.queue_intervals(records)
+    grid, sqf_counts, server_counts = metrics.sample_queues(intervals, sampling_interval)
     return TraceSeries(
         sampling_interval=sampling_interval,
         times_ns=grid,
         sqf_counts=sqf_counts,
         server_counts=server_counts,
         per_packet=list(records),
+        intervals=intervals,
         d_ns=d_ns,
         mitigation=mitigation,
         attack_window_ns=attack_window_ns,

@@ -3,6 +3,10 @@
 Records are duck-typed: anything with ``a_ns``, ``t_ns``, ``service_start_ns``,
 ``service_end_ns`` and ``dropped`` works, so the functions apply equally to
 simulator output and to packet logs read back from disk.
+
+Occupancy flows one way: records -> :func:`queue_intervals` (one walk per
+trace, kept as ``TraceSeries.intervals``) -> sampling, exact peak, drain
+time and the Little's-law sweep, none of which walks the records again.
 """
 from __future__ import annotations
 
@@ -13,7 +17,7 @@ from dataclasses import dataclass
 from typing import Iterable, Optional, Sequence
 
 from .errors import ContractViolation
-from .timebase import s_to_ns
+from .timebase import ns_to_s, s_to_ns
 
 __all__ = [
     "SummaryStats",
@@ -24,6 +28,7 @@ __all__ = [
     "occupancy_counts",
     "peak_occupancy",
     "littles_law_check",
+    "drain_time",
     "compare_runs",
     "fd_bin_edges",
     "histogram_counts",
@@ -90,33 +95,30 @@ def summarize(values: Iterable[float]) -> SummaryStats:
     )
 
 
-def queue_intervals(records, which: str) -> tuple[list[int], list[int]]:
-    """Sorted (entries, exits) of one queue's occupancy intervals.
+def queue_intervals(records) -> dict[str, tuple[list[int], list[int]]]:
+    """Both queues' sorted (entries, exits), built in one walk of the records.
 
     The shaping gate holds a packet on ``[a, t)``; the device holds it on
     ``[t, service_end)`` -- a packet in service still occupies the device.
-    Dropped packets occupy nothing.
+    Dropped packets occupy nothing.  The gate's exits are the device's
+    entries, so the two share one sorted list.
     """
-    if which not in ("sqf", "server"):
-        raise ContractViolation(f"unknown queue {which!r}")
-    entries: list[int] = []
-    exits: list[int] = []
+    arrivals, releases, ends = [], [], []
     for rec in records:
         if rec.dropped:
             continue
-        if which == "sqf":
-            enter, leave = rec.a_ns, rec.t_ns
-        else:
-            enter, leave = rec.t_ns, rec.service_end_ns
-        if enter is None or leave is None:
+        a, t, end = rec.a_ns, rec.t_ns, rec.service_end_ns
+        if a is None or t is None or end is None:
             raise ContractViolation("record is missing queue timestamps")
-        if leave < enter:
+        if t < a or end < t:
             raise ContractViolation("queue exit precedes entry")
-        entries.append(enter)
-        exits.append(leave)
-    entries.sort()
-    exits.sort()
-    return entries, exits
+        arrivals.append(a)
+        releases.append(t)
+        ends.append(end)
+    arrivals.sort()
+    releases.sort()
+    ends.sort()
+    return {"sqf": (arrivals, releases), "server": (releases, ends)}
 
 
 def occupancy_counts(
@@ -132,49 +134,58 @@ def occupancy_counts(
     ]
 
 
-def peak_occupancy(entries: Sequence[int], exits: Sequence[int]) -> int:
-    """Exact maximum occupancy (not limited by any sampling grid)."""
-    peak = 0
-    level = 0
+def _sweep(entries: Sequence[int], exits: Sequence[int]) -> tuple[int, int]:
+    """Exact peak and time integral of occupancy, in one sorted merge."""
+    peak = level = integral = prev = 0
     i = j = 0
     n, m = len(entries), len(exits)
-    while i < n:
+    while i < n or j < m:
         # exits at time <= next entry leave first (half-open intervals)
-        if j < m and exits[j] <= entries[i]:
-            level -= 1
-            j += 1
-        else:
-            level += 1
+        if j == m or (i < n and entries[i] < exits[j]):
+            t, step = entries[i], 1
             i += 1
-            if level > peak:
-                peak = level
-    return peak
+        else:
+            t, step = exits[j], -1
+            j += 1
+        integral += level * (t - prev)
+        level += step
+        if level > peak:
+            peak = level
+        prev = t
+    return peak, integral
+
+
+def peak_occupancy(entries: Sequence[int], exits: Sequence[int]) -> int:
+    """Exact maximum occupancy (not limited by any sampling grid)."""
+    return _sweep(entries, exits)[0]
 
 
 def sample_queues(
-    records, interval: float
+    intervals: dict, interval: float
 ) -> tuple[tuple[int, ...], tuple[int, ...], tuple[int, ...]]:
     """Sample both queues' occupancy every ``interval`` seconds from zero.
 
-    Returns ``(grid_ns, sqf_counts, server_counts)``.  The grid extends one
-    step past the last exit from either queue, so both series return to
-    zero.  An empty record set yields the single grid instant 0.
+    ``intervals`` is what :func:`queue_intervals` returns.  Returns
+    ``(grid_ns, sqf_counts, server_counts)``.  The grid extends one step
+    past the last exit from either queue, so both series return to zero.
+    An empty record set yields the single grid instant 0.
     """
     interval_ns = s_to_ns(interval)
     if interval_ns <= 0:
         raise ContractViolation("sampling interval must be positive")
-    sqf_entries, sqf_exits = queue_intervals(records, "sqf")
-    srv_entries, srv_exits = queue_intervals(records, "server")
-    last = max(sqf_exits[-1] if sqf_exits else 0, srv_exits[-1] if srv_exits else 0)
+    sqf, server = intervals["sqf"], intervals["server"]
+    last = max(sqf[1][-1] if sqf[1] else 0, server[1][-1] if server[1] else 0)
     grid = [k * interval_ns for k in range(-(-last // interval_ns) + 1)]
     return (
         tuple(grid),
-        tuple(occupancy_counts(sqf_entries, sqf_exits, grid)),
-        tuple(occupancy_counts(srv_entries, srv_exits, grid)),
+        tuple(occupancy_counts(*sqf, grid)),
+        tuple(occupancy_counts(*server, grid)),
     )
 
 
-def littles_law_check(records, which: str, *, tolerance: float = 1e-6) -> dict:
+def littles_law_check(
+    entries: Sequence[int], exits: Sequence[int], *, tolerance: float = 1e-6
+) -> dict:
     """Compare integrated occupancy with summed sojourn time.
 
     For any finite trace the time integral of the queue length equals the
@@ -182,25 +193,29 @@ def littles_law_check(records, which: str, *, tolerance: float = 1e-6) -> dict:
     integer sums must match to the nanosecond.  Returns both sides and the
     verdict.
     """
-    entries, exits = queue_intervals(records, which)
     dwell_sum = sum(exits) - sum(entries)
-    # integral of the step function via its jump points
-    events = sorted([(t, +1) for t in entries] + [(t, -1) for t in exits])
-    integral = 0
-    level = 0
-    prev = None
-    for t, delta in events:
-        if prev is not None:
-            integral += level * (t - prev)
-        level += delta
-        prev = t
+    integral = _sweep(entries, exits)[1]
     ok = abs(integral - dwell_sum) <= tolerance * max(1, dwell_sum)
     return {
-        "queue": which,
         "occupancy_integral_ns": integral,
         "sojourn_sum_ns": dwell_sum,
         "ok": ok,
     }
+
+
+def drain_time(trace, queue: str = "server") -> float:
+    """Seconds between the end of the attack window and the queue emptying.
+
+    The queue empties at its last sorted exit.  Zero when there is no
+    attack or the queue was already clear at the attack's end.
+    """
+    if queue not in trace.intervals:
+        raise ContractViolation(f"unknown queue {queue!r}")
+    exits = trace.intervals[queue][1]
+    if trace.attack_window_ns is None or not exits:
+        return 0.0
+    overrun = exits[-1] - trace.attack_window_ns[1]
+    return ns_to_s(overrun) if overrun > 0 else 0.0
 
 
 @dataclass(frozen=True)
@@ -285,8 +300,6 @@ def run_summary(trace) -> dict:
     Everything downstream (CLI, acceptance checks, humans reading
     summary.json) consumes this; times are reported in milliseconds.
     """
-    from .simulator import drain_time  # local import to avoid a cycle
-
     records = trace.per_packet
     completed = [r for r in records if not r.dropped]
     drops: dict[str, int] = {}
@@ -323,15 +336,14 @@ def run_summary(trace) -> dict:
         )
 
     queues = {}
-    for which in ("sqf", "server"):
-        entries, exits = queue_intervals(records, which)
+    for which, (entries, exits) in trace.intervals.items():
         queues[which] = {
             "peak": peak_occupancy(entries, exits),
             "sampled_peak": max(
                 getattr(trace, f"{which}_counts"), default=0
             ),
             "drain_s": drain_time(trace, which),
-            "littles_law_ok": littles_law_check(records, which)["ok"],
+            "littles_law_ok": littles_law_check(entries, exits)["ok"],
         }
     summary["queues"] = queues
 

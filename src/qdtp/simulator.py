@@ -40,14 +40,13 @@ from .recursions import (
     server_waits,
 )
 from .scenario import LabeledArrivals, Scenario, ServiceSampler, generate_arrivals
-from .timebase import ns_to_s
 
 __all__ = [
     "PacketRecord",
     "TraceSeries",
     "simulate",
     "simulate_sequences",
-    "drain_time",
+    "check_records",
     "verify_trace",
 ]
 
@@ -113,6 +112,8 @@ class TraceSeries:
     sqf_counts: tuple[int, ...]
     server_counts: tuple[int, ...]
     per_packet: list[PacketRecord]
+    # metrics.queue_intervals(per_packet): each queue's sorted (entries, exits)
+    intervals: dict[str, tuple[list[int], list[int]]]
     d_ns: Optional[int] = None
     mitigation: Optional[tuple[int, int]] = None
     attack_window_ns: Optional[tuple[int, int]] = None
@@ -243,13 +244,15 @@ def _engine(
         for j in range(n)
     ]
 
-    grid, sqf_counts, server_counts = metrics.sample_queues(records, sampling_interval)
+    intervals = metrics.queue_intervals(records)
+    grid, sqf_counts, server_counts = metrics.sample_queues(intervals, sampling_interval)
     return TraceSeries(
         sampling_interval=sampling_interval,
         times_ns=grid,
         sqf_counts=sqf_counts,
         server_counts=server_counts,
         per_packet=records,
+        intervals=intervals,
         d_ns=d if use_gate else None,
         mitigation=(
             (gate_filter.policy.n_threshold, gate_filter.policy.k_factor)
@@ -331,33 +334,6 @@ def simulate_sequences(
     )
 
 
-def drain_time(trace: TraceSeries, queue: str = "server") -> float:
-    """Seconds between the end of the attack window and the queue emptying.
-
-    Zero when there is no attack or the queue was already clear at the
-    attack's end.  Traces produced by :func:`simulate` are always complete;
-    a trace with unresolved packets is rejected.
-    """
-    if queue not in ("sqf", "server"):
-        raise ContractViolation(f"unknown queue {queue!r}")
-    for rec in trace.per_packet:
-        if not rec.dropped and rec.service_end_ns is None:
-            raise ContractViolation("trace has unresolved packets")
-    if trace.attack_window_ns is None:
-        return 0.0
-    _, attack_end = trace.attack_window_ns
-    last = 0
-    for rec in trace.per_packet:
-        if rec.dropped:
-            continue
-        leave = rec.t_ns if queue == "sqf" else rec.service_end_ns
-        if leave > last:
-            last = leave
-    if last <= attack_end:
-        return 0.0
-    return ns_to_s(last - attack_end)
-
-
 def _match(name: str, expected: tuple, recorded: tuple, admitted) -> None:
     """Raise naming the first packet where a recursion and the trace differ."""
     if expected == recorded:
@@ -371,18 +347,13 @@ def _match(name: str, expected: tuple, recorded: tuple, admitted) -> None:
     raise InvariantViolation(f"{name} and the trace differ in length")
 
 
-def verify_trace(trace: TraceSeries) -> None:
-    """Cross-check a finished run against the closed-form recursions.
+def check_records(records) -> list[PacketRecord]:
+    """Check a packet log's consistency; return the admitted records.
 
-    Admitted packets are replayed through ``qdtp_schedule`` /
-    ``qdtp_delays_ns`` / ``server_waits`` (or ``lindley_waits`` when no gate
-    was configured) and must agree with the recorded timestamps to the
-    nanosecond; a mismatch names the recursion, the first diverging packet
-    and both values.  Every record must be consistently admitted or dropped,
-    and FIFO order and the occupancy identity are checked as well.  Raises
-    InvariantViolation on the first failure.
+    Drop reasons match the timestamps, ``a <= t <= start <= end``, FIFO
+    order holds and services never overlap.  No recursion is replayed, so
+    live recordings pass too.  Raises InvariantViolation on the first failure.
     """
-    records = trace.per_packet
     admitted = []
     for r in records:
         if r.dropped:
@@ -403,9 +374,21 @@ def verify_trace(trace: TraceSeries) -> None:
             raise InvariantViolation("FIFO order violated")
         if cur.service_start_ns < prev.service_end_ns:
             raise InvariantViolation("service overlap at the device")
-    if not admitted:
-        return
+    return admitted
 
+
+def verify_trace(trace: TraceSeries) -> None:
+    """Cross-check a finished run against the closed-form recursions.
+
+    The records must pass :func:`check_records`; admitted packets are then
+    replayed through ``qdtp_schedule`` / ``qdtp_delays_ns`` / ``server_waits``
+    (or ``lindley_waits`` when no gate was configured) and must agree with
+    the recorded timestamps to the nanosecond; a mismatch names the
+    recursion, the first diverging packet and both values.  Each queue's
+    ``trace.intervals`` then go through the Little's-law sweep.  Raises
+    InvariantViolation on the first failure.
+    """
+    admitted = check_records(trace.per_packet)
     a = ArrivalSequence(tuple(r.a_ns for r in admitted))
     services = ServiceSequence(tuple(r.service_ns for r in admitted))
     if trace.d_ns is not None:
@@ -430,6 +413,6 @@ def verify_trace(trace: TraceSeries) -> None:
         admitted,
     )
 
-    for which in ("sqf", "server"):
-        if not metrics.littles_law_check(records, which)["ok"]:
+    for which, (entries, exits) in trace.intervals.items():
+        if not metrics.littles_law_check(entries, exits)["ok"]:
             raise InvariantViolation(f"occupancy integral mismatch on {which}")

@@ -24,7 +24,7 @@ from test_forwarder import quiet_timing
 from qdtp.errors import QdtpError
 from qdtp.forwarder import ForwarderConfig, UdpForwarder, make_payload
 from qdtp.manifests import bundled_manifest_names, load_manifest, resolve_scenario
-from qdtp.metrics import littles_law_check, peak_occupancy, queue_intervals
+from qdtp.metrics import drain_time, littles_law_check, peak_occupancy
 from qdtp.recursions import (
     ArrivalSequence,
     QdtpConfig,
@@ -34,15 +34,15 @@ from qdtp.recursions import (
     qdtp_schedule,
     server_waits,
 )
-from qdtp.simulator import drain_time, simulate, simulate_sequences, verify_trace
+from qdtp.simulator import simulate, simulate_sequences, verify_trace
 
 PROPERTY_CASES = 500
 
 
-def _occupancy_at(records, which, instant_ns):
+def _occupancy_at(trace, which, instant_ns):
     from bisect import bisect_right
 
-    entries, exits = queue_intervals(records, which)
+    entries, exits = trace.intervals[which]
     return bisect_right(entries, instant_ns) - bisect_right(sorted(exits), instant_ns)
 
 
@@ -58,10 +58,10 @@ def _reduce(name, manifest, trace, verify_error):
         d_ms=manifest.sqf_d_ms,
         mitigation=manifest.mitigation,
         sampled_server_max=max(trace.server_counts, default=0),
-        server_peak=peak_occupancy(*queue_intervals(trace.per_packet, "server")),
-        sqf_peak=peak_occupancy(*queue_intervals(trace.per_packet, "sqf")),
+        server_peak=peak_occupancy(*trace.intervals["server"]),
+        sqf_peak=peak_occupancy(*trace.intervals["sqf"]),
         backlog_at_attack_end=(
-            _occupancy_at(trace.per_packet, "server", window[1]) if window else 0
+            _occupancy_at(trace, "server", window[1]) if window else 0
         ),
         drain_s=drain_time(trace, "server") if window else 0.0,
         base_sojourn_ms=(
@@ -374,7 +374,7 @@ def _prop_littles_law(data, d):
         QdtpConfig(d),
     )
     for queue in ("sqf", "server"):
-        assert littles_law_check(trace.per_packet, queue)["ok"]
+        assert littles_law_check(*trace.intervals[queue])["ok"]
 
 
 def test_criterion_8_property_suites():

@@ -7,7 +7,11 @@ import sys
 
 import pytest
 
+from qdtp import metrics
+from qdtp.artifacts import PACKET_FIELDS, read_packets_csv, trace_from_records
 from qdtp.cli import main
+from qdtp.errors import InvariantViolation
+from qdtp.simulator import verify_trace
 
 TINY_SCENARIO = {
     "normal_sources": [
@@ -141,22 +145,59 @@ class TestAnalyze:
         assert "server queue peaks" in capsys.readouterr().out
         assert (a / "figure_comparison.csv").is_file()
 
+    def test_compare_builds_intervals_once_per_run(self, tmp_path, tiny_scenario,
+                                                   monkeypatch):
+        a = run_tiny(tmp_path, tiny_scenario)
+        assert main([
+            "simulate", "--scenario", str(tiny_scenario), "--name", "wide",
+            "--out", str(tmp_path / "runs"),
+        ]) == 0
+        b = tmp_path / "runs" / "wide" / "seed0005"
+        calls = []
+        original = metrics.queue_intervals
+
+        def counting(*args):
+            calls.append(len(args[0]))
+            return original(*args)
+
+        monkeypatch.setattr(metrics, "queue_intervals", counting)
+        assert main(["analyze", str(a), "--compare", str(b)]) == 0
+        assert calls == [60, 60]
+
     def test_empty_directory_is_io_error(self, tmp_path):
         assert main(["analyze", str(tmp_path)]) == 4
 
     def test_doctored_packets_is_invariant_error(self, tmp_path, tiny_scenario):
-        seed_dir = run_tiny(tmp_path, tiny_scenario)
-        path = seed_dir / "packets.csv"
-        with open(path, newline="") as fh:
-            rows = list(csv.reader(fh))
-        # make one packet leave the server before it entered
-        header, first = rows[0], rows[1]
-        start = header.index("service_start")
-        end = header.index("service_end")
-        first[end] = str(int(first[start]) - 1000)
-        with open(path, "w", newline="") as fh:
-            csv.writer(fh).writerows(rows)
-        assert main(["analyze", str(seed_dir)]) == 3
+        # packet 0 leaves the server before it entered; packet 0 reaches the
+        # device 1 us after its own service started
+        for column, source, shift in (("service_end", "service_start", -1000),
+                                      ("t", "service_start", 1000)):
+            seed_dir = run_tiny(tmp_path, tiny_scenario)
+            path = seed_dir / "packets.csv"
+            with open(path, newline="") as fh:
+                rows = list(csv.reader(fh))
+            header, first = rows[0], rows[1]
+            first[header.index(column)] = str(int(first[header.index(source)]) + shift)
+            with open(path, "w", newline="") as fh:
+                csv.writer(fh).writerows(rows)
+            assert main(["analyze", str(seed_dir)]) == 3, column
+
+    def test_live_stub_recording_is_accepted(self, tmp_path, capsys):
+        # a device stub starts each service a few us after the previous one
+        # ended, so the log follows no recursion to the ns; analyze checks
+        # its consistency and must not replay the recursions
+        rows, end = [], 0
+        for i in range(5):
+            a = i * 1_000_000
+            start = max(a, end) + 3_000
+            end = start + 2_000_000
+            rows.append([i, 0, 0, a, a, start, end, 0, ""])
+        with open(tmp_path / "packets.csv", "w", newline="") as fh:
+            csv.writer(fh).writerows([PACKET_FIELDS] + rows)
+        with pytest.raises(InvariantViolation, match="lindley_waits"):
+            verify_trace(trace_from_records(read_packets_csv(tmp_path / "packets.csv")))
+        assert main(["analyze", str(tmp_path), "--interval", "1"]) == 0
+        assert "5/5 packets completed" in capsys.readouterr().out
 
     def test_histogram_labels_are_milliseconds(self, tmp_path):
         # every packet finds the device idle, so every sojourn is exactly 3 ms

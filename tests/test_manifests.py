@@ -4,6 +4,7 @@ import json
 
 import pytest
 
+from qdtp import metrics
 from qdtp.errors import ConfigurationError
 from qdtp.manifests import (
     ExperimentManifest,
@@ -17,8 +18,8 @@ from qdtp.manifests import (
 EXPECTED_MANIFESTS = {
     "fig3_no_sqf", "fig3_no_sqf_outliers", "fig7_with_sqf", "fig8_d2_7",
     "fig9_no_sqf_30s", "fig9_with_sqf_30s", "fig9_no_sqf_10s",
-    "fig9_with_sqf_10s", "fig10_d3_2", "fig11_sqf_queue",
-    "fig12_mitigation", "fig13_mitigation_60s",
+    "fig9_with_sqf_10s", "fig10_d3_2", "fig12_mitigation",
+    "fig13_mitigation_60s",
 }
 
 
@@ -74,6 +75,18 @@ class TestBundledData:
     def test_unknown_scenario_name_rejected(self):
         with pytest.raises(ConfigurationError):
             resolve_scenario("not_a_scenario")
+
+    def test_no_two_manifests_describe_the_same_run(self):
+        # the out directory and the name differ by design; everything that
+        # decides the artifacts' bytes must not
+        runs = {}
+        for name in bundled_manifest_names():
+            m = load_manifest(name)
+            # run_manifest replaces the scenario's own seed with each of m.seeds
+            scenario = dataclasses.replace(resolve_scenario(m.scenario), seed=0)
+            key = (scenario, m.sqf_d_ms, m.mitigation, m.seeds, m.sampling_interval_ms)
+            assert key not in runs, f"{name} repeats the run of {runs.get(key)}"
+            runs[key] = name
 
     def test_mitigation_manifests_carry_policy(self):
         assert load_manifest("fig12_mitigation").mitigation == (10, 3)
@@ -131,6 +144,18 @@ class TestRunManifest:
         assert traces[0].seed == 3 and traces[1].seed == 5
         # burst arrivals are seed-independent but both runs completed
         assert len(traces[0].per_packet) == len(traces[1].per_packet) == 100
+
+    def test_intervals_built_once_per_seed(self, tmp_path, monkeypatch):
+        calls = []
+        original = metrics.queue_intervals
+
+        def counting(*args):
+            calls.append(len(args[0]))
+            return original(*args)
+
+        monkeypatch.setattr(metrics, "queue_intervals", counting)
+        run_manifest(tiny_manifest(tmp_path, seeds=(3, 5)), base_dir=tmp_path)
+        assert calls == [100, 100]
 
     def test_rerun_same_manifest_is_idempotent(self, tmp_path):
         m = tiny_manifest(tmp_path)

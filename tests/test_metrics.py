@@ -14,6 +14,7 @@ from qdtp.metrics import (
     littles_law_check,
     occupancy_counts,
     peak_occupancy,
+    queue_intervals,
     run_summary,
     sample_queues,
     summarize,
@@ -83,29 +84,29 @@ class TestSummarize:
 class TestQueueSeries:
     def test_single_packet_example(self):
         rec = [make_record(0, 0, 0, 0, 3 * MS)]
-        grid, sqf, server = sample_queues(rec, 0.001)
+        grid, sqf, server = sample_queues(queue_intervals(rec), 0.001)
         assert server == (1, 1, 1, 0)
         assert sqf == (0, 0, 0, 0)
         assert grid == (0, MS, 2 * MS, 3 * MS)
 
     def test_empty_records(self):
-        assert sample_queues([], 0.001) == ((0,), (0,), (0,))
+        assert sample_queues(queue_intervals([]), 0.001) == ((0,), (0,), (0,))
 
     def test_inconsistent_timestamps_rejected(self):
         rec = [make_record(0, 5 * MS, 5 * MS, 5 * MS, 3 * MS)]
         with pytest.raises(ContractViolation):
-            sample_queues(rec, 0.001)
+            sample_queues(queue_intervals(rec), 0.001)
 
     def test_nonpositive_interval_rejected(self):
         with pytest.raises(ContractViolation):
-            sample_queues([], 0.0)
+            sample_queues(queue_intervals([]), 0.0)
 
     def test_dropped_packets_occupy_nothing(self):
         rec = [
             make_record(0, 0, 0, 0, 3 * MS),
             make_record(1, 0, None, None, None, dropped=True, reason="mitigation"),
         ]
-        _, sqf, server = sample_queues(rec, 0.001)
+        _, sqf, server = sample_queues(queue_intervals(rec), 0.001)
         assert max(server) == 1
         assert max(sqf) == 0
 
@@ -118,7 +119,7 @@ class TestQueueSeries:
         entries = sorted([0, MS])
         exits = sorted([3 * MS, 5 * MS])
         assert peak_occupancy(entries, exits) == 2
-        _, _, server = sample_queues(rec, 0.004)
+        _, _, server = sample_queues(queue_intervals(rec), 0.004)
         assert max(server) <= 2
 
     @given(st.lists(st.tuples(st.integers(0, 1000), st.integers(0, 1000)), max_size=30))
@@ -141,7 +142,7 @@ class TestLittlesLaw:
             QdtpConfig.from_seconds(0.003),
         )
         for which in ("sqf", "server"):
-            out = littles_law_check(trace.per_packet, which)
+            out = littles_law_check(*trace.intervals[which])
             assert out["ok"]
             assert out["occupancy_integral_ns"] == out["sojourn_sum_ns"]
 

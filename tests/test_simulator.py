@@ -9,6 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from qdtp.errors import ConfigurationError, ContractViolation, InvariantViolation
+from qdtp.metrics import drain_time
 from qdtp.mitigation import MitigationPolicy
 from qdtp.recursions import (
     ArrivalSequence,
@@ -19,7 +20,7 @@ from qdtp.recursions import (
     server_waits,
 )
 from qdtp.scenario import Scenario, ServiceModel, TrafficModel, sample_services
-from qdtp.simulator import drain_time, simulate, simulate_sequences, verify_trace
+from qdtp.simulator import simulate, simulate_sequences, verify_trace
 
 import strategies as own
 
@@ -233,6 +234,19 @@ class TestDrainTime:
         trace = simulate(s)
         last_end = max(r.service_end_ns for r in trace.completed())
         assert drain_time(trace) == pytest.approx(last_end / 1e9 - 2.0)
+
+    def test_gate_drains_at_last_release(self):
+        # a 500-packet flood against D = 4 ms keeps the gate busy ~2 s past
+        # the attack; its drain ends at the last admitted packet's release
+        s = constant_scenario(
+            attack=TrafficModel(kind="periodic", rate=500.0, start=1.0, duration=1.0),
+            horizon=5.0,
+        )
+        trace = simulate(s, QdtpConfig.from_seconds(0.004))
+        _, attack_end = s.attack_window_ns
+        last_release = max(r.t_ns for r in trace.per_packet if not r.dropped)
+        assert last_release > attack_end
+        assert drain_time(trace, "sqf") == (last_release - attack_end) / 1e9
 
     def test_unknown_queue_rejected(self):
         trace = simulate(constant_scenario())
