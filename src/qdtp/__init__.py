@@ -62,7 +62,7 @@ from .scenario import (
     sample_services,
 )
 from .simulator import (
-    PacketRecord,
+    Packets,
     TraceSeries,
     simulate,
     simulate_sequences,
@@ -82,7 +82,7 @@ __all__ = [
     "InvariantViolation",
     "MitigationGate",
     "MitigationPolicy",
-    "PacketRecord",
+    "Packets",
     "QdtpConfig",
     "QdtpError",
     "RunComparison",

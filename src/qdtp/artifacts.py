@@ -1,7 +1,9 @@
 """Reading and writing run artifacts: packets.csv, queues.csv, summary.json.
 
 Schemas are stable interfaces. packets.csv carries integer-nanosecond
-timestamps; empty cells mean "not applicable" (dropped packets).
+timestamps; empty cells mean "not applicable" (dropped packets).  Its
+``id`` and ``dropped`` columns are derived: ``id`` is the row index and
+``dropped`` is 1 exactly when ``drop_reason`` is set.
 """
 from __future__ import annotations
 
@@ -12,7 +14,7 @@ from typing import Optional, Sequence
 
 from . import metrics
 from .errors import ContractViolation
-from .simulator import PacketRecord, TraceSeries, check_records
+from .simulator import Packets, TraceSeries, check_records
 
 PACKET_FIELDS = [
     "id",
@@ -41,54 +43,58 @@ __all__ = [
 ]
 
 
-def _cell(value: Optional[int]) -> str:
-    return "" if value is None else str(value)
-
-
-def write_packets_csv(records: Sequence[PacketRecord], path) -> None:
+def write_packets_csv(packets: Packets, path) -> None:
     with open(path, "w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh)
         writer.writerow(PACKET_FIELDS)
-        for r in records:
-            writer.writerow(
-                [
-                    r.id,
-                    r.source,
-                    int(r.is_attack),
-                    r.a_ns,
-                    _cell(r.t_ns),
-                    _cell(r.service_start_ns),
-                    _cell(r.service_end_ns),
-                    int(r.dropped),
-                    r.drop_reason or "",
-                ]
-            )
+        # csv writes None as an empty cell
+        writer.writerows(zip(
+            range(len(packets)),
+            packets.source,
+            map(int, packets.is_attack),
+            packets.a_ns,
+            packets.t_ns,
+            packets.start_ns,
+            packets.end_ns,
+            [0 if why is None else 1 for why in packets.drop_reason],
+            packets.drop_reason,
+        ))
 
 
-def read_packets_csv(path) -> list[PacketRecord]:
-    records = []
+def _ns(cell: str) -> Optional[int]:
+    return int(cell) if cell else None
+
+
+def read_packets_csv(path) -> Packets:
+    """Read packets.csv back into columns.
+
+    Rejects, with ContractViolation, a header other than PACKET_FIELDS, a
+    malformed row, an ``id`` that is not the row index, and a ``dropped``
+    flag that disagrees with ``drop_reason``.
+    """
+    packets = Packets()
     with open(path, "r", newline="", encoding="utf-8") as fh:
-        reader = csv.DictReader(fh)
-        if reader.fieldnames != PACKET_FIELDS:
-            raise ContractViolation(f"{path}: unexpected packet columns {reader.fieldnames}")
-        for row in reader:
+        reader = csv.reader(fh)
+        header = next(reader, None)
+        if header != PACKET_FIELDS:
+            raise ContractViolation(f"{path}: unexpected packet columns {header}")
+        for index, row in enumerate(filter(None, reader)):  # skip blank lines
             try:
-                records.append(
-                    PacketRecord(
-                        id=int(row["id"]),
-                        source=int(row["source"]),
-                        is_attack=bool(int(row["is_attack"])),
-                        a_ns=int(row["a"]),
-                        t_ns=int(row["t"]) if row["t"] else None,
-                        service_start_ns=int(row["service_start"]) if row["service_start"] else None,
-                        service_end_ns=int(row["service_end"]) if row["service_end"] else None,
-                        dropped=bool(int(row["dropped"])),
-                        drop_reason=row["drop_reason"] or None,
-                    )
-                )
-            except (KeyError, ValueError) as exc:
+                pid, source, attack, a, t, start, end, dropped, why = row
+                if int(pid) != index:
+                    raise ValueError(f"id {pid} is not the row index {index}")
+                if bool(int(dropped)) != bool(why):
+                    raise ValueError("dropped flag disagrees with drop_reason")
+                packets.source.append(int(source))
+                packets.is_attack.append(bool(int(attack)))
+                packets.a_ns.append(int(a))
+                packets.t_ns.append(_ns(t))
+                packets.start_ns.append(_ns(start))
+                packets.end_ns.append(_ns(end))
+                packets.drop_reason.append(why or None)
+            except ValueError as exc:
                 raise ContractViolation(f"{path}: bad packet row {row!r}: {exc}") from exc
-    return records
+    return packets
 
 
 def write_queues_csv(trace: TraceSeries, path) -> None:
@@ -160,7 +166,7 @@ def write_histogram_csv(edges: Sequence[float], columns: dict, path) -> None:
 
 
 def trace_from_records(
-    records: Sequence[PacketRecord],
+    packets: Packets,
     sampling_interval: float = 0.1,
     *,
     d_ns: Optional[int] = None,
@@ -168,16 +174,16 @@ def trace_from_records(
     attack_window_ns: Optional[tuple[int, int]] = None,
     seed: Optional[int] = None,
 ) -> TraceSeries:
-    """Rebuild a TraceSeries from records that pass ``check_records`` (no recursion replay)."""
-    check_records(records)
-    intervals = metrics.queue_intervals(records)
+    """Rebuild a TraceSeries from packets that pass ``check_records`` (no recursion replay)."""
+    check_records(packets)
+    intervals = metrics.queue_intervals(packets)
     grid, sqf_counts, server_counts = metrics.sample_queues(intervals, sampling_interval)
     return TraceSeries(
         sampling_interval=sampling_interval,
         times_ns=grid,
         sqf_counts=sqf_counts,
         server_counts=server_counts,
-        per_packet=list(records),
+        packets=packets,
         intervals=intervals,
         d_ns=d_ns,
         mitigation=mitigation,
@@ -194,7 +200,7 @@ def write_run_dir(trace: TraceSeries, out_dir) -> dict:
         "queues": os.path.join(out_dir, "queues.csv"),
         "summary": os.path.join(out_dir, "summary.json"),
     }
-    write_packets_csv(trace.per_packet, paths["packets"])
+    write_packets_csv(trace.packets, paths["packets"])
     write_queues_csv(trace, paths["queues"])
     write_summary_json(metrics.run_summary(trace), paths["summary"])
     return paths

@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import argparse
 import sys
+from itertools import compress
 from pathlib import Path
 
 from . import __version__
@@ -138,7 +139,7 @@ def cmd_stub(args) -> int:
 # -- analyze ----------------------------------------------------------------
 
 def _load_run(run_dir: Path, fallback_interval_ms: float):
-    records = read_packets_csv(run_dir / "packets.csv")
+    packets = read_packets_csv(run_dir / "packets.csv")
     interval_s = fallback_interval_ms / 1000.0
     d_ns = mitigation = attack_window_ns = seed = None
     summary_path = run_dir / "summary.json"
@@ -158,7 +159,7 @@ def _load_run(run_dir: Path, fallback_interval_ms: float):
             lo, hi = attack["window_s"]
             attack_window_ns = (s_to_ns(lo), s_to_ns(hi))
     return trace_from_records(
-        records,
+        packets,
         interval_s,
         d_ns=d_ns,
         mitigation=mitigation,
@@ -168,19 +169,17 @@ def _load_run(run_dir: Path, fallback_interval_ms: float):
 
 
 def _write_delay_histogram(trace, path) -> None:
-    completed = [r for r in trace.per_packet if not r.dropped]
-    if not completed:
+    p = trace.packets
+    kept = [why is None for why in p.drop_reason]
+    t = list(compress(p.t_ns, kept))
+    if not t:
         return
-    sojourns_ms = [r.sojourn_ns / 1e6 for r in completed]
+    sojourns_ms = [(e - x) / 1e6 for x, e in zip(t, compress(p.end_ns, kept))]
     window = trace.attack_window_ns
     if window is not None:
-        baseline = [
-            r.sojourn_ns / 1e6 for r in completed if r.t_ns < window[0]
-        ]
+        baseline = [ms for x, ms in zip(t, sojourns_ms) if x < window[0]]
         attacked = [
-            r.sojourn_ns / 1e6
-            for r in completed
-            if window[0] <= r.t_ns < window[1]
+            ms for x, ms in zip(t, sojourns_ms) if window[0] <= x < window[1]
         ]
         if baseline and attacked:
             edges = fd_bin_edges(baseline, cover=attacked)

@@ -31,13 +31,13 @@ import sys
 import threading
 import time
 from collections import deque
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from typing import Optional
 
 from .errors import ConfigurationError
 from .mitigation import MitigationGate, MitigationPolicy
 from .scenario import ServiceModel
-from .simulator import PacketRecord
+from .simulator import Packets
 
 __all__ = [
     "DEFAULT_TOLERANCE_US",
@@ -419,8 +419,8 @@ class UdpServerStub:
     """Emulates the protected device: FCFS, one sampled sleep per packet.
 
     Arrivals are stamped on receipt (rebased so the first packet is t=0)
-    and recorded with the same fields the simulator writes, so the same
-    analysis tooling applies.  With no shaping in front of it, a burst
+    and appended to ``packets``, the same columns the simulator fills, so
+    the same analysis tooling applies.  With no shaping in front of it, a burst
     makes the recorded waits grow exactly like the direct-feed recursion
     predicts -- that contrast with the forwarder-protected runs is the
     point of the stub.
@@ -435,7 +435,7 @@ class UdpServerStub:
         self._fifo: deque[tuple[int, bytes, int]] = deque()
         self._base_ns: Optional[int] = None
         self._source_ids: dict = {}
-        self.records: list[PacketRecord] = []
+        self.packets = Packets()
         self._stop = threading.Event()
         self._threads: list[threading.Thread] = []
         self._sock: Optional[socket.socket] = None
@@ -499,29 +499,25 @@ class UdpServerStub:
                     self._base_ns = recv_ns
                 base = self._base_ns
                 parsed = parse_payload(data)
-                self.records.append(
-                    PacketRecord(
-                        id=len(self.records),
-                        source=src,
-                        is_attack=parsed[1] if parsed else False,
-                        a_ns=recv_ns - base,
-                        t_ns=recv_ns - base,
-                        service_start_ns=start_ns - base,
-                        service_end_ns=end_ns - base,
-                        dropped=False,
-                        drop_reason=None,
-                    )
-                )
+                p = self.packets
+                p.source.append(src)
+                p.is_attack.append(parsed[1] if parsed else False)
+                p.a_ns.append(recv_ns - base)
+                p.t_ns.append(recv_ns - base)
+                p.start_ns.append(start_ns - base)
+                p.end_ns.append(end_ns - base)
+                p.drop_reason.append(None)
 
-    def snapshot_records(self) -> list[PacketRecord]:
+    def snapshot_records(self) -> Packets:
+        """A copy of the packet columns, consistent under the lock."""
         with self._cond:
-            return list(self.records)
+            return Packets(*(list(getattr(self.packets, f.name)) for f in fields(Packets)))
 
     def wait_for_processed(self, count: int, timeout: float) -> bool:
         deadline = time.monotonic() + timeout
         while time.monotonic() < deadline:
             with self._cond:
-                if len(self.records) >= count:
+                if len(self.packets) >= count:
                     return True
             time.sleep(0.005)
         return False
@@ -545,16 +541,16 @@ def run_server_stub(listen: tuple[str, int], service_model: ServiceModel, *,
     try:
         while not stop_event.wait(1.0):
             with stub._cond:
-                done = len(stub.records)
+                done = len(stub.packets)
                 pending = len(stub._fifo)
             print(json.dumps({"processed": done, "queued": pending}), file=stream, flush=True)
     except KeyboardInterrupt:
         pass
     finally:
         stub.stop()
-    records = stub.snapshot_records()
+    packets = stub.snapshot_records()
     if out is not None:
         os.makedirs(out, exist_ok=True)
-        write_packets_csv(records, os.path.join(out, "packets.csv"))
-    print(json.dumps({"processed": len(records), "written": out}), file=stream, flush=True)
-    return len(records)
+        write_packets_csv(packets, os.path.join(out, "packets.csv"))
+    print(json.dumps({"processed": len(packets), "written": out}), file=stream, flush=True)
+    return len(packets)

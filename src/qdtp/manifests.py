@@ -21,7 +21,7 @@ from .mitigation import MitigationPolicy
 from .recursions import QdtpConfig
 from .scenario import Scenario
 from .simulator import TraceSeries, simulate, verify_trace
-from .timebase import NS_PER_MS
+from .timebase import NS_PER_MS, s_to_ns
 
 __all__ = [
     "ExperimentManifest",
@@ -75,8 +75,8 @@ class ExperimentManifest:
                 raise ConfigurationError("mitigation requires an sqf gate")
             pol = MitigationPolicy.coerce(self.mitigation)
             object.__setattr__(self, "mitigation", (pol.n_threshold, pol.k_factor))
-        if self.sampling_interval_ms <= 0:
-            raise ConfigurationError("sampling interval must be positive")
+        if s_to_ns(self.sampling_interval_ms / 1000.0) <= 0:
+            raise ConfigurationError("sampling interval must be at least 1 ns")
 
     @property
     def qdtp_config(self) -> Optional[QdtpConfig]:

@@ -1,12 +1,13 @@
 """Measurement helpers: summary statistics, queue sampling, checks.
 
-Records are duck-typed: anything with ``a_ns``, ``t_ns``, ``service_start_ns``,
-``service_end_ns`` and ``dropped`` works, so the functions apply equally to
-simulator output and to packet logs read back from disk.
+A packet log is a ``simulator.Packets``: per-packet columns (``a_ns``,
+``t_ns``, ``start_ns``, ``end_ns``, ``drop_reason``, ...), whether the
+engine filled them or ``artifacts.read_packets_csv`` read them back, so the
+functions apply equally to simulator output and to logs read from disk.
 
-Occupancy flows one way: records -> :func:`queue_intervals` (one walk per
+Occupancy flows one way: columns -> :func:`queue_intervals` (one walk per
 trace, kept as ``TraceSeries.intervals``) -> sampling, exact peak, drain
-time and the Little's-law sweep, none of which walks the records again.
+time and the Little's-law sweep, none of which walks the columns again.
 """
 from __future__ import annotations
 
@@ -14,6 +15,7 @@ import math
 import statistics
 from bisect import bisect_right
 from dataclasses import dataclass
+from itertools import compress
 from typing import Iterable, Optional, Sequence
 
 from .errors import ContractViolation
@@ -95,8 +97,8 @@ def summarize(values: Iterable[float]) -> SummaryStats:
     )
 
 
-def queue_intervals(records) -> dict[str, tuple[list[int], list[int]]]:
-    """Both queues' sorted (entries, exits), built in one walk of the records.
+def queue_intervals(packets) -> dict[str, tuple[list[int], list[int]]]:
+    """Both queues' sorted (entries, exits), built in one walk of the columns.
 
     The shaping gate holds a packet on ``[a, t)``; the device holds it on
     ``[t, service_end)`` -- a packet in service still occupies the device.
@@ -104,11 +106,11 @@ def queue_intervals(records) -> dict[str, tuple[list[int], list[int]]]:
     entries, so the two share one sorted list.
     """
     arrivals, releases, ends = [], [], []
-    for rec in records:
-        if rec.dropped:
+    columns = zip(packets.a_ns, packets.t_ns, packets.end_ns, packets.drop_reason)
+    for a, t, end, why in columns:
+        if why is not None:
             continue
-        a, t, end = rec.a_ns, rec.t_ns, rec.service_end_ns
-        if a is None or t is None or end is None:
+        if t is None or end is None:
             raise ContractViolation("record is missing queue timestamps")
         if t < a or end < t:
             raise ContractViolation("queue exit precedes entry")
@@ -168,7 +170,7 @@ def sample_queues(
     ``intervals`` is what :func:`queue_intervals` returns.  Returns
     ``(grid_ns, sqf_counts, server_counts)``.  The grid extends one step
     past the last exit from either queue, so both series return to zero.
-    An empty record set yields the single grid instant 0.
+    An empty packet log yields the single grid instant 0.
     """
     interval_ns = s_to_ns(interval)
     if interval_ns <= 0:
@@ -190,13 +192,14 @@ def littles_law_check(
 
     For any finite trace the time integral of the queue length equals the
     sum of per-packet dwell times exactly; with integer timestamps the two
-    integer sums must match to the nanosecond.  Returns both sides and the
-    verdict.
+    integer sums must match to the nanosecond.  Returns both sides, the
+    verdict, and the exact peak occupancy the same merge yields.
     """
     dwell_sum = sum(exits) - sum(entries)
-    integral = _sweep(entries, exits)[1]
+    peak, integral = _sweep(entries, exits)
     ok = abs(integral - dwell_sum) <= tolerance * max(1, dwell_sum)
     return {
+        "peak": peak,
         "occupancy_integral_ns": integral,
         "sojourn_sum_ns": dwell_sum,
         "ok": ok,
@@ -300,22 +303,26 @@ def run_summary(trace) -> dict:
     Everything downstream (CLI, acceptance checks, humans reading
     summary.json) consumes this; times are reported in milliseconds.
     """
-    records = trace.per_packet
-    completed = [r for r in records if not r.dropped]
+    p = trace.packets
     drops: dict[str, int] = {}
-    for r in records:
-        if r.dropped:
-            drops[r.drop_reason] = drops.get(r.drop_reason, 0) + 1
+    for why in p.drop_reason:
+        if why is not None:
+            drops[why] = drops.get(why, 0) + 1
+    kept = [why is None for why in p.drop_reason]
+    a, t, start, end, attack = (
+        list(compress(col, kept))
+        for col in (p.a_ns, p.t_ns, p.start_ns, p.end_ns, p.is_attack)
+    )
 
-    services = [r.service_ns / 1e9 for r in completed]
-    waits = [r.server_wait_ns / 1e9 for r in completed]
-    sojourns = [r.sojourn_ns / 1e9 for r in completed]
-    totals = [r.total_delay_ns / 1e9 for r in completed]
+    services = [(e - s) / 1e9 for s, e in zip(start, end)]
+    waits = [(s - x) / 1e9 for x, s in zip(t, start)]
+    sojourns = [(e - x) / 1e9 for x, e in zip(t, end)]
+    totals = [(e - x) / 1e9 for x, e in zip(a, end)]
 
     summary = {
         "packets": {
-            "total": len(records),
-            "completed": len(completed),
+            "total": len(p),
+            "completed": len(a),
             "dropped": sum(drops.values()),
             "drop_reasons": drops,
         },
@@ -332,41 +339,39 @@ def run_summary(trace) -> dict:
     }
     if trace.d_ns is not None:
         summary["gate_delay_ms"] = _maybe_summary_ms(
-            [r.gate_delay_ns / 1e9 for r in completed]
+            [(x - y) / 1e9 for y, x in zip(a, t)]
         )
 
     queues = {}
     for which, (entries, exits) in trace.intervals.items():
+        law = littles_law_check(entries, exits)
         queues[which] = {
-            "peak": peak_occupancy(entries, exits),
+            "peak": law["peak"],
             "sampled_peak": max(
                 getattr(trace, f"{which}_counts"), default=0
             ),
             "drain_s": drain_time(trace, which),
-            "littles_law_ok": littles_law_check(entries, exits)["ok"],
+            "littles_law_ok": law["ok"],
         }
     summary["queues"] = queues
 
     if trace.attack_window_ns is not None:
         start_ns, end_ns = trace.attack_window_ns
-        offered = [r for r in records if r.is_attack]
-        admitted = [r for r in offered if not r.dropped]
-        baseline = [r for r in completed if not r.is_attack and r.a_ns < start_ns]
+        attack_sojourns = list(compress(sojourns, attack))
+        baseline = [not atk and x < start_ns for atk, x in zip(attack, a)]
         summary["attack"] = {
             "window_s": [start_ns / 1e9, end_ns / 1e9],
-            "offered": len(offered),
-            "admitted": len(admitted),
+            "offered": sum(p.is_attack),
+            "admitted": len(attack_sojourns),
             "baseline_sojourn_ms": _maybe_summary_ms(
-                [r.sojourn_ns / 1e9 for r in baseline]
+                list(compress(sojourns, baseline))
             ),
-            "attack_sojourn_ms": _maybe_summary_ms(
-                [r.sojourn_ns / 1e9 for r in admitted]
-            ),
+            "attack_sojourn_ms": _maybe_summary_ms(attack_sojourns),
             "baseline_service_ms": _maybe_summary_ms(
-                [r.service_ns / 1e9 for r in baseline]
+                list(compress(services, baseline))
             ),
             "attack_service_ms": _maybe_summary_ms(
-                [r.service_ns / 1e9 for r in admitted]
+                list(compress(services, attack))
             ),
         }
     else:
@@ -380,7 +385,7 @@ def run_summary(trace) -> dict:
             "max_service_ms": max_service_ms,
             "suggested_d_ms": round(max_service_ms * 1.01, 4),
             "d_exceeds_max_service": (
-                trace.d_ns > max(r.service_ns for r in completed)
+                trace.d_ns > max(e - s for s, e in zip(start, end))
                 if trace.d_ns is not None
                 else None
             ),

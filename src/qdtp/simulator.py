@@ -21,7 +21,7 @@ from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass, field
-from typing import Callable, Optional
+from typing import Callable, Optional, Sequence
 
 from . import metrics
 from .errors import ConfigurationError, ContractViolation, InvariantViolation
@@ -40,9 +40,10 @@ from .recursions import (
     server_waits,
 )
 from .scenario import LabeledArrivals, Scenario, ServiceSampler, generate_arrivals
+from .timebase import s_to_ns
 
 __all__ = [
-    "PacketRecord",
+    "Packets",
     "TraceSeries",
     "simulate",
     "simulate_sequences",
@@ -53,54 +54,27 @@ __all__ = [
 _INF = 1 << 62
 
 
-@dataclass(slots=True)
-class PacketRecord:
-    """Everything that happened to one packet.
+@dataclass
+class Packets:
+    """The packet log as columns, one entry per packet; a packet's id is its index.
 
-    Timestamps are nanoseconds; ``t_ns`` onwards are None for dropped
-    packets.  Without a gate, ``t_ns`` equals ``a_ns``.
+    Timestamps are nanoseconds.  A packet is dropped exactly when its
+    ``drop_reason`` is not None, and then ``t_ns``, ``start_ns`` and
+    ``end_ns`` are None.  Without a gate, ``t_ns`` equals ``a_ns``.  The
+    engine hands over its own lists and tuples; the CSV reader and the
+    device stub append to lists.
     """
 
-    id: int
-    source: int
-    is_attack: bool
-    a_ns: int
-    t_ns: Optional[int]
-    service_start_ns: Optional[int]
-    service_end_ns: Optional[int]
-    dropped: bool
-    drop_reason: Optional[str]
+    source: Sequence[int] = field(default_factory=list)
+    is_attack: Sequence[bool] = field(default_factory=list)
+    a_ns: Sequence[int] = field(default_factory=list)
+    t_ns: Sequence[Optional[int]] = field(default_factory=list)
+    start_ns: Sequence[Optional[int]] = field(default_factory=list)
+    end_ns: Sequence[Optional[int]] = field(default_factory=list)
+    drop_reason: Sequence[Optional[str]] = field(default_factory=list)
 
-    @property
-    def gate_delay_ns(self) -> Optional[int]:
-        if self.t_ns is None:
-            return None
-        return self.t_ns - self.a_ns
-
-    @property
-    def server_wait_ns(self) -> Optional[int]:
-        if self.service_start_ns is None:
-            return None
-        return self.service_start_ns - self.t_ns
-
-    @property
-    def service_ns(self) -> Optional[int]:
-        if self.service_end_ns is None:
-            return None
-        return self.service_end_ns - self.service_start_ns
-
-    @property
-    def sojourn_ns(self) -> Optional[int]:
-        """Wait plus processing at the device (excludes gate delay)."""
-        if self.service_end_ns is None:
-            return None
-        return self.service_end_ns - self.t_ns
-
-    @property
-    def total_delay_ns(self) -> Optional[int]:
-        if self.service_end_ns is None:
-            return None
-        return self.service_end_ns - self.a_ns
+    def __len__(self) -> int:
+        return len(self.a_ns)
 
 
 @dataclass
@@ -111,8 +85,8 @@ class TraceSeries:
     times_ns: tuple[int, ...]
     sqf_counts: tuple[int, ...]
     server_counts: tuple[int, ...]
-    per_packet: list[PacketRecord]
-    # metrics.queue_intervals(per_packet): each queue's sorted (entries, exits)
+    packets: Packets
+    # metrics.queue_intervals(packets): each queue's sorted (entries, exits)
     intervals: dict[str, tuple[list[int], list[int]]]
     d_ns: Optional[int] = None
     mitigation: Optional[tuple[int, int]] = None
@@ -121,12 +95,6 @@ class TraceSeries:
     # congestion flag at each service start, in service order; feeding these
     # back through scenario.sample_services reproduces the drawn durations
     service_regime: list[bool] = field(default_factory=list)
-
-    def completed(self) -> list[PacketRecord]:
-        return [r for r in self.per_packet if not r.dropped]
-
-    def dropped(self) -> list[PacketRecord]:
-        return [r for r in self.per_packet if r.dropped]
 
 
 def _engine(
@@ -141,8 +109,8 @@ def _engine(
     seed: Optional[int],
     sqf_capacity: Optional[int],
 ) -> TraceSeries:
-    if sampling_interval <= 0:
-        raise ConfigurationError("sampling interval must be positive")
+    if s_to_ns(sampling_interval) <= 0:
+        raise ConfigurationError("sampling interval must be at least 1 ns")
     if mitigation is not None and cfg is None:
         raise ConfigurationError("mitigation is defined in units of D; configure the gate")
     if sqf_capacity is not None and cfg is None:
@@ -229,29 +197,17 @@ def _engine(
     if gate_fifo or server_fifo or busy >= 0:
         raise InvariantViolation("simulation ended with packets in flight")
 
-    records = [
-        PacketRecord(
-            id=j,
-            source=labeled.source_ids[j],
-            is_attack=labeled.is_attack[j],
-            a_ns=at[j],
-            t_ns=t_out[j],
-            service_start_ns=ss_out[j],
-            service_end_ns=se_out[j],
-            dropped=drop_reason[j] is not None,
-            drop_reason=drop_reason[j],
-        )
-        for j in range(n)
-    ]
-
-    intervals = metrics.queue_intervals(records)
+    packets = Packets(
+        labeled.source_ids, labeled.is_attack, at, t_out, ss_out, se_out, drop_reason
+    )
+    intervals = metrics.queue_intervals(packets)
     grid, sqf_counts, server_counts = metrics.sample_queues(intervals, sampling_interval)
     return TraceSeries(
         sampling_interval=sampling_interval,
         times_ns=grid,
         sqf_counts=sqf_counts,
         server_counts=server_counts,
-        per_packet=records,
+        packets=packets,
         intervals=intervals,
         d_ns=d if use_gate else None,
         mitigation=(
@@ -334,83 +290,90 @@ def simulate_sequences(
     )
 
 
-def _match(name: str, expected: tuple, recorded: tuple, admitted) -> None:
+def _match(name: str, expected: tuple, recorded: tuple, ids: list[int]) -> None:
     """Raise naming the first packet where a recursion and the trace differ."""
     if expected == recorded:
         return
-    for rec, want, got in zip(admitted, expected, recorded):
+    for pid, want, got in zip(ids, expected, recorded):
         if want != got:
             raise InvariantViolation(
-                f"{name} disagrees with the trace at packet {rec.id}: "
+                f"{name} disagrees with the trace at packet {pid}: "
                 f"expected {want} ns, recorded {got} ns"
             )
     raise InvariantViolation(f"{name} and the trace differ in length")
 
 
-def check_records(records) -> list[PacketRecord]:
-    """Check a packet log's consistency; return the admitted records.
+def check_records(packets: Packets) -> list[int]:
+    """Check a packet log's consistency; return the admitted packets' ids.
 
     Drop reasons match the timestamps, ``a <= t <= start <= end``, FIFO
-    order holds and services never overlap.  No recursion is replayed, so
-    live recordings pass too.  Raises InvariantViolation on the first failure.
+    order holds and services never overlap, all in one walk of the columns.
+    No recursion is replayed, so live recordings pass too.  Raises
+    InvariantViolation on the first failure.
     """
-    admitted = []
-    for r in records:
-        if r.dropped:
-            if r.drop_reason not in ("mitigation", "capacity"):
-                raise InvariantViolation(f"packet {r.id}: dropped with reason {r.drop_reason!r}")
-            if r.t_ns is not None or r.service_start_ns is not None or r.service_end_ns is not None:
-                raise InvariantViolation(f"packet {r.id}: dropped yet has gate/device timestamps")
+    admitted: list[int] = []
+    prev_t = prev_start = prev_end = None  # the previous admitted packet's
+    columns = zip(packets.a_ns, packets.t_ns, packets.start_ns, packets.end_ns,
+                  packets.drop_reason)
+    for pid, (a, t, start, end, why) in enumerate(columns):
+        if why is not None:
+            if why not in ("mitigation", "capacity"):
+                raise InvariantViolation(f"packet {pid}: dropped with reason {why!r}")
+            if t is not None or start is not None or end is not None:
+                raise InvariantViolation(f"packet {pid}: dropped yet has gate/device timestamps")
             continue
-        if r.drop_reason is not None:
-            raise InvariantViolation(f"packet {r.id}: admitted yet has a drop reason")
-        if r.t_ns is None or r.service_start_ns is None or r.service_end_ns is None:
+        if t is None or start is None or end is None:
             raise InvariantViolation("admitted packet missing timestamps")
-        if not (r.a_ns <= r.t_ns <= r.service_start_ns <= r.service_end_ns):
+        if not (a <= t <= start <= end):
             raise InvariantViolation("packet timestamps out of order")
-        admitted.append(r)
-    for prev, cur in zip(admitted, admitted[1:]):
-        if cur.t_ns < prev.t_ns or cur.service_start_ns < prev.service_start_ns:
-            raise InvariantViolation("FIFO order violated")
-        if cur.service_start_ns < prev.service_end_ns:
-            raise InvariantViolation("service overlap at the device")
+        if admitted:
+            if t < prev_t or start < prev_start:
+                raise InvariantViolation("FIFO order violated")
+            if start < prev_end:
+                raise InvariantViolation("service overlap at the device")
+        prev_t, prev_start, prev_end = t, start, end
+        admitted.append(pid)
     return admitted
 
 
 def verify_trace(trace: TraceSeries) -> None:
     """Cross-check a finished run against the closed-form recursions.
 
-    The records must pass :func:`check_records`; admitted packets are then
-    replayed through ``qdtp_schedule`` / ``qdtp_delays_ns`` / ``server_waits``
-    (or ``lindley_waits`` when no gate was configured) and must agree with
-    the recorded timestamps to the nanosecond; a mismatch names the
-    recursion, the first diverging packet and both values.  Each queue's
-    ``trace.intervals`` then go through the Little's-law sweep.  Raises
-    InvariantViolation on the first failure.
+    The packet log must pass :func:`check_records`; the admitted packets'
+    timestamps, picked by id, are then replayed through ``qdtp_schedule`` /
+    ``qdtp_delays_ns`` / ``server_waits`` (or ``lindley_waits`` when no
+    gate was configured) and must agree with the recorded ones to the
+    nanosecond; a mismatch names the recursion, the first diverging packet
+    id and both values.  Each queue's ``trace.intervals`` then go through
+    the Little's-law sweep.  Raises InvariantViolation on the first failure.
     """
-    admitted = check_records(trace.per_packet)
-    a = ArrivalSequence(tuple(r.a_ns for r in admitted))
-    services = ServiceSequence(tuple(r.service_ns for r in admitted))
+    p = trace.packets
+    ids = check_records(p)
+    a_adm = tuple(p.a_ns[i] for i in ids)
+    t_adm = tuple(p.t_ns[i] for i in ids)
+    start_adm = tuple(p.start_ns[i] for i in ids)
+    a = ArrivalSequence(a_adm)
+    services = ServiceSequence(tuple(p.end_ns[i] - p.start_ns[i] for i in ids))
     if trace.d_ns is not None:
         cfg = QdtpConfig(trace.d_ns)
         sched = qdtp_schedule(a, cfg)
-        _match("qdtp_schedule", sched.times_ns, tuple(r.t_ns for r in admitted), admitted)
+        _match("qdtp_schedule", sched.times_ns, t_adm, ids)
         _match(
             "qdtp_delays_ns",
             tuple(qdtp_delays_ns(a, cfg)),
-            tuple(r.gate_delay_ns for r in admitted),
-            admitted,
+            tuple(t - x for x, t in zip(a_adm, t_adm)),
+            ids,
         )
         waits = server_waits(sched, services)
     else:
-        if any(r.t_ns != r.a_ns for r in admitted):
+        if t_adm != a_adm:
             raise InvariantViolation("no gate configured yet t differs from a")
         waits = lindley_waits(a, services)
     _match(
         "server_waits" if trace.d_ns is not None else "lindley_waits",
         waits.waits_ns,
-        tuple(r.server_wait_ns for r in admitted),
-        admitted,
+        tuple(s - t for t, s in zip(t_adm, start_adm)),
+        ids,
     )
 
     for which, (entries, exits) in trace.intervals.items():

@@ -47,13 +47,14 @@ def _occupancy_at(trace, which, instant_ns):
 
 
 def _reduce(name, manifest, trace, verify_error):
-    completed = [r for r in trace.per_packet if not r.dropped]
+    p = trace.packets
+    completed = [i for i, why in enumerate(p.drop_reason) if why is None]
     window = trace.attack_window_ns
-    baseline = [r for r in completed if window and r.t_ns < window[0]]
-    attacked = [r for r in completed if window and window[0] <= r.t_ns < window[1]]
+    baseline = [i for i in completed if window and p.t_ns[i] < window[0]]
+    attacked = [i for i in completed if window and window[0] <= p.t_ns[i] < window[1]]
     return SimpleNamespace(
         name=name,
-        packets=len(trace.per_packet),
+        packets=len(p),
         verify_error=verify_error,
         d_ms=manifest.sqf_d_ms,
         mitigation=manifest.mitigation,
@@ -65,13 +66,15 @@ def _reduce(name, manifest, trace, verify_error):
         ),
         drain_s=drain_time(trace, "server") if window else 0.0,
         base_sojourn_ms=(
-            fmean(r.sojourn_ns for r in baseline) / 1e6 if baseline else None
+            fmean(p.end_ns[i] - p.t_ns[i] for i in baseline) / 1e6
+            if baseline else None
         ),
         attack_sojourn_ms=(
-            fmean(r.sojourn_ns for r in attacked) / 1e6 if attacked else None
+            fmean(p.end_ns[i] - p.t_ns[i] for i in attacked) / 1e6
+            if attacked else None
         ),
-        offered_attack=sum(1 for r in trace.per_packet if r.is_attack),
-        admitted_attack=sum(1 for r in completed if r.is_attack),
+        offered_attack=sum(1 for atk in p.is_attack if atk),
+        admitted_attack=sum(1 for i in completed if p.is_attack[i]),
     )
 
 
@@ -127,7 +130,8 @@ def test_criterion_1_result1_zero_waits():
         cfg = QdtpConfig(d_ns=d)
         via_recursion = server_waits(qdtp_schedule(a, cfg), svc).waits_ns
         trace = simulate_sequences(a, svc, cfg)
-        via_simulator = tuple(r.server_wait_ns for r in trace.per_packet)
+        p = trace.packets
+        via_simulator = tuple(s - t for t, s in zip(p.t_ns, p.start_ns))
         assert via_recursion == via_simulator
         assert not any(via_recursion)
     elapsed = time.perf_counter() - started
@@ -339,9 +343,9 @@ def _prop_fcfs_order(data, d):
         ArrivalSequence(tuple(times)), ServiceSequence(tuple(durs)),
         QdtpConfig(d),
     )
-    starts = [r.service_start_ns for r in trace.per_packet]
+    starts = list(trace.packets.start_ns)
     assert starts == sorted(starts)
-    exits = [r.service_end_ns for r in trace.per_packet]
+    exits = list(trace.packets.end_ns)
     assert exits == sorted(exits)
 
 
@@ -354,15 +358,16 @@ def _prop_conservation(data, d, n, cap):
         ArrivalSequence(tuple(times)), ServiceSequence(tuple(durs)),
         QdtpConfig(d), (n, 2), sqf_capacity=cap or None,
     )
-    completed = sum(1 for r in trace.per_packet if not r.dropped)
-    dropped = sum(1 for r in trace.per_packet if r.dropped)
+    p = trace.packets
+    completed = sum(1 for why in p.drop_reason if why is None)
+    dropped = sum(1 for why in p.drop_reason if why is not None)
     assert completed + dropped == len(times)
-    for rec in trace.per_packet:
-        if rec.dropped:
-            assert rec.drop_reason in ("mitigation", "capacity")
-            assert rec.service_start_ns is None
+    for why, start, end in zip(p.drop_reason, p.start_ns, p.end_ns):
+        if why is not None:
+            assert why in ("mitigation", "capacity")
+            assert start is None
         else:
-            assert rec.service_end_ns is not None
+            assert end is not None
 
 
 @settings(max_examples=PROPERTY_CASES, deadline=None)

@@ -1,4 +1,6 @@
 """Round-trip tests for the CSV/JSON artifact schemas."""
+from dataclasses import fields
+
 import pytest
 
 from qdtp.artifacts import (
@@ -19,6 +21,11 @@ from qdtp.recursions import QdtpConfig
 from qdtp.simulator import simulate_sequences
 
 
+def columns(packets):
+    """Each column as a list: the engine hands over tuples, the reader lists."""
+    return {f.name: list(getattr(packets, f.name)) for f in fields(packets)}
+
+
 def sample_trace():
     return simulate_sequences(
         [0.0, 0.0, 0.0005, 0.001, 0.3],
@@ -33,14 +40,14 @@ class TestPacketsCsv:
     def test_roundtrip_exact(self, tmp_path):
         trace = sample_trace()
         path = tmp_path / "packets.csv"
-        write_packets_csv(trace.per_packet, path)
+        write_packets_csv(trace.packets, path)
         back = read_packets_csv(path)
-        assert back == trace.per_packet
+        assert columns(back) == columns(trace.packets)
 
     def test_header_is_stable(self, tmp_path):
         trace = sample_trace()
         path = tmp_path / "packets.csv"
-        write_packets_csv(trace.per_packet, path)
+        write_packets_csv(trace.packets, path)
         header = path.read_text().splitlines()[0]
         assert header == ",".join(PACKET_FIELDS)
         assert header == "id,source,is_attack,a,t,service_start,service_end,dropped,drop_reason"
@@ -63,8 +70,8 @@ class TestPacketsCsv:
         trace = sample_trace()
         p1 = tmp_path / "a.csv"
         p2 = tmp_path / "b.csv"
-        write_packets_csv(trace.per_packet, p1)
-        write_packets_csv(trace.per_packet, p2)
+        write_packets_csv(trace.packets, p1)
+        write_packets_csv(trace.packets, p2)
         assert p1.read_bytes() == p2.read_bytes()
 
 
@@ -97,14 +104,14 @@ class TestRunDir:
             "summary.json",
         ]
         back = read_packets_csv(paths["packets"])
-        assert back == trace.per_packet
+        assert columns(back) == columns(trace.packets)
 
     def test_trace_from_records_rebuilds_series(self, tmp_path):
         trace = sample_trace()
         paths = write_run_dir(trace, tmp_path / "run")
-        records = read_packets_csv(paths["packets"])
+        packets = read_packets_csv(paths["packets"])
         rebuilt = trace_from_records(
-            records, trace.sampling_interval, d_ns=trace.d_ns
+            packets, trace.sampling_interval, d_ns=trace.d_ns
         )
         assert rebuilt.times_ns == trace.times_ns
         assert rebuilt.sqf_counts == trace.sqf_counts

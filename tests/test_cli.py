@@ -104,6 +104,14 @@ class TestSimulate:
         }))
         assert main(["simulate", "--manifest", str(manifest)]) == 2
 
+    def test_interval_rounding_to_zero_ns_is_config_error(self, tmp_path, tiny_scenario):
+        # 1e-7 ms is 0.1 ns: rejected before anything is simulated
+        assert main([
+            "simulate", "--scenario", str(tiny_scenario), "--name", "tiny",
+            "--out", str(tmp_path / "runs"), "--interval", "0.0000001",
+        ]) == 2
+        assert not (tmp_path / "runs" / "tiny" / "seed0005").exists()
+
     def test_manifest_and_scenario_conflict(self, tiny_scenario):
         assert main([
             "simulate", "--manifest", "fig3_no_sqf",
@@ -167,20 +175,30 @@ class TestAnalyze:
     def test_empty_directory_is_io_error(self, tmp_path):
         assert main(["analyze", str(tmp_path)]) == 4
 
-    def test_doctored_packets_is_invariant_error(self, tmp_path, tiny_scenario):
+    def test_doctored_packets_is_invariant_error(self, tmp_path, tiny_scenario, capsys):
         # packet 0 leaves the server before it entered; packet 0 reaches the
-        # device 1 us after its own service started
-        for column, source, shift in (("service_end", "service_start", -1000),
-                                      ("t", "service_start", 1000)):
+        # device 1 us after its own service started; packet 0 claims id 5;
+        # packet 0 is flagged dropped without a reason; packet 0 carries a
+        # drop reason without the flag
+        edits = (
+            ("service_end", lambda row: int(row["service_start"]) - 1000, "out of order"),
+            ("t", lambda row: int(row["service_start"]) + 1000, "out of order"),
+            ("id", lambda row: 5, "id 5 is not the row index 0"),
+            ("dropped", lambda row: 1, "dropped flag disagrees"),
+            ("drop_reason", lambda row: "capacity", "dropped flag disagrees"),
+        )
+        for column, value, message in edits:
             seed_dir = run_tiny(tmp_path, tiny_scenario)
             path = seed_dir / "packets.csv"
             with open(path, newline="") as fh:
                 rows = list(csv.reader(fh))
             header, first = rows[0], rows[1]
-            first[header.index(column)] = str(int(first[header.index(source)]) + shift)
+            first[header.index(column)] = str(value(dict(zip(header, first))))
             with open(path, "w", newline="") as fh:
                 csv.writer(fh).writerows(rows)
+            capsys.readouterr()
             assert main(["analyze", str(seed_dir)]) == 3, column
+            assert message in capsys.readouterr().err, column
 
     def test_live_stub_recording_is_accepted(self, tmp_path, capsys):
         # a device stub starts each service a few us after the previous one

@@ -362,9 +362,9 @@ class TestServerStub:
                 blast(stub.listen_port, [make_payload(i) for i in range(10)],
                       pause_ns=4_000_000)
                 assert stub.wait_for_processed(10, timeout=3.0)
-            records = stub.snapshot_records()
-            assert all(r.t_ns == r.a_ns for r in records)
-            assert all(r.server_wait_ns <= TOL_NS for r in records)
+            p = stub.snapshot_records()
+            assert p.t_ns == p.a_ns
+            assert all(s - t <= TOL_NS for t, s in zip(p.t_ns, p.start_ns))
         finally:
             stub.stop()
 
@@ -376,17 +376,18 @@ class TestServerStub:
             with quiet_timing():
                 blast(stub.listen_port, [make_payload(i) for i in range(50)])
                 assert stub.wait_for_processed(50, timeout=5.0)
-            records = stub.snapshot_records()
+            p = stub.snapshot_records()
             oracle = lindley_waits(
-                [r.a_ns / 1e9 for r in records],
-                [r.service_ns / 1e9 for r in records],
+                [a / 1e9 for a in p.a_ns],
+                [(e - s) / 1e9 for s, e in zip(p.start_ns, p.end_ns)],
             )
-            for rec, expect in zip(records, oracle.waits_ns):
+            waits = [s - t for t, s in zip(p.t_ns, p.start_ns)]
+            for pid, (wait, expect) in enumerate(zip(waits, oracle.waits_ns)):
                 # measured wait tracks the recursion; slack accumulates one
                 # scheduling quantum per position at worst
-                assert abs(rec.server_wait_ns - expect) <= (rec.id + 1) * TOL_NS
+                assert abs(wait - expect) <= (pid + 1) * TOL_NS
             # the tail of a 50-burst waits ~49 * 3 ms
-            assert records[-1].server_wait_ns >= 49 * 3_000_000 - 49 * TOL_NS
+            assert waits[-1] >= 49 * 3_000_000 - 49 * TOL_NS
         finally:
             stub.stop()
 
@@ -400,10 +401,10 @@ class TestServerStub:
                 blast(fwd.listen_port, [make_payload(i) for i in range(50)])
                 assert fwd.wait_for_forwarded(50, timeout=5.0)
                 assert stub.wait_for_processed(50, timeout=3.0)
-            records = stub.snapshot_records()
+            p = stub.snapshot_records()
             # spacing 3.2 ms > service 3 ms: waits bounded by jitter, not
             # growing with burst position
-            assert all(r.server_wait_ns <= 4 * TOL_NS for r in records)
+            assert all(s - t <= 4 * TOL_NS for t, s in zip(p.t_ns, p.start_ns))
         finally:
             fwd.stop()
             stub.stop()

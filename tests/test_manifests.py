@@ -1,5 +1,6 @@
 """Manifest loading, validation, and the run-directory layout."""
 import dataclasses
+import hashlib
 import json
 
 import pytest
@@ -20,6 +21,22 @@ EXPECTED_MANIFESTS = {
     "fig9_no_sqf_30s", "fig9_with_sqf_30s", "fig9_no_sqf_10s",
     "fig9_with_sqf_10s", "fig10_d3_2", "fig12_mitigation",
     "fig13_mitigation_60s",
+}
+
+
+# sha256 of each artifact of seed 1 of a bundled manifest.  These files are
+# a stable interface: a change here must be a deliberate schema change.
+ARTIFACT_SHA256 = {
+    "fig12_mitigation": {
+        "packets.csv": "2ec3eec83dee949243ba27586b02119579e25cdbd1f334b079cf3266319343f5",
+        "queues.csv": "e7427df6a621f1cd6b94827941201e3b5af45c25d20b8af213c98191078e5ff7",
+        "summary.json": "1c60f538024d42124cc1f81b857789bc3e67f531c78f8cf0656e9cb024560a3c",
+    },
+    "fig9_no_sqf_10s": {
+        "packets.csv": "a0b5dd26272341ece1446c87999966083a5896fa348d392041530a93f6605723",
+        "queues.csv": "ba6490c75ee8ec41e84fa2b12e9dfd09800c0c0923f918da759968bf2039b505",
+        "summary.json": "0aca105dc4c62321c45b901f36537c6bd2f7e7169214a55ecbe81e682c5599d3",
+    },
 }
 
 
@@ -93,6 +110,19 @@ class TestBundledData:
         assert load_manifest("fig3_no_sqf").mitigation is None
 
 
+class TestArtifactBytes:
+    # one gated + mitigated run and one ungated run
+    @pytest.mark.parametrize("name", sorted(ARTIFACT_SHA256))
+    def test_bundled_run_is_byte_stable(self, tmp_path, name):
+        seed_dir = run_manifest(load_manifest(name), base_dir=tmp_path)[0]
+        assert seed_dir.name == "seed0001"
+        digests = {
+            fname: hashlib.sha256((seed_dir / fname).read_bytes()).hexdigest()
+            for fname in ARTIFACT_SHA256[name]
+        }
+        assert digests == ARTIFACT_SHA256[name]
+
+
 class TestManifestValidation:
     def test_empty_seeds_rejected(self, tmp_path):
         with pytest.raises(ConfigurationError):
@@ -143,7 +173,7 @@ class TestRunManifest:
         assert [d.name for d in dirs] == ["seed0003", "seed0005"]
         assert traces[0].seed == 3 and traces[1].seed == 5
         # burst arrivals are seed-independent but both runs completed
-        assert len(traces[0].per_packet) == len(traces[1].per_packet) == 100
+        assert len(traces[0].packets) == len(traces[1].packets) == 100
 
     def test_intervals_built_once_per_seed(self, tmp_path, monkeypatch):
         calls = []
@@ -184,6 +214,6 @@ class TestRunManifest:
         m = ExperimentManifest(name="j", scenario=str(scenario_path),
                                seeds=(11, 12), out="runs/j")
         _, traces = run_manifest(m, base_dir=tmp_path, keep_traces=True)
-        a = [r.a_ns for r in traces[0].per_packet]
-        b = [r.a_ns for r in traces[1].per_packet]
+        a = list(traces[0].packets.a_ns)
+        b = list(traces[1].packets.a_ns)
         assert a != b  # different seeds produce different poisson streams

@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from qdtp import metrics
 from qdtp.errors import ContractViolation
 from qdtp.metrics import (
     compare_runs,
@@ -21,23 +22,23 @@ from qdtp.metrics import (
 )
 from qdtp.recursions import QdtpConfig
 from qdtp.scenario import Scenario, ServiceModel, TrafficModel
-from qdtp.simulator import PacketRecord, simulate, simulate_sequences
+from qdtp.simulator import Packets, simulate, simulate_sequences
 
 MS = 1_000_000
 
 
-def make_record(i, a, t, ss, se, dropped=False, reason=None, attack=False):
-    return PacketRecord(
-        id=i,
-        source=0,
-        is_attack=attack,
-        a_ns=a,
-        t_ns=t,
-        service_start_ns=ss,
-        service_end_ns=se,
-        dropped=dropped,
-        drop_reason=reason,
-    )
+def make_packets(*rows):
+    """Packets from ``(a, t, start, end[, drop_reason])`` rows; id = row index."""
+    packets = Packets()
+    for a, t, ss, se, *reason in rows:
+        packets.source.append(0)
+        packets.is_attack.append(False)
+        packets.a_ns.append(a)
+        packets.t_ns.append(t)
+        packets.start_ns.append(ss)
+        packets.end_ns.append(se)
+        packets.drop_reason.append(reason[0] if reason else None)
+    return packets
 
 
 class TestSummarize:
@@ -83,39 +84,39 @@ class TestSummarize:
 
 class TestQueueSeries:
     def test_single_packet_example(self):
-        rec = [make_record(0, 0, 0, 0, 3 * MS)]
+        rec = make_packets((0, 0, 0, 3 * MS))
         grid, sqf, server = sample_queues(queue_intervals(rec), 0.001)
         assert server == (1, 1, 1, 0)
         assert sqf == (0, 0, 0, 0)
         assert grid == (0, MS, 2 * MS, 3 * MS)
 
     def test_empty_records(self):
-        assert sample_queues(queue_intervals([]), 0.001) == ((0,), (0,), (0,))
+        assert sample_queues(queue_intervals(make_packets()), 0.001) == ((0,), (0,), (0,))
 
     def test_inconsistent_timestamps_rejected(self):
-        rec = [make_record(0, 5 * MS, 5 * MS, 5 * MS, 3 * MS)]
+        rec = make_packets((5 * MS, 5 * MS, 5 * MS, 3 * MS))
         with pytest.raises(ContractViolation):
             sample_queues(queue_intervals(rec), 0.001)
 
     def test_nonpositive_interval_rejected(self):
         with pytest.raises(ContractViolation):
-            sample_queues(queue_intervals([]), 0.0)
+            sample_queues(queue_intervals(make_packets()), 0.0)
 
     def test_dropped_packets_occupy_nothing(self):
-        rec = [
-            make_record(0, 0, 0, 0, 3 * MS),
-            make_record(1, 0, None, None, None, dropped=True, reason="mitigation"),
-        ]
+        rec = make_packets(
+            (0, 0, 0, 3 * MS),
+            (0, None, None, None, "mitigation"),
+        )
         _, sqf, server = sample_queues(queue_intervals(rec), 0.001)
         assert max(server) == 1
         assert max(sqf) == 0
 
     def test_peak_occupancy_exact_vs_sampled(self):
         # two overlapping stays: exact peak 2, coarse sampling can miss it
-        rec = [
-            make_record(0, 0, 0, 0, 3 * MS),
-            make_record(1, MS, MS, 3 * MS, 5 * MS),
-        ]
+        rec = make_packets(
+            (0, 0, 0, 3 * MS),
+            (MS, MS, 3 * MS, 5 * MS),
+        )
         entries = sorted([0, MS])
         exits = sorted([3 * MS, 5 * MS])
         assert peak_occupancy(entries, exits) == 2
@@ -145,6 +146,7 @@ class TestLittlesLaw:
             out = littles_law_check(*trace.intervals[which])
             assert out["ok"]
             assert out["occupancy_integral_ns"] == out["sojourn_sum_ns"]
+            assert out["peak"] == peak_occupancy(*trace.intervals[which])
 
 
 class TestHistograms:
@@ -212,7 +214,7 @@ class TestRunSummary:
         )
         trace = simulate(s)
         out = run_summary(trace)
-        assert out["packets"]["total"] == len(trace.per_packet)
+        assert out["packets"]["total"] == len(trace.packets)
         assert out["packets"]["dropped"] == 0
         assert out["attack"]["offered"] == 2000
         assert out["attack"]["admitted"] == 2000
@@ -221,6 +223,24 @@ class TestRunSummary:
         assert out["queues"]["server"]["littles_law_ok"] is True
         assert out["spacing_advisor"]["max_service_ms"] == pytest.approx(10.0)
         assert out["config"]["d_ms"] is None
+
+    def test_one_occupancy_sweep_per_queue(self, monkeypatch):
+        trace = simulate_sequences(
+            [0.0, 0.0, 0.0], [0.004] * 3, QdtpConfig.from_seconds(0.003)
+        )
+        calls = []
+        original = metrics._sweep
+
+        def counting(entries, exits):
+            calls.append(len(entries))
+            return original(entries, exits)
+
+        monkeypatch.setattr(metrics, "_sweep", counting)
+        out = run_summary(trace)
+        assert calls == [3, 3]
+        # the gate holds 2 of the burst at once, the device 2 (one in service)
+        assert out["queues"]["sqf"]["peak"] == 2
+        assert out["queues"]["server"]["peak"] == 2
 
     def test_summary_without_attack(self):
         trace = simulate_sequences([0.0, 0.01], [0.003, 0.003])

@@ -27,6 +27,21 @@ import strategies as own
 MS = 1_000_000
 
 
+def admitted_ids(trace):
+    return [i for i, why in enumerate(trace.packets.drop_reason) if why is None]
+
+
+def server_waits_of(trace):
+    """Each admitted packet's wait at the device (service start minus t)."""
+    p = trace.packets
+    return tuple(p.start_ns[i] - p.t_ns[i] for i in admitted_ids(trace))
+
+
+def service_times_of(trace):
+    p = trace.packets
+    return tuple(p.end_ns[i] - p.start_ns[i] for i in admitted_ids(trace))
+
+
 def constant_scenario(**overrides):
     base = dict(
         normal_sources=(TrafficModel(kind="periodic", rate=2.0, duration=5.0),),
@@ -43,27 +58,32 @@ def constant_scenario(**overrides):
 class TestDirectFeed:
     def test_matches_lindley_example(self):
         trace = simulate_sequences([0.0, 0.001, 0.002, 0.003], [0.003] * 4)
-        waits = tuple(r.server_wait_ns for r in trace.per_packet)
+        waits = server_waits_of(trace)
         assert waits == (0, 2 * MS, 4 * MS, 6 * MS)
         oracle = lindley_waits([0.0, 0.001, 0.002, 0.003], [0.003] * 4)
         assert waits == oracle.waits_ns
 
     def test_no_gate_means_t_equals_a(self):
         trace = simulate_sequences([0.0, 0.005, 0.007], [0.001] * 3)
-        assert all(r.t_ns == r.a_ns for r in trace.per_packet)
+        assert list(trace.packets.t_ns) == list(trace.packets.a_ns)
         assert trace.d_ns is None
 
     def test_mitigation_requires_gate(self):
         with pytest.raises(ConfigurationError):
             simulate_sequences([0.0], [0.001], None, (10, 3))
 
+    def test_interval_rounding_to_zero_ns_rejected(self):
+        # 0.1 ns rounds to a 0 ns grid step: a bad setting, found up front
+        with pytest.raises(ConfigurationError):
+            simulate(constant_scenario(), sampling_interval=1e-10)
+
 
 class TestGatedFeed:
     def test_burst_released_at_spacing(self):
         trace = simulate_sequences([0.0] * 4, [0.001] * 4, QdtpConfig.from_seconds(0.003))
-        assert tuple(r.t_ns for r in trace.per_packet) == (0, 3 * MS, 6 * MS, 9 * MS)
-        assert tuple(r.server_wait_ns for r in trace.per_packet) == (0, 0, 0, 0)
-        assert tuple(r.service_end_ns for r in trace.per_packet) == (
+        assert tuple(trace.packets.t_ns) == (0, 3 * MS, 6 * MS, 9 * MS)
+        assert server_waits_of(trace) == (0, 0, 0, 0)
+        assert tuple(trace.packets.end_ns) == (
             1 * MS,
             4 * MS,
             7 * MS,
@@ -76,7 +96,7 @@ class TestGatedFeed:
         trace = simulate_sequences(a, svc, QdtpConfig.from_seconds(0.003))
         sched = qdtp_schedule(a, 0.003)
         oracle = server_waits(sched, svc)
-        assert tuple(r.server_wait_ns for r in trace.per_packet) == oracle.waits_ns
+        assert server_waits_of(trace) == oracle.waits_ns
         assert oracle.waits_ns == (0, 2 * MS, 4 * MS)
 
     def test_gate_capacity_drops(self):
@@ -86,9 +106,9 @@ class TestGatedFeed:
             QdtpConfig.from_seconds(0.003),
             sqf_capacity=4,
         )
-        dropped = [r for r in trace.per_packet if r.dropped]
+        dropped = [why for why in trace.packets.drop_reason if why is not None]
         assert len(dropped) == 5  # first released immediately, 4 queued
-        assert all(r.drop_reason == "capacity" for r in dropped)
+        assert all(why == "capacity" for why in dropped)
         verify_trace(trace)
 
     def test_mitigation_drops_recorded(self):
@@ -98,11 +118,11 @@ class TestGatedFeed:
             QdtpConfig.from_seconds(0.003),
             MitigationPolicy(10, 3),
         )
-        admitted = trace.completed()
-        dropped = trace.dropped()
+        admitted = admitted_ids(trace)
+        dropped = [why for why in trace.packets.drop_reason if why is not None]
         assert len(admitted) == 10
         assert len(dropped) == 2
-        assert all(r.drop_reason == "mitigation" for r in dropped)
+        assert all(why == "mitigation" for why in dropped)
         verify_trace(trace)
 
     def test_tuple_mitigation_accepted(self):
@@ -110,7 +130,7 @@ class TestGatedFeed:
             [0.0] * 12, [0.001] * 12, QdtpConfig.from_seconds(0.003), (10, 3)
         )
         assert trace.mitigation == (10, 3)
-        assert len(trace.completed()) == 10
+        assert len(admitted_ids(trace)) == 10
 
 
 class TestVerifyTrace:
@@ -118,22 +138,26 @@ class TestVerifyTrace:
         trace = simulate_sequences(
             [0.0] * 10, [0.001] * 10, QdtpConfig.from_seconds(0.003), sqf_capacity=4
         )
-        doctored = trace.dropped()[0]
-        doctored.t_ns = doctored.a_ns
-        with pytest.raises(InvariantViolation, match=f"packet {doctored.id}: dropped"):
+        doctored = trace.packets.drop_reason.index("capacity")
+        trace.packets.t_ns[doctored] = trace.packets.a_ns[doctored]
+        with pytest.raises(InvariantViolation, match=f"packet {doctored}: dropped"):
             verify_trace(trace)
 
     def test_admitted_packet_with_drop_reason_rejected(self):
         trace = simulate_sequences([0.0, 0.0], [0.001] * 2, QdtpConfig.from_seconds(0.003))
-        trace.per_packet[1].drop_reason = "capacity"
-        with pytest.raises(InvariantViolation, match="packet 1: admitted"):
+        # a reason on a packet with timestamps makes it a dropped packet
+        # that still reached the gate and the device
+        trace.packets.drop_reason[1] = "capacity"
+        with pytest.raises(
+            InvariantViolation, match="packet 1: dropped yet has gate/device timestamps"
+        ):
             verify_trace(trace)
 
     def test_divergence_names_recursion_packet_and_values(self):
         # gate releases at 0, 1, 2 ms; packet 1 waits for packet 0 until 3 ms
         trace = simulate_sequences([0.0] * 3, [0.003] * 3, QdtpConfig.from_seconds(0.001))
         verify_trace(trace)
-        trace.per_packet[0].service_end_ns = 2_500_000
+        trace.packets.end_ns[0] = 2_500_000
         with pytest.raises(InvariantViolation) as err:
             verify_trace(trace)
         assert str(err.value) == (
@@ -146,7 +170,7 @@ class TestScenarioRuns:
     def test_constant_scenario_result1(self):
         # D = 4 ms > T = 3 ms: no server waits at all
         trace = simulate(constant_scenario(), QdtpConfig.from_seconds(0.004))
-        assert all(r.server_wait_ns == 0 for r in trace.per_packet)
+        assert not any(server_waits_of(trace))
         assert max(trace.server_counts) <= 1
         verify_trace(trace)
 
@@ -158,7 +182,7 @@ class TestScenarioRuns:
             congestion_threshold=50,
         )
         trace = simulate(s)
-        services = {r.service_ns for r in trace.completed()}
+        services = set(service_times_of(trace))
         # both models show up: 3 ms before congestion, 10 ms inside it
         assert services == {3 * MS, 10 * MS}
         assert any(trace.service_regime) and not all(trace.service_regime)
@@ -176,13 +200,13 @@ class TestScenarioRuns:
         )
         trace = simulate(s)
         replay = sample_services(s, trace.service_regime)
-        recorded = tuple(r.service_ns for r in trace.completed())
+        recorded = service_times_of(trace)
         assert replay.durations_ns == recorded
 
     def test_same_seed_same_trace(self):
         a = simulate(constant_scenario(), QdtpConfig.from_seconds(0.004))
         b = simulate(constant_scenario(), QdtpConfig.from_seconds(0.004))
-        assert a.per_packet == b.per_packet
+        assert a.packets == b.packets
         assert a.sqf_counts == b.sqf_counts
 
     def test_sampled_counts_match_naive_recount(self):
@@ -191,15 +215,16 @@ class TestScenarioRuns:
         )
         trace = simulate(s, QdtpConfig.from_seconds(0.004))
         for g, sqf_c, srv_c in zip(trace.times_ns, trace.sqf_counts, trace.server_counts):
+            p = trace.packets
             sqf = sum(
                 1
-                for r in trace.per_packet
-                if not r.dropped and r.a_ns <= g < r.t_ns
+                for a, t, why in zip(p.a_ns, p.t_ns, p.drop_reason)
+                if why is None and a <= g < t
             )
             srv = sum(
                 1
-                for r in trace.per_packet
-                if not r.dropped and r.t_ns <= g < r.service_end_ns
+                for t, end, why in zip(p.t_ns, p.end_ns, p.drop_reason)
+                if why is None and t <= g < end
             )
             assert (sqf, srv) == (sqf_c, srv_c)
 
@@ -232,7 +257,7 @@ class TestDrainTime:
             horizon=5.0,
         )
         trace = simulate(s)
-        last_end = max(r.service_end_ns for r in trace.completed())
+        last_end = max(trace.packets.end_ns[i] for i in admitted_ids(trace))
         assert drain_time(trace) == pytest.approx(last_end / 1e9 - 2.0)
 
     def test_gate_drains_at_last_release(self):
@@ -244,7 +269,7 @@ class TestDrainTime:
         )
         trace = simulate(s, QdtpConfig.from_seconds(0.004))
         _, attack_end = s.attack_window_ns
-        last_release = max(r.t_ns for r in trace.per_packet if not r.dropped)
+        last_release = max(trace.packets.t_ns[i] for i in admitted_ids(trace))
         assert last_release > attack_end
         assert drain_time(trace, "sqf") == (last_release - attack_end) / 1e9
 
@@ -291,4 +316,5 @@ class TestEngineProperties:
             MitigationPolicy(n, k),
         )
         verify_trace(trace)
-        assert len(trace.completed()) + len(trace.dropped()) == len(times)
+        dropped = [why for why in trace.packets.drop_reason if why is not None]
+        assert len(admitted_ids(trace)) + len(dropped) == len(times)
