@@ -10,6 +10,8 @@ from __future__ import annotations
 import csv
 import json
 import os
+from itertools import repeat
+from operator import is_not
 from typing import Optional, Sequence
 
 from . import metrics
@@ -43,22 +45,26 @@ __all__ = [
 ]
 
 
+# one row of packets.csv as csv.writer writes it (no cell needs quoting: ints
+# and the two drop reasons); None cells go in as ""
+_PACKET_ROW = "%d,%d,%d,%d,%s,%s,%s,%d,%s\r\n"
+
+
 def write_packets_csv(packets: Packets, path) -> None:
+    blank = {None: ""}.get  # blank(x, x): "" for None, else x
     with open(path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(PACKET_FIELDS)
-        # csv writes None as an empty cell
-        writer.writerows(zip(
+        fh.write(",".join(PACKET_FIELDS) + "\r\n")
+        fh.writelines(map(_PACKET_ROW.__mod__, zip(
             range(len(packets)),
             packets.source,
-            map(int, packets.is_attack),
+            packets.is_attack,
             packets.a_ns,
-            packets.t_ns,
-            packets.start_ns,
-            packets.end_ns,
-            [0 if why is None else 1 for why in packets.drop_reason],
-            packets.drop_reason,
-        ))
+            map(blank, packets.t_ns, packets.t_ns),
+            map(blank, packets.start_ns, packets.start_ns),
+            map(blank, packets.end_ns, packets.end_ns),
+            map(is_not, packets.drop_reason, repeat(None)),
+            map(blank, packets.drop_reason, packets.drop_reason),
+        )))
 
 
 def _ns(cell: str) -> Optional[int]:

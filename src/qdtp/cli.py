@@ -14,6 +14,7 @@ violation, 4 I/O error.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import sys
 from itertools import compress
 from pathlib import Path
@@ -46,6 +47,7 @@ from .manifests import (
 )
 from .metrics import compare_runs, fd_bin_edges, histogram_counts, run_summary
 from .scenario import SERVICE_MODES, Scenario, ServiceModel
+from .simulator import Packets
 from .timebase import s_to_ns
 
 EXIT_OK = 0
@@ -74,8 +76,6 @@ def cmd_simulate(args) -> int:
     if args.manifest:
         manifest = load_manifest(args.manifest)
         if args.out:
-            import dataclasses
-
             # --out is a root: the run keeps its name underneath it
             manifest = dataclasses.replace(
                 manifest, out=str(Path(args.out) / manifest.name)
@@ -218,6 +218,8 @@ def cmd_analyze(args) -> int:
     _write_delay_histogram(trace, out_dir / "figure_delay_histogram.csv")
 
     if args.compare:
+        # compare_runs reads only the sampled series: let the log go first
+        trace = dataclasses.replace(trace, packets=Packets(), intervals={})
         other = _load_run(Path(args.compare), args.interval)
         comparison = compare_runs(trace, other)
         write_comparison_csv(comparison, out_dir / "figure_comparison.csv")

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import dataclasses
 import json
+import math
 from dataclasses import dataclass
 from importlib import resources
 from pathlib import Path
@@ -75,8 +76,9 @@ class ExperimentManifest:
                 raise ConfigurationError("mitigation requires an sqf gate")
             pol = MitigationPolicy.coerce(self.mitigation)
             object.__setattr__(self, "mitigation", (pol.n_threshold, pol.k_factor))
-        if s_to_ns(self.sampling_interval_ms / 1000.0) <= 0:
-            raise ConfigurationError("sampling interval must be at least 1 ns")
+        interval = self.sampling_interval_ms / 1000.0
+        if not math.isfinite(interval) or s_to_ns(interval) <= 0:
+            raise ConfigurationError("sampling interval must be finite and at least 1 ns")
 
     @property
     def qdtp_config(self) -> Optional[QdtpConfig]:

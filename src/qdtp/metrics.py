@@ -7,7 +7,8 @@ functions apply equally to simulator output and to logs read from disk.
 
 Occupancy flows one way: columns -> :func:`queue_intervals` (one walk per
 trace, kept as ``TraceSeries.intervals``) -> sampling, exact peak, drain
-time and the Little's-law sweep, none of which walks the columns again.
+time and the Little's-law sweep (run once per trace, kept as
+``TraceSeries.occupancy``), none of which walks the columns again.
 """
 from __future__ import annotations
 
@@ -15,7 +16,8 @@ import math
 import statistics
 from bisect import bisect_right
 from dataclasses import dataclass
-from itertools import compress
+from itertools import chain, compress, repeat
+from operator import and_, sub, truediv
 from typing import Iterable, Optional, Sequence
 
 from .errors import ContractViolation
@@ -172,7 +174,7 @@ def sample_queues(
     past the last exit from either queue, so both series return to zero.
     An empty packet log yields the single grid instant 0.
     """
-    interval_ns = s_to_ns(interval)
+    interval_ns = s_to_ns(interval) if math.isfinite(interval) else 0
     if interval_ns <= 0:
         raise ContractViolation("sampling interval must be positive")
     sqf, server = intervals["sqf"], intervals["server"]
@@ -293,8 +295,10 @@ def histogram_counts(values: Iterable[float], edges: Sequence[float]) -> list[in
     return counts
 
 
-def _maybe_summary_ms(values: list) -> Optional[dict]:
-    return summarize(values).to_ms_dict() if values else None
+def _maybe_summary_ms(values: Iterable[float]) -> Optional[dict]:
+    values = iter(values)
+    first = next(values, None)
+    return None if first is None else summarize(chain((first,), values)).to_ms_dict()
 
 
 def run_summary(trace) -> dict:
@@ -302,6 +306,7 @@ def run_summary(trace) -> dict:
 
     Everything downstream (CLI, acceptance checks, humans reading
     summary.json) consumes this; times are reported in milliseconds.
+    Each sample lives only while its own statistics are computed.
     """
     p = trace.packets
     drops: dict[str, int] = {}
@@ -309,20 +314,17 @@ def run_summary(trace) -> dict:
         if why is not None:
             drops[why] = drops.get(why, 0) + 1
     kept = [why is None for why in p.drop_reason]
-    a, t, start, end, attack = (
-        list(compress(col, kept))
-        for col in (p.a_ns, p.t_ns, p.start_ns, p.end_ns, p.is_attack)
-    )
 
-    services = [(e - s) / 1e9 for s, e in zip(start, end)]
-    waits = [(s - x) / 1e9 for x, s in zip(t, start)]
-    sojourns = [(e - x) / 1e9 for x, e in zip(t, end)]
-    totals = [(e - x) / 1e9 for x, e in zip(a, end)]
+    def seconds(later, earlier, rows=kept):  # (later - earlier) / 1e9, no Python loop
+        diffs = map(sub, compress(later, rows), compress(earlier, rows))
+        return map(truediv, diffs, repeat(1e9))
 
+    a, t, start, end = p.a_ns, p.t_ns, p.start_ns, p.end_ns
+    services = _maybe_summary_ms(seconds(end, start))
     summary = {
         "packets": {
             "total": len(p),
-            "completed": len(a),
+            "completed": kept.count(True),
             "dropped": sum(drops.values()),
             "drop_reasons": drops,
         },
@@ -332,47 +334,38 @@ def run_summary(trace) -> dict:
             "seed": trace.seed,
             "sampling_interval_s": trace.sampling_interval,
         },
-        "service_ms": _maybe_summary_ms(services),
-        "server_wait_ms": _maybe_summary_ms(waits),
-        "server_sojourn_ms": _maybe_summary_ms(sojourns),
-        "total_delay_ms": _maybe_summary_ms(totals),
+        "service_ms": services,
+        "server_wait_ms": _maybe_summary_ms(seconds(start, t)),
+        "server_sojourn_ms": _maybe_summary_ms(seconds(end, t)),
+        "total_delay_ms": _maybe_summary_ms(seconds(end, a)),
     }
     if trace.d_ns is not None:
-        summary["gate_delay_ms"] = _maybe_summary_ms(
-            [(x - y) / 1e9 for y, x in zip(a, t)]
-        )
+        summary["gate_delay_ms"] = _maybe_summary_ms(seconds(t, a))
 
-    queues = {}
-    for which, (entries, exits) in trace.intervals.items():
-        law = littles_law_check(entries, exits)
-        queues[which] = {
+    summary["queues"] = {
+        which: {
             "peak": law["peak"],
-            "sampled_peak": max(
-                getattr(trace, f"{which}_counts"), default=0
-            ),
+            "sampled_peak": max(getattr(trace, f"{which}_counts"), default=0),
             "drain_s": drain_time(trace, which),
             "littles_law_ok": law["ok"],
         }
-    summary["queues"] = queues
+        for which, law in trace.occupancy.items()
+    }
 
     if trace.attack_window_ns is not None:
         start_ns, end_ns = trace.attack_window_ns
-        attack_sojourns = list(compress(sojourns, attack))
-        baseline = [not atk and x < start_ns for atk, x in zip(attack, a)]
+        attack = list(map(and_, kept, p.is_attack))
+        baseline = [
+            k and not atk and x < start_ns for k, atk, x in zip(kept, p.is_attack, a)
+        ]
         summary["attack"] = {
             "window_s": [start_ns / 1e9, end_ns / 1e9],
             "offered": sum(p.is_attack),
-            "admitted": len(attack_sojourns),
-            "baseline_sojourn_ms": _maybe_summary_ms(
-                list(compress(sojourns, baseline))
-            ),
-            "attack_sojourn_ms": _maybe_summary_ms(attack_sojourns),
-            "baseline_service_ms": _maybe_summary_ms(
-                list(compress(services, baseline))
-            ),
-            "attack_service_ms": _maybe_summary_ms(
-                list(compress(services, attack))
-            ),
+            "admitted": sum(attack),
+            "baseline_sojourn_ms": _maybe_summary_ms(seconds(end, t, baseline)),
+            "attack_sojourn_ms": _maybe_summary_ms(seconds(end, t, attack)),
+            "baseline_service_ms": _maybe_summary_ms(seconds(end, start, baseline)),
+            "attack_service_ms": _maybe_summary_ms(seconds(end, start, attack)),
         }
     else:
         summary["attack"] = None
@@ -380,12 +373,12 @@ def run_summary(trace) -> dict:
     # spacing advisor: the smallest D that keeps the device idle is just
     # above the largest processing time seen in this run
     if services:
-        max_service_ms = max(services) * 1e3
+        max_service_ms = services["max_ms"]
         summary["spacing_advisor"] = {
             "max_service_ms": max_service_ms,
             "suggested_d_ms": round(max_service_ms * 1.01, 4),
             "d_exceeds_max_service": (
-                trace.d_ns > max(e - s for s, e in zip(start, end))
+                trace.d_ns > max(map(sub, compress(end, kept), compress(start, kept)))
                 if trace.d_ns is not None
                 else None
             ),

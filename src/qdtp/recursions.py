@@ -17,7 +17,9 @@ public recursions over packet sequences:
   paced stream instead of the raw arrivals.
 
 ``lindley_waits``, ``qdtp_delays_ns`` and ``server_waits`` are the same
-Lindley recursion on different inputs and share one loop, ``_lindley``.
+Lindley recursion on different inputs and share one loop, ``_lindley``;
+``qdtp_schedule`` runs its own, ``_paced``.  Both are generators, so
+``simulator.verify_trace`` can replay a trace without materialising it.
 
 All sequences carry integer nanoseconds internally.  Constructors accept
 floats in seconds and convert once; results expose both representations.
@@ -27,8 +29,9 @@ Computations on the integer values are exact, which is what makes the
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import islice, repeat
-from typing import Iterable, Sequence, Union
+from itertools import repeat
+from operator import sub
+from typing import Iterable, Iterator, Sequence, Union
 
 from .errors import ContractViolation
 from .timebase import ns_to_s, s_to_ns
@@ -205,18 +208,34 @@ def _as_config(cfg: ConfigLike) -> QdtpConfig:
     return QdtpConfig.from_seconds(float(cfg))
 
 
-def _lindley(times_ns: Sequence[int], services_ns: Iterable[int]) -> list[int]:
+def _lindley(times_ns: Iterable[int], services_ns: Iterable[int]) -> Iterator[int]:
     """FIFO waits: ``w[0] = 0``, ``w[n+1] = max(w[n] + s[n] - (x[n+1] - x[n]), 0)``."""
-    if not times_ns:
-        return []
-    waits = [0]
+    times = iter(times_ns)
+    prev = next(times, None)
+    if prev is None:
+        return
     w = 0
-    for s, prev, cur in zip(services_ns, times_ns, islice(times_ns, 1, None)):
+    yield w
+    for s, cur in zip(services_ns, times):
         w += s - (cur - prev)
         if w < 0:
             w = 0
-        waits.append(w)
-    return waits
+        yield w
+        prev = cur
+
+
+def _paced(arrivals_ns: Iterable[int], d_ns: int) -> Iterator[int]:
+    """Gate release instants: ``t[0] = a[0]``, ``t[n+1] = max(t[n] + D, a[n+1])``."""
+    arrivals = iter(arrivals_ns)
+    t = next(arrivals, None)
+    if t is None:
+        return
+    yield t
+    for a in arrivals:
+        t += d_ns
+        if a > t:
+            t = a
+        yield t
 
 
 def lindley_waits(arrivals: ArrivalsLike, services: ServicesLike) -> WaitSequence:
@@ -245,20 +264,8 @@ def qdtp_schedule(arrivals: ArrivalsLike, cfg: ConfigLike) -> ForwardSchedule:
     """
     a = _as_arrivals(arrivals)
     c = _as_config(cfg)
-    times: list[int] = []
-    delays: list[int] = []
-    prev = None
-    for an in a.times_ns:
-        if prev is None:
-            tn = an
-        else:
-            tn = prev + c.d_ns
-            if an > tn:
-                tn = an
-        times.append(tn)
-        delays.append(tn - an)
-        prev = tn
-    return ForwardSchedule(tuple(times), tuple(delays), c.d_ns)
+    times = tuple(_paced(a.times_ns, c.d_ns))
+    return ForwardSchedule(times, tuple(map(sub, times, a.times_ns)), c.d_ns)
 
 
 def qdtp_delays_ns(arrivals: ArrivalsLike, cfg: ConfigLike) -> list[int]:
@@ -271,7 +278,7 @@ def qdtp_delays_ns(arrivals: ArrivalsLike, cfg: ConfigLike) -> list[int]:
     """
     a = _as_arrivals(arrivals)
     c = _as_config(cfg)
-    return _lindley(a.times_ns, repeat(c.d_ns))
+    return list(_lindley(a.times_ns, repeat(c.d_ns)))
 
 
 def qdtp_delays(arrivals: ArrivalsLike, cfg: ConfigLike) -> list[float]:

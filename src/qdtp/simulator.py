@@ -19,25 +19,26 @@ rather than a tautology.
 """
 from __future__ import annotations
 
+import math
 from collections import deque
 from dataclasses import dataclass, field
-from typing import Callable, Optional, Sequence
+from functools import cached_property
+from itertools import pairwise, repeat, starmap
+from operator import gt, ne, sub
+from typing import Callable, Iterable, Optional, Sequence
 
 from . import metrics
 from .errors import ConfigurationError, ContractViolation, InvariantViolation
 from .mitigation import MitigationGate, MitigationPolicy
 from .recursions import (
-    ArrivalSequence,
     ConfigLike,
     QdtpConfig,
-    ServiceSequence,
     _as_arrivals,
     _as_config,
     _as_services,
-    lindley_waits,
-    qdtp_delays_ns,
-    qdtp_schedule,
-    server_waits,
+    _lindley,
+    _paced,
+    qdtp_schedule,  # unused here; bench/selftest.py reaches it through this module
 )
 from .scenario import LabeledArrivals, Scenario, ServiceSampler, generate_arrivals
 from .timebase import s_to_ns
@@ -96,6 +97,11 @@ class TraceSeries:
     # back through scenario.sample_services reproduces the drawn durations
     service_regime: list[bool] = field(default_factory=list)
 
+    @cached_property
+    def occupancy(self) -> dict[str, dict]:
+        """Each queue's ``metrics.littles_law_check``, swept once per trace."""
+        return {q: metrics.littles_law_check(*pair) for q, pair in self.intervals.items()}
+
 
 def _engine(
     labeled: LabeledArrivals,
@@ -109,8 +115,8 @@ def _engine(
     seed: Optional[int],
     sqf_capacity: Optional[int],
 ) -> TraceSeries:
-    if s_to_ns(sampling_interval) <= 0:
-        raise ConfigurationError("sampling interval must be at least 1 ns")
+    if not math.isfinite(sampling_interval) or s_to_ns(sampling_interval) <= 0:
+        raise ConfigurationError("sampling interval must be finite and at least 1 ns")
     if mitigation is not None and cfg is None:
         raise ConfigurationError("mitigation is defined in units of D; configure the gate")
     if sqf_capacity is not None and cfg is None:
@@ -290,17 +296,16 @@ def simulate_sequences(
     )
 
 
-def _match(name: str, expected: tuple, recorded: tuple, ids: list[int]) -> None:
+def _match(
+    name: str, expected: Iterable[int], recorded: Iterable[int], ids: list[int]
+) -> None:
     """Raise naming the first packet where a recursion and the trace differ."""
-    if expected == recorded:
-        return
     for pid, want, got in zip(ids, expected, recorded):
         if want != got:
             raise InvariantViolation(
                 f"{name} disagrees with the trace at packet {pid}: "
                 f"expected {want} ns, recorded {got} ns"
             )
-    raise InvariantViolation(f"{name} and the trace differ in length")
 
 
 def check_records(packets: Packets) -> list[int]:
@@ -340,42 +345,44 @@ def verify_trace(trace: TraceSeries) -> None:
     """Cross-check a finished run against the closed-form recursions.
 
     The packet log must pass :func:`check_records`; the admitted packets'
-    timestamps, picked by id, are then replayed through ``qdtp_schedule`` /
-    ``qdtp_delays_ns`` / ``server_waits`` (or ``lindley_waits`` when no
-    gate was configured) and must agree with the recorded ones to the
-    nanosecond; a mismatch names the recursion, the first diverging packet
-    id and both values.  Each queue's ``trace.intervals`` then go through
-    the Little's-law sweep.  Raises InvariantViolation on the first failure.
+    timestamps, picked by id, are then replayed through the loops behind
+    ``qdtp_schedule`` / ``qdtp_delays_ns`` / ``server_waits`` (or
+    ``lindley_waits`` when no gate was configured) and must agree with the
+    recorded ones to the nanosecond, compared pair by pair as they stream;
+    a mismatch names the recursion, the first diverging packet id and both
+    values.  Each queue's ``trace.occupancy`` (the Little's-law sweep) must
+    then hold.  Raises InvariantViolation on the first failure.
     """
     p = trace.packets
     ids = check_records(p)
-    a_adm = tuple(p.a_ns[i] for i in ids)
-    t_adm = tuple(p.t_ns[i] for i in ids)
-    start_adm = tuple(p.start_ns[i] for i in ids)
-    a = ArrivalSequence(a_adm)
-    services = ServiceSequence(tuple(p.end_ns[i] - p.start_ns[i] for i in ids))
+
+    def admitted(column):
+        return map(column.__getitem__, ids)
+
+    # what ArrivalSequence and ServiceSequence check, without their tuples
+    if ids and p.a_ns[ids[0]] < 0:
+        raise ContractViolation("arrival instants must be non-negative")
+    if any(starmap(gt, pairwise(admitted(p.a_ns)))):
+        raise ContractViolation("arrival instants must be non-decreasing")
+    if min(map(sub, admitted(p.end_ns), admitted(p.start_ns)), default=1) <= 0:
+        raise ContractViolation("service durations must be positive")
+    services = map(sub, admitted(p.end_ns), admitted(p.start_ns))
     if trace.d_ns is not None:
-        cfg = QdtpConfig(trace.d_ns)
-        sched = qdtp_schedule(a, cfg)
-        _match("qdtp_schedule", sched.times_ns, t_adm, ids)
+        d = QdtpConfig(trace.d_ns).d_ns
+        _match("qdtp_schedule", _paced(admitted(p.a_ns), d), admitted(p.t_ns), ids)
         _match(
             "qdtp_delays_ns",
-            tuple(qdtp_delays_ns(a, cfg)),
-            tuple(t - x for x, t in zip(a_adm, t_adm)),
+            _lindley(admitted(p.a_ns), repeat(d)),
+            map(sub, admitted(p.t_ns), admitted(p.a_ns)),
             ids,
         )
-        waits = server_waits(sched, services)
+        name, waits = "server_waits", _lindley(_paced(admitted(p.a_ns), d), services)
     else:
-        if t_adm != a_adm:
+        if any(map(ne, admitted(p.t_ns), admitted(p.a_ns))):
             raise InvariantViolation("no gate configured yet t differs from a")
-        waits = lindley_waits(a, services)
-    _match(
-        "server_waits" if trace.d_ns is not None else "lindley_waits",
-        waits.waits_ns,
-        tuple(s - t for t, s in zip(t_adm, start_adm)),
-        ids,
-    )
+        name, waits = "lindley_waits", _lindley(admitted(p.a_ns), services)
+    _match(name, waits, map(sub, admitted(p.start_ns), admitted(p.t_ns)), ids)
 
-    for which, (entries, exits) in trace.intervals.items():
-        if not metrics.littles_law_check(entries, exits)["ok"]:
+    for which, law in trace.occupancy.items():
+        if not law["ok"]:
             raise InvariantViolation(f"occupancy integral mismatch on {which}")

@@ -1,4 +1,6 @@
 """Round-trip tests for the CSV/JSON artifact schemas."""
+import csv
+import io
 from dataclasses import fields
 
 import pytest
@@ -18,7 +20,7 @@ from qdtp.errors import ContractViolation
 from qdtp.metrics import run_summary
 from qdtp.mitigation import MitigationPolicy
 from qdtp.recursions import QdtpConfig
-from qdtp.simulator import simulate_sequences
+from qdtp.simulator import Packets, simulate_sequences
 
 
 def columns(packets):
@@ -65,6 +67,32 @@ class TestPacketsCsv:
         )
         with pytest.raises(ContractViolation):
             read_packets_csv(path)
+
+    @pytest.mark.parametrize("packets", [
+        Packets(),
+        sample_trace().packets,  # two packets dropped by the mitigation gate
+        # as the device stub records: t = a, lists, a mixed is_attack column
+        Packets([0, 1, 0], [False, True, False], [0, 5, 9], [0, 5, 9],
+                [3, 8, 12], [7, 11, 15], [None, None, None]),
+    ], ids=["empty", "dropped", "stub"])
+    def test_bytes_match_csv_writer(self, tmp_path, packets):
+        expected = io.StringIO(newline="")
+        writer = csv.writer(expected)
+        writer.writerow(PACKET_FIELDS)
+        writer.writerows(zip(
+            range(len(packets)),
+            packets.source,
+            map(int, packets.is_attack),
+            packets.a_ns,
+            packets.t_ns,
+            packets.start_ns,
+            packets.end_ns,
+            [0 if why is None else 1 for why in packets.drop_reason],
+            packets.drop_reason,
+        ))
+        path = tmp_path / "packets.csv"
+        write_packets_csv(packets, path)
+        assert path.read_bytes() == expected.getvalue().encode("utf-8")
 
     def test_deterministic_bytes(self, tmp_path):
         trace = sample_trace()

@@ -112,6 +112,14 @@ class TestSimulate:
         ]) == 2
         assert not (tmp_path / "runs" / "tiny" / "seed0005").exists()
 
+    @pytest.mark.parametrize("interval", ["nan", "inf"])
+    def test_non_finite_interval_is_config_error(self, tmp_path, tiny_scenario, interval):
+        assert main([
+            "simulate", "--scenario", str(tiny_scenario), "--name", "tiny",
+            "--out", str(tmp_path / "runs"), "--interval", interval,
+        ]) == 2
+        assert not (tmp_path / "runs" / "tiny" / "seed0005").exists()
+
     def test_manifest_and_scenario_conflict(self, tiny_scenario):
         assert main([
             "simulate", "--manifest", "fig3_no_sqf",
@@ -236,6 +244,15 @@ class TestAnalyze:
             rows = list(csv.DictReader(fh))
         assert float(rows[0]["bin_lo_ms"]) == 3.0
         assert sum(int(r["all"]) for r in rows) == 10
+
+    @pytest.mark.parametrize("interval", ["0", "nan", "inf"])
+    def test_analyze_bad_interval_without_summary_is_invariant_error(
+        self, tmp_path, tiny_scenario, interval, capsys
+    ):
+        seed_dir = run_tiny(tmp_path, tiny_scenario)
+        (seed_dir / "summary.json").unlink()
+        assert main(["analyze", str(seed_dir), "--interval", interval]) == 3
+        assert "sampling interval must be positive" in capsys.readouterr().err
 
     def test_analyze_without_summary_uses_cli_interval(self, tmp_path,
                                                        tiny_scenario):

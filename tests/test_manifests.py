@@ -32,6 +32,11 @@ ARTIFACT_SHA256 = {
         "queues.csv": "e7427df6a621f1cd6b94827941201e3b5af45c25d20b8af213c98191078e5ff7",
         "summary.json": "1c60f538024d42124cc1f81b857789bc3e67f531c78f8cf0656e9cb024560a3c",
     },
+    "fig9_with_sqf_10s": {
+        "packets.csv": "1af4b131285456e078c4e5317dc152d80e8420f8326cb4951d10b25bf109cd33",
+        "queues.csv": "93e88e1e21d98fe8819810256a31b8d1f447c45eb9fe1cbaa924fb5c6016f62e",
+        "summary.json": "afa345935798c36b4228f91244c6a8697f2274428a496e95327817ebd3038ce9",
+    },
     "fig9_no_sqf_10s": {
         "packets.csv": "a0b5dd26272341ece1446c87999966083a5896fa348d392041530a93f6605723",
         "queues.csv": "ba6490c75ee8ec41e84fa2b12e9dfd09800c0c0923f918da759968bf2039b505",
@@ -111,7 +116,7 @@ class TestBundledData:
 
 
 class TestArtifactBytes:
-    # one gated + mitigated run and one ungated run
+    # one gated + mitigated run, one gated flood admitted whole, one ungated run
     @pytest.mark.parametrize("name", sorted(ARTIFACT_SHA256))
     def test_bundled_run_is_byte_stable(self, tmp_path, name):
         seed_dir = run_manifest(load_manifest(name), base_dir=tmp_path)[0]
@@ -185,6 +190,19 @@ class TestRunManifest:
 
         monkeypatch.setattr(metrics, "queue_intervals", counting)
         run_manifest(tiny_manifest(tmp_path, seeds=(3, 5)), base_dir=tmp_path)
+        assert calls == [100, 100]
+
+    def test_one_occupancy_sweep_per_queue_per_seed(self, tmp_path, monkeypatch):
+        # verify_trace and run_summary read the same per-trace result
+        calls = []
+        original = metrics._sweep
+
+        def counting(entries, exits):
+            calls.append(len(entries))
+            return original(entries, exits)
+
+        monkeypatch.setattr(metrics, "_sweep", counting)
+        run_manifest(tiny_manifest(tmp_path), base_dir=tmp_path)
         assert calls == [100, 100]
 
     def test_rerun_same_manifest_is_idempotent(self, tmp_path):

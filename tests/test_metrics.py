@@ -102,6 +102,11 @@ class TestQueueSeries:
         with pytest.raises(ContractViolation):
             sample_queues(queue_intervals(make_packets()), 0.0)
 
+    @pytest.mark.parametrize("interval", [float("nan"), float("inf")])
+    def test_non_finite_interval_rejected(self, interval):
+        with pytest.raises(ContractViolation):
+            sample_queues(queue_intervals(make_packets()), interval)
+
     def test_dropped_packets_occupy_nothing(self):
         rec = make_packets(
             (0, 0, 0, 3 * MS),

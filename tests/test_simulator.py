@@ -4,12 +4,16 @@ The load-bearing checks here are the dual-route ones: the engine advances
 queue state packet by packet and must agree, integer for integer, with the
 closed-form recursions applied to the same inputs.
 """
+import dataclasses
+import tracemalloc
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from qdtp.errors import ConfigurationError, ContractViolation, InvariantViolation
-from qdtp.metrics import drain_time
+from qdtp.manifests import resolve_scenario
+from qdtp.metrics import drain_time, run_summary
 from qdtp.mitigation import MitigationPolicy
 from qdtp.recursions import (
     ArrivalSequence,
@@ -76,6 +80,11 @@ class TestDirectFeed:
         # 0.1 ns rounds to a 0 ns grid step: a bad setting, found up front
         with pytest.raises(ConfigurationError):
             simulate(constant_scenario(), sampling_interval=1e-10)
+
+    @pytest.mark.parametrize("interval", [float("nan"), float("inf")])
+    def test_non_finite_interval_rejected(self, interval):
+        with pytest.raises(ConfigurationError):
+            simulate(constant_scenario(), sampling_interval=interval)
 
 
 class TestGatedFeed:
@@ -164,6 +173,50 @@ class TestVerifyTrace:
             "server_waits disagrees with the trace at packet 1: "
             "expected 1500000 ns, recorded 2000000 ns"
         )
+
+    def test_divergence_on_mitigated_trace_names_log_index(self):
+        # packets 10 and 11 are dropped, so packet 13 is the 12th admitted
+        trace = simulate_sequences(
+            [0.0] * 12 + [1.0, 1.0], [0.001] * 14, QdtpConfig.from_seconds(0.003), (10, 3)
+        )
+        assert admitted_ids(trace) == list(range(10)) + [12, 13]
+        verify_trace(trace)
+        trace.packets.t_ns[13] -= 1
+        with pytest.raises(InvariantViolation) as err:
+            verify_trace(trace)
+        assert str(err.value) == (
+            "qdtp_schedule disagrees with the trace at packet 13: "
+            "expected 1003000000 ns, recorded 1002999999 ns"
+        )
+
+
+class TestStreamingSelfChecks:
+    """verify_trace and run_summary stream the packet columns.
+
+    A copy of one column costs at least 8 B per packet and a float sample
+    32 B.  A peak under 120 B per packet leaves room for the admitted ids,
+    a few masks and the one sample being summarised, not for copies of
+    the log.
+    """
+
+    @pytest.fixture(scope="class")
+    def flood(self):
+        s = resolve_scenario("flood_10s")
+        s = dataclasses.replace(s, attack=dataclasses.replace(s.attack, duration=3.3))
+        trace = simulate(s, QdtpConfig.from_seconds(0.003))
+        assert len(trace.packets) >= 50_000
+        assert not any(trace.packets.drop_reason)  # the gate admits the whole flood
+        return trace
+
+    @pytest.mark.parametrize("check", [verify_trace, run_summary])
+    def test_traced_peak_per_packet(self, flood, check):
+        tracemalloc.start()
+        try:
+            check(flood)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak / len(flood.packets) < 120
 
 
 class TestScenarioRuns:
