@@ -48,9 +48,7 @@ from .recursions import (
     ServiceSequence,
     WaitSequence,
     check_result1,
-    end_to_end_delay,
     lindley_waits,
-    qdtp_delays,
     qdtp_schedule,
     server_waits,
 )
@@ -100,11 +98,9 @@ __all__ = [
     "check_result1",
     "compare_runs",
     "drain_time",
-    "end_to_end_delay",
     "generate_arrivals",
     "lindley_waits",
     "load_manifest",
-    "qdtp_delays",
     "qdtp_schedule",
     "resolve_scenario",
     "run_manifest",

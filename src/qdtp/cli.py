@@ -74,6 +74,11 @@ def cmd_simulate(args) -> int:
     if args.manifest and args.scenario:
         raise ConfigurationError("give either --manifest or --scenario, not both")
     if args.manifest:
+        options = {"--seed": args.seed, "--sqf-d": args.sqf_d, "--name": args.name,
+                   "--mitigation": args.mitigation, "--interval": args.interval}
+        clashes = [option for option, value in options.items() if value is not None]
+        if clashes:
+            raise ConfigurationError(f"--manifest cannot be combined with {', '.join(clashes)}")
         manifest = load_manifest(args.manifest)
         if args.out:
             # --out is a root: the run keeps its name underneath it
@@ -92,7 +97,7 @@ def cmd_simulate(args) -> int:
             out=str(Path(args.out) / name) if args.out else f"runs/{name}",
             sqf_d_ms=args.sqf_d,
             mitigation=_parse_mitigation(args.mitigation),
-            sampling_interval_ms=args.interval,
+            sampling_interval_ms=100.0 if args.interval is None else args.interval,
         )
     else:
         raise ConfigurationError(
@@ -285,7 +290,7 @@ def build_parser() -> argparse.ArgumentParser:
     sim.add_argument(
         "--out", help="root directory; the run is written to OUT/<name>/seedNNNN"
     )
-    sim.add_argument("--interval", type=float, default=100.0, metavar="MS",
+    sim.add_argument("--interval", type=float, metavar="MS",
                      help="queue sampling interval (default 100 ms)")
     sim.set_defaults(func=cmd_simulate)
 

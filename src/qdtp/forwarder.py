@@ -31,7 +31,7 @@ import sys
 import threading
 import time
 from collections import deque
-from dataclasses import dataclass, fields
+from dataclasses import asdict, dataclass, fields
 from typing import Optional
 
 from .errors import ConfigurationError
@@ -150,8 +150,9 @@ class ForwarderConfig:
             raise ConfigurationError("spacing below clock resolution")
         if self.queue_capacity is not None and self.queue_capacity < 1:
             raise ConfigurationError("queue capacity must be at least 1 when bounded")
-        if self.stats_interval <= 0:
-            raise ConfigurationError("stats interval must be positive")
+        # Event.wait returns at once on NaN and overflows past TIMEOUT_MAX
+        if not 0 < self.stats_interval <= threading.TIMEOUT_MAX:
+            raise ConfigurationError("stats interval must be positive and finite")
         if self.tolerance_us < 0:
             raise ConfigurationError("tolerance cannot be negative")
         if self.mitigation is not None:
@@ -182,15 +183,7 @@ class ForwarderStats:
         )
 
     def to_dict(self) -> dict:
-        return {
-            "received": self.received,
-            "forwarded": self.forwarded,
-            "dropped_mitigation": self.dropped_mitigation,
-            "dropped_capacity": self.dropped_capacity,
-            "queue_len": self.queue_len,
-            "inter_departure_min_us": self.inter_departure_min_us,
-            "pacing_violations": self.pacing_violations,
-        }
+        return asdict(self)
 
 
 class UdpForwarder:
@@ -198,13 +191,9 @@ class UdpForwarder:
 
     def __init__(self, cfg: ForwarderConfig):
         self.cfg = cfg
-        policy = (
-            MitigationPolicy.coerce(cfg.mitigation)
-            if cfg.mitigation is not None
-            else MitigationPolicy(1, 1, enabled=False)
-        )
-        # the gate exists even with mitigation disabled so that control
+        # the gate exists even without a mitigation policy so that control
         # channel DROP commands always have something to act on
+        policy = MitigationPolicy.coerce(cfg.mitigation) if cfg.mitigation else None
         self._gate = MitigationGate(policy, cfg.d_ns)
         self._cond = threading.Condition()
         self._fifo: deque[tuple[int, bytes]] = deque()

@@ -21,7 +21,7 @@ from .errors import ConfigurationError
 from .mitigation import MitigationPolicy
 from .recursions import QdtpConfig
 from .scenario import Scenario
-from .simulator import TraceSeries, simulate, verify_trace
+from .simulator import simulate, verify_trace
 from .timebase import NS_PER_MS, s_to_ns
 
 __all__ = [
@@ -69,8 +69,10 @@ class ExperimentManifest:
             raise ConfigurationError("manifest needs at least one seed")
         if len(set(self.seeds)) != len(self.seeds):
             raise ConfigurationError("duplicate seeds in manifest")
-        if self.sqf_d_ms is not None and self.sqf_d_ms <= 0:
-            raise ConfigurationError("sqf_d_ms must be positive")
+        if self.sqf_d_ms is not None and not (
+            math.isfinite(self.sqf_d_ms) and round(self.sqf_d_ms * NS_PER_MS) >= 1
+        ):
+            raise ConfigurationError("sqf_d_ms must be finite and at least 1 ns")
         if self.mitigation is not None:
             if self.sqf_d_ms is None:
                 raise ConfigurationError("mitigation requires an sqf gate")
@@ -101,9 +103,6 @@ class ExperimentManifest:
     def from_dict(cls, raw: dict) -> "ExperimentManifest":
         if not isinstance(raw, dict):
             raise ConfigurationError("manifest must be a JSON object")
-        d_ms = raw.get("sqf_d_ms")
-        if d_ms is None and raw.get("sqf_d_us") is not None:
-            d_ms = raw["sqf_d_us"] / 1000.0
         mit = raw.get("mitigation")
         try:
             return cls(
@@ -111,7 +110,7 @@ class ExperimentManifest:
                 scenario=raw["scenario"],
                 seeds=tuple(raw["seeds"]),
                 out=raw.get("out", f"runs/{raw['name']}"),
-                sqf_d_ms=d_ms,
+                sqf_d_ms=raw.get("sqf_d_ms"),
                 mitigation=tuple(mit) if mit else None,
                 sampling_interval_ms=float(raw.get("sampling_interval_ms", 100.0)),
             )
@@ -171,16 +170,14 @@ def _check_name_collision(run_root: Path, manifest: ExperimentManifest) -> None:
             )
 
 
-def run_manifest(manifest: ExperimentManifest, base_dir=".",
-                 keep_traces: bool = False):
+def run_manifest(manifest: ExperimentManifest, base_dir=".") -> list[Path]:
     """Execute every seed of a manifest and write its artifact tree.
 
     Layout: ``<base>/<out>/seed<N>/{packets.csv,queues.csv,summary.json}``
     plus a ``manifest.json`` marker at the top.  Every trace is verified
     against the closed-form recursions before anything is written; a
     mismatch raises InvariantViolation and leaves no partial seed dir
-    behind.  Returns the list of seed directories, or ``(dirs, traces)``
-    when ``keep_traces`` is set.
+    behind.  Returns the list of seed directories.
     """
     scenario = resolve_scenario(manifest.scenario)
     run_root = Path(base_dir) / manifest.out
@@ -188,7 +185,6 @@ def run_manifest(manifest: ExperimentManifest, base_dir=".",
     _check_name_collision(run_root, manifest)
 
     seed_dirs: list[Path] = []
-    traces: list[TraceSeries] = []
     for seed in manifest.seeds:
         trace = simulate(
             dataclasses.replace(scenario, seed=seed),
@@ -201,10 +197,8 @@ def run_manifest(manifest: ExperimentManifest, base_dir=".",
         seed_dir.mkdir(parents=True, exist_ok=True)
         write_run_dir(trace, seed_dir)
         seed_dirs.append(seed_dir)
-        if keep_traces:
-            traces.append(trace)
 
     with open(run_root / "manifest.json", "w", encoding="utf-8") as fh:
         json.dump(manifest.to_dict(), fh, indent=2)
         fh.write("\n")
-    return (seed_dirs, traces) if keep_traces else seed_dirs
+    return seed_dirs

@@ -30,7 +30,6 @@ __all__ = [
     "queue_intervals",
     "sample_queues",
     "occupancy_counts",
-    "peak_occupancy",
     "littles_law_check",
     "drain_time",
     "compare_runs",
@@ -157,11 +156,6 @@ def _sweep(entries: Sequence[int], exits: Sequence[int]) -> tuple[int, int]:
             peak = level
         prev = t
     return peak, integral
-
-
-def peak_occupancy(entries: Sequence[int], exits: Sequence[int]) -> int:
-    """Exact maximum occupancy (not limited by any sampling grid)."""
-    return _sweep(entries, exits)[0]
 
 
 def sample_queues(

@@ -7,9 +7,9 @@ still shows more than N packets, the embargo renews immediately -- a
 sustained flood therefore gets at most N+1 packets per K*D, while the gate
 reopens promptly once the flood stops.
 
-``MitigationPolicy`` is the declarative part (N, K, enabled).  The stateful
-window bookkeeping lives in ``MitigationGate``, which both the simulator and
-the live forwarder drive one arrival at a time.
+``MitigationPolicy`` is the declarative part (N, K).  The stateful window
+bookkeeping lives in ``MitigationGate``, which both the simulator and the
+live forwarder drive one arrival at a time.
 """
 from __future__ import annotations
 
@@ -28,7 +28,6 @@ class MitigationPolicy:
 
     n_threshold: int
     k_factor: int
-    enabled: bool = True
 
     def __post_init__(self) -> None:
         if self.n_threshold < 1:
@@ -38,31 +37,27 @@ class MitigationPolicy:
 
     @classmethod
     def coerce(cls, value) -> "MitigationPolicy":
-        """Accept a policy, an (N, K) pair, or a {'n':..,'k':..} mapping."""
+        """Accept a policy or an (N, K) pair."""
         if isinstance(value, cls):
             return value
-        if isinstance(value, dict):
-            try:
-                return cls(int(value["n"]), int(value["k"]))
-            except KeyError as exc:
-                raise ConfigurationError(f"mitigation mapping missing {exc}") from exc
         try:
             n, k = value
+            return cls(int(n), int(k))
         except (TypeError, ValueError) as exc:
             raise ConfigurationError(
                 "mitigation must be a policy or an (N, K) pair"
             ) from exc
-        return cls(int(n), int(k))
 
 
 class MitigationGate:
     """Stateful admit/drop decision maker.
 
     Feed arrivals in non-decreasing time order through :meth:`step`; it
-    returns True to admit.  Every arrival -- admitted, dropped, even one
-    seen while the policy is disabled -- counts as *observed* and stays in
-    the trailing window, because the overload detector watches offered
-    load, not admitted load.
+    returns True to admit.  Every arrival -- admitted or dropped -- counts
+    as *observed* and stays in the trailing window, because the overload
+    detector watches offered load, not admitted load.  With ``policy=None``
+    there is no detector: the gate only enforces time order and the
+    embargoes requested through :meth:`force_drop`.
 
     Expired embargoes are resolved lazily on the next call: between two
     arrivals nothing can change the observed-packet window, so evaluating
@@ -70,7 +65,7 @@ class MitigationGate:
     answer an eager timer would have produced.
     """
 
-    def __init__(self, policy: MitigationPolicy, d_ns: int):
+    def __init__(self, policy: Optional[MitigationPolicy], d_ns: int):
         if d_ns <= 0:
             raise ConfigurationError("mitigation needs a positive spacing D")
         self.policy = policy
@@ -98,8 +93,7 @@ class MitigationGate:
             raise ContractViolation("mitigation arrivals must be time ordered")
         self._last_ns = arrival_ns
 
-        if not self.policy.enabled:
-            self._observe(arrival_ns)
+        if self.policy is None:
             return not self._forced(arrival_ns)
 
         # resolve embargoes that expired before this arrival; each renewal

@@ -21,10 +21,10 @@ Lindley recursion on different inputs and share one loop, ``_lindley``;
 ``qdtp_schedule`` runs its own, ``_paced``.  Both are generators, so
 ``simulator.verify_trace`` can replay a trace without materialising it.
 
-All sequences carry integer nanoseconds internally.  Constructors accept
-floats in seconds and convert once; results expose both representations.
-Computations on the integer values are exact, which is what makes the
-"two independent routes agree bit-for-bit" checks meaningful.
+All sequences carry integer nanoseconds.  Constructors accept floats in
+seconds and convert once.  Computations on the integer values are exact,
+which is what makes the "two independent routes agree bit-for-bit" checks
+meaningful.
 """
 from __future__ import annotations
 
@@ -44,11 +44,9 @@ __all__ = [
     "WaitSequence",
     "lindley_waits",
     "qdtp_schedule",
-    "qdtp_delays",
     "qdtp_delays_ns",
     "server_waits",
     "check_result1",
-    "end_to_end_delay",
 ]
 
 
@@ -70,10 +68,6 @@ class ArrivalSequence:
     def from_seconds(cls, times: Iterable[float]) -> "ArrivalSequence":
         return cls(tuple(s_to_ns(x) for x in times))
 
-    @property
-    def seconds(self) -> list[float]:
-        return [ns_to_s(x) for x in self.times_ns]
-
     def __len__(self) -> int:
         return len(self.times_ns)
 
@@ -92,10 +86,6 @@ class ServiceSequence:
     def from_seconds(cls, durations: Iterable[float]) -> "ServiceSequence":
         return cls(tuple(s_to_ns(x) for x in durations))
 
-    @property
-    def seconds(self) -> list[float]:
-        return [ns_to_s(x) for x in self.durations_ns]
-
     def __len__(self) -> int:
         return len(self.durations_ns)
 
@@ -113,11 +103,6 @@ class QdtpConfig:
     @classmethod
     def from_seconds(cls, d: float) -> "QdtpConfig":
         return cls(s_to_ns(d))
-
-    @property
-    def d(self) -> float:
-        """The spacing in seconds."""
-        return ns_to_s(self.d_ns)
 
 
 @dataclass(frozen=True)
@@ -153,22 +138,15 @@ class ForwardSchedule:
     def times(self) -> list[float]:
         return [ns_to_s(x) for x in self.times_ns]
 
-    @property
-    def delays(self) -> list[float]:
-        return [ns_to_s(x) for x in self.delays_ns]
-
     def __len__(self) -> int:
         return len(self.times_ns)
 
 
 @dataclass(frozen=True)
 class WaitSequence:
-    """Non-negative per-packet waiting times with a tag saying which queue
-    they belong to (``server`` for direct feed, ``paced_server`` for a
-    server fed through the gate, ``gate`` for delay inside the gate)."""
+    """Non-negative per-packet waiting times; the first packet never waits."""
 
     waits_ns: tuple[int, ...]
-    queue: str = "server"
 
     def __post_init__(self) -> None:
         if self.waits_ns:
@@ -176,10 +154,6 @@ class WaitSequence:
                 raise ContractViolation("first packet never waits")
             if any(w < 0 for w in self.waits_ns):
                 raise ContractViolation("waits cannot be negative")
-
-    @property
-    def seconds(self) -> list[float]:
-        return [ns_to_s(x) for x in self.waits_ns]
 
     def __len__(self) -> int:
         return len(self.waits_ns)
@@ -253,7 +227,7 @@ def lindley_waits(arrivals: ArrivalsLike, services: ServicesLike) -> WaitSequenc
     t = _as_services(services)
     if len(a) != len(t):
         raise ContractViolation("need one service duration per arrival")
-    return WaitSequence(tuple(_lindley(a.times_ns, t.durations_ns)), queue="server")
+    return WaitSequence(tuple(_lindley(a.times_ns, t.durations_ns)))
 
 
 def qdtp_schedule(arrivals: ArrivalsLike, cfg: ConfigLike) -> ForwardSchedule:
@@ -281,11 +255,6 @@ def qdtp_delays_ns(arrivals: ArrivalsLike, cfg: ConfigLike) -> list[int]:
     return list(_lindley(a.times_ns, repeat(c.d_ns)))
 
 
-def qdtp_delays(arrivals: ArrivalsLike, cfg: ConfigLike) -> list[float]:
-    """Gate queueing delays in seconds.  See :func:`qdtp_delays_ns`."""
-    return [ns_to_s(q) for q in qdtp_delays_ns(arrivals, cfg)]
-
-
 def server_waits(schedule: ForwardSchedule, services: ServicesLike) -> WaitSequence:
     """Waiting times of a FIFO server fed by the paced stream.
 
@@ -298,9 +267,7 @@ def server_waits(schedule: ForwardSchedule, services: ServicesLike) -> WaitSeque
     t = _as_services(services)
     if len(schedule) != len(t):
         raise ContractViolation("need one service duration per scheduled packet")
-    return WaitSequence(
-        tuple(_lindley(schedule.times_ns, t.durations_ns)), queue="paced_server"
-    )
+    return WaitSequence(tuple(_lindley(schedule.times_ns, t.durations_ns)))
 
 
 def check_result1(services: ServicesLike, cfg: ConfigLike) -> bool:
@@ -315,26 +282,3 @@ def check_result1(services: ServicesLike, cfg: ConfigLike) -> bool:
     if not t.durations_ns:
         return True
     return c.d_ns > max(t.durations_ns)
-
-
-def end_to_end_delay(
-    arrivals: ArrivalsLike,
-    schedule: ForwardSchedule,
-    waits: WaitSequence,
-    services: ServicesLike,
-) -> list[float]:
-    """Total per-packet latency through gate and server, in seconds.
-
-    Sum of gate delay ``t[n] - a[n]``, wait at the server, and the packet's
-    own processing time.
-    """
-    a = _as_arrivals(arrivals)
-    t = _as_services(services)
-    if not (len(a) == len(schedule) == len(waits) == len(t)):
-        raise ContractViolation("sequence lengths differ")
-    out = []
-    for an, tn, wn, dn in zip(a.times_ns, schedule.times_ns, waits.waits_ns, t.durations_ns):
-        if tn < an:
-            raise ContractViolation("packet forwarded before it arrived")
-        out.append(ns_to_s((tn - an) + wn + dn))
-    return out

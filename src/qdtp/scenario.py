@@ -84,15 +84,6 @@ class ServiceModel:
         ns = s_to_ns(value)
         return ns if ns >= MIN_SERVICE_NS else MIN_SERVICE_NS
 
-    def to_dict(self) -> dict:
-        return {
-            "mode": self.mode,
-            "mean": self.mean,
-            "variance": self.variance,
-            "outlier_probability": self.outlier_probability,
-            "outlier_scale": self.outlier_scale,
-        }
-
     @classmethod
     def from_dict(cls, raw: dict) -> "ServiceModel":
         try:
@@ -176,15 +167,6 @@ class TrafficModel:
             out.append(s_to_ns(t))
         return out
 
-    def to_dict(self) -> dict:
-        return {
-            "kind": self.kind,
-            "rate": self.rate,
-            "jitter": self.jitter,
-            "start": self.start,
-            "duration": self.duration,
-        }
-
     @classmethod
     def from_dict(cls, raw: dict) -> "TrafficModel":
         try:
@@ -238,18 +220,6 @@ class Scenario:
             return None
         return (s_to_ns(self.attack.start), s_to_ns(self.attack.end))
 
-    def to_dict(self) -> dict:
-        return {
-            "normal_sources": [s.to_dict() for s in self.normal_sources],
-            "attack": self.attack.to_dict() if self.attack else None,
-            "service_no_attack": self.service_no_attack.to_dict(),
-            "service_under_attack": self.service_under_attack.to_dict(),
-            "seed": self.seed,
-            "horizon": self.horizon,
-            "attack_labels": self.attack_labels,
-            "congestion_threshold": self.congestion_threshold,
-        }
-
     @classmethod
     def from_dict(cls, raw: dict) -> "Scenario":
         if not isinstance(raw, dict):
@@ -282,11 +252,6 @@ class Scenario:
         except json.JSONDecodeError as exc:
             raise ConfigurationError(f"{path}: not valid JSON ({exc})") from exc
         return cls.from_dict(raw)
-
-    def to_json_file(self, path) -> None:
-        with open(path, "w", encoding="utf-8") as fh:
-            json.dump(self.to_dict(), fh, indent=2)
-            fh.write("\n")
 
 
 @dataclass(frozen=True)

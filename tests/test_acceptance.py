@@ -24,7 +24,7 @@ from test_forwarder import quiet_timing
 from qdtp.errors import QdtpError
 from qdtp.forwarder import ForwarderConfig, UdpForwarder, make_payload
 from qdtp.manifests import bundled_manifest_names, load_manifest, resolve_scenario
-from qdtp.metrics import drain_time, littles_law_check, peak_occupancy
+from qdtp.metrics import drain_time, littles_law_check
 from qdtp.recursions import (
     ArrivalSequence,
     QdtpConfig,
@@ -59,8 +59,8 @@ def _reduce(name, manifest, trace, verify_error):
         d_ms=manifest.sqf_d_ms,
         mitigation=manifest.mitigation,
         sampled_server_max=max(trace.server_counts, default=0),
-        server_peak=peak_occupancy(*trace.intervals["server"]),
-        sqf_peak=peak_occupancy(*trace.intervals["sqf"]),
+        server_peak=trace.occupancy["server"]["peak"],
+        sqf_peak=trace.occupancy["sqf"]["peak"],
         backlog_at_attack_end=(
             _occupancy_at(trace, "server", window[1]) if window else 0
         ),

@@ -120,6 +120,26 @@ class TestSimulate:
         ]) == 2
         assert not (tmp_path / "runs" / "tiny" / "seed0005").exists()
 
+    @pytest.mark.parametrize("d_ms", ["nan", "inf", "0.0000001"])
+    def test_bad_spacing_is_config_error(self, tmp_path, tiny_scenario, d_ms):
+        # 1e-7 ms is 0.1 ns, which rounds to a zero spacing
+        assert main([
+            "simulate", "--scenario", str(tiny_scenario), "--name", "tiny",
+            "--out", str(tmp_path / "runs"), "--sqf-d", d_ms,
+        ]) == 2
+        assert not (tmp_path / "runs").exists()
+
+    @pytest.mark.parametrize("option, value", [
+        ("--seed", "5"), ("--sqf-d", "9"), ("--mitigation", "10,3"),
+        ("--name", "other"), ("--interval", "7"),
+    ])
+    def test_manifest_rejects_scenario_options(self, tmp_path, monkeypatch, capsys,
+                                               option, value):
+        monkeypatch.chdir(tmp_path)
+        assert main(["simulate", "--manifest", "fig12_mitigation", option, value]) == 2
+        assert option in capsys.readouterr().err
+        assert list(tmp_path.iterdir()) == []
+
     def test_manifest_and_scenario_conflict(self, tiny_scenario):
         assert main([
             "simulate", "--manifest", "fig3_no_sqf",

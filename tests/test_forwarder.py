@@ -131,6 +131,14 @@ class TestConfig:
                 listen=(LOOP, 0), upstream=(LOOP, 9), d_us=3000, queue_capacity=0
             )
 
+    @pytest.mark.parametrize("interval", [0.0, float("nan"), float("inf")])
+    def test_bad_stats_interval_rejected(self, interval):
+        # Event.wait(nan) returns at once and Event.wait(inf) overflows
+        with pytest.raises(ConfigurationError):
+            ForwarderConfig(
+                listen=(LOOP, 0), upstream=(LOOP, 9), d_us=3000, stats_interval=interval
+            )
+
     def test_parse_addr(self):
         assert parse_addr("127.0.0.1:9000") == ("127.0.0.1", 9000)
         assert parse_addr(":9000") == ("0.0.0.0", 9000)

@@ -14,7 +14,6 @@ from qdtp.metrics import (
     histogram_counts,
     littles_law_check,
     occupancy_counts,
-    peak_occupancy,
     queue_intervals,
     run_summary,
     sample_queues,
@@ -124,7 +123,7 @@ class TestQueueSeries:
         )
         entries = sorted([0, MS])
         exits = sorted([3 * MS, 5 * MS])
-        assert peak_occupancy(entries, exits) == 2
+        assert littles_law_check(entries, exits)["peak"] == 2
         _, _, server = sample_queues(queue_intervals(rec), 0.004)
         assert max(server) <= 2
 
@@ -151,7 +150,8 @@ class TestLittlesLaw:
             out = littles_law_check(*trace.intervals[which])
             assert out["ok"]
             assert out["occupancy_integral_ns"] == out["sojourn_sum_ns"]
-            assert out["peak"] == peak_occupancy(*trace.intervals[which])
+            # the exact peak bounds what the sampling grid saw
+            assert out["peak"] >= max(getattr(trace, f"{which}_counts"))
 
 
 class TestHistograms:

@@ -41,8 +41,8 @@ def naive_decisions(arrivals, n, k, d):
     return out
 
 
-def run_gate(arrivals, n=10, k=3, d=3 * MS, enabled=True):
-    gate = MitigationGate(MitigationPolicy(n, k, enabled=enabled), d)
+def run_gate(arrivals, n=10, k=3, d=3 * MS):
+    gate = MitigationGate(MitigationPolicy(n, k), d)
     return [gate.step(t) for t in arrivals]
 
 
@@ -84,14 +84,17 @@ class TestExamples:
         assert decisions[-5:] == [True] * 5
 
     def test_disabled_gate_admits_everything(self):
-        arrivals = [0] * 1000
-        assert run_gate(arrivals, enabled=False) == [True] * 1000
+        # no policy: no overload detector, so a burst passes untouched
+        gate = MitigationGate(None, 3 * MS)
+        assert [gate.step(0) for _ in range(1000)] == [True] * 1000
+        assert gate.state == "open"
 
     def test_out_of_order_rejected(self):
-        gate = MitigationGate(MitigationPolicy(10, 3), 3 * MS)
-        gate.step(5 * MS)
-        with pytest.raises(ContractViolation):
-            gate.step(4 * MS)
+        for policy in (MitigationPolicy(10, 3), None):
+            gate = MitigationGate(policy, 3 * MS)
+            gate.step(5 * MS)
+            with pytest.raises(ContractViolation):
+                gate.step(4 * MS)
 
     def test_bad_parameters_rejected(self):
         with pytest.raises(ConfigurationError):
@@ -103,11 +106,12 @@ class TestExamples:
 
     def test_coerce_forms(self):
         assert MitigationPolicy.coerce((10, 3)) == MitigationPolicy(10, 3)
-        assert MitigationPolicy.coerce({"n": 5, "k": 2}) == MitigationPolicy(5, 2)
         p = MitigationPolicy(1, 1)
         assert MitigationPolicy.coerce(p) is p
         with pytest.raises(ConfigurationError):
             MitigationPolicy.coerce("10,3")
+        with pytest.raises(ConfigurationError):
+            MitigationPolicy.coerce({"n": 5, "k": 2})
 
 
 class TestForcedDrops:
@@ -125,7 +129,7 @@ class TestForcedDrops:
         assert gate.step(300 * MS) is False
 
     def test_forced_works_when_policy_disabled(self):
-        gate = MitigationGate(MitigationPolicy(10, 3, enabled=False), 3 * MS)
+        gate = MitigationGate(None, 3 * MS)
         gate.force_drop(0, 10 * MS)
         assert gate.step(5 * MS) is False
         assert gate.step(15 * MS) is True

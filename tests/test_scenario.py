@@ -20,6 +20,18 @@ from qdtp.scenario import (
 GAUSS_NO_ATTACK = ServiceModel(mode="gaussian", mean=2.98e-3, variance=5.5e-9)
 GAUSS_DEGRADED = ServiceModel(mode="gaussian", mean=4.82e-3, variance=5.1e-7)
 
+# tiny_scenario() as a scenario file spells it
+TINY_SCENARIO_JSON = {
+    "normal_sources": [
+        {"kind": "periodic", "rate": 5.0, "duration": 10.0, "jitter": 0.02},
+    ],
+    "attack": {"kind": "periodic", "rate": 1000.0, "start": 2.0, "duration": 3.0},
+    "service_no_attack": {"mode": "gaussian", "mean": 2.98e-3, "variance": 5.5e-9},
+    "service_under_attack": {"mode": "gaussian", "mean": 4.82e-3, "variance": 5.1e-7},
+    "seed": 7,
+    "horizon": 10.0,
+}
+
 
 def tiny_scenario(**overrides):
     base = dict(
@@ -187,13 +199,12 @@ class TestScenario:
         assert normal_with == normal_without
 
     def test_json_roundtrip(self, tmp_path):
-        s = tiny_scenario()
         path = tmp_path / "s.json"
-        s.to_json_file(path)
-        assert Scenario.from_json_file(path) == s
+        path.write_text(json.dumps(TINY_SCENARIO_JSON))
+        assert Scenario.from_json_file(path) == tiny_scenario()
 
     def test_json_missing_field_rejected(self, tmp_path):
-        raw = tiny_scenario().to_dict()
+        raw = dict(TINY_SCENARIO_JSON)
         del raw["service_no_attack"]
         path = tmp_path / "bad.json"
         path.write_text(json.dumps(raw))
