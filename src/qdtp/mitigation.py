@@ -37,16 +37,21 @@ class MitigationPolicy:
 
     @classmethod
     def coerce(cls, value) -> "MitigationPolicy":
-        """Accept a policy or an (N, K) pair."""
+        """Accept a policy or an (N, K) pair of whole numbers."""
         if isinstance(value, cls):
             return value
         try:
             n, k = value
-            return cls(int(n), int(k))
-        except (TypeError, ValueError) as exc:
+            whole = int(n), int(k)
+        except (TypeError, ValueError, OverflowError) as exc:
             raise ConfigurationError(
                 "mitigation must be a policy or an (N, K) pair"
             ) from exc
+        if whole != (n, k):
+            raise ConfigurationError(
+                f"mitigation (N, K) must be whole numbers, got {value!r}"
+            )
+        return cls(*whole)
 
 
 class MitigationGate:

@@ -270,6 +270,7 @@ def _one_live_burst(count=1000, d_us=3000, tol_ns=500_000):
     )
 
 
+@pytest.mark.live
 def test_criterion_7_live_pacing():
     # The host of this single-vCPU sandbox freezes the guest for 0.5-10 ms
     # about once a second — an *idle* realtime thread measures 0-8 such

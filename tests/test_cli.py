@@ -9,8 +9,9 @@ import pytest
 
 from qdtp import metrics
 from qdtp.artifacts import PACKET_FIELDS, read_packets_csv, trace_from_records
-from qdtp.cli import main
+from qdtp.cli import build_parser, main
 from qdtp.errors import InvariantViolation
+from qdtp.forwarder import ForwarderConfig
 from qdtp.simulator import verify_trace
 
 TINY_SCENARIO = {
@@ -307,6 +308,13 @@ class TestForward:
             "forward", "--listen", "localhost",
             "--upstream", "127.0.0.1:9", "--d-us", "1000",
         ]) == 2
+
+    def test_stats_interval_default_is_the_config_default(self):
+        args = build_parser().parse_args([
+            "forward", "--listen", "127.0.0.1:0",
+            "--upstream", "127.0.0.1:9", "--d-us", "1000",
+        ])
+        assert args.stats_interval == ForwarderConfig.stats_interval == 5.0
 
 
 class TestEntryPoint:

@@ -10,6 +10,7 @@ import gc
 import hashlib
 import io
 import json
+import os
 import socket
 import threading
 import time
@@ -169,6 +170,33 @@ class TestConfig:
             sink.close()
 
 
+class TestSleepUntil:
+    def test_short_waits_are_slept_not_spun(self):
+        """A 100 us wait on a timeshare thread sleeps; it does not spin."""
+        result = {}
+
+        def waits():
+            if hasattr(os, "sched_setscheduler"):
+                # threads inherit the realtime policy quiet_timing grants
+                os.sched_setscheduler(0, os.SCHED_OTHER, os.sched_param(0))
+            early = []
+            wall0, cpu0 = time.monotonic_ns(), time.thread_time_ns()
+            for _ in range(200):
+                target = time.monotonic_ns() + 100_000
+                sleep_until_ns(target)
+                if time.monotonic_ns() < target:
+                    early.append(target)
+            result["cpu"] = time.thread_time_ns() - cpu0
+            result["wall"] = time.monotonic_ns() - wall0
+            result["early"] = early
+
+        t = threading.Thread(target=waits)
+        t.start()
+        t.join()
+        assert result["early"] == []
+        assert result["cpu"] < result["wall"] / 2, result
+
+
 class TestPassThrough:
     @retry_timing()
     def test_idle_packets_forwarded_promptly_and_intact(self):
@@ -202,6 +230,7 @@ class TestPassThrough:
             sink.close()
 
 
+@pytest.mark.live
 class TestBurstPacing:
     @retry_timing()
     def test_burst_of_100_paced_at_d(self):
@@ -239,6 +268,7 @@ class TestBurstPacing:
             sink.close()
 
 
+@pytest.mark.live
 class TestMitigationLive:
     def test_burst_triggers_drop_windows(self):
         sink = open_sink()
@@ -319,6 +349,7 @@ class TestControlChannel:
             sink.close()
 
 
+@pytest.mark.live
 class TestServerStub:
     def test_run_entry_point_writes_analyzable_run_dir(self, tmp_path):
         out = tmp_path / "live" / "stubrun"

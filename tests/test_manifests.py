@@ -154,6 +154,11 @@ class TestManifestValidation:
         m = load_manifest("fig7_with_sqf")
         assert ExperimentManifest.from_dict(m.to_dict()) == m
 
+    def test_fractional_mitigation_rejected(self):
+        raw = dict(load_manifest("fig12_mitigation").to_dict(), mitigation=[10.9, 3.99])
+        with pytest.raises(ConfigurationError):
+            ExperimentManifest.from_dict(raw)
+
 
 class TestRunManifest:
     def test_writes_standard_tree(self, tmp_path):

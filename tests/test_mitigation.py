@@ -112,6 +112,10 @@ class TestExamples:
             MitigationPolicy.coerce("10,3")
         with pytest.raises(ConfigurationError):
             MitigationPolicy.coerce({"n": 5, "k": 2})
+        assert MitigationPolicy.coerce((10.0, 3.0)) == MitigationPolicy(10, 3)
+        for fractional in [(10.9, 3.99), (2.5, 1.7)]:
+            with pytest.raises(ConfigurationError):
+                MitigationPolicy.coerce(fractional)
 
 
 class TestForcedDrops:
