@@ -60,6 +60,7 @@ from .scenario import (
     sample_services,
 )
 from .simulator import (
+    ABSENT_NS,
     Packets,
     TraceSeries,
     simulate,
@@ -70,6 +71,7 @@ from .simulator import (
 __version__ = "0.1.0"
 
 __all__ = [
+    "ABSENT_NS",
     "ArrivalSequence",
     "ConfigurationError",
     "ContractViolation",

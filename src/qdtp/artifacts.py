@@ -1,7 +1,8 @@
 """Reading and writing run artifacts: packets.csv, queues.csv, summary.json.
 
 Schemas are stable interfaces. packets.csv carries integer-nanosecond
-timestamps; empty cells mean "not applicable" (dropped packets).  Its
+timestamps; empty cells mean "not applicable" (dropped packets), which
+``simulator.Packets`` holds as ``ABSENT_NS``.  Its
 ``id`` and ``dropped`` columns are derived: ``id`` is the row index and
 ``dropped`` is 1 exactly when ``drop_reason`` is set.
 """
@@ -15,8 +16,8 @@ from operator import is_not
 from typing import Optional, Sequence
 
 from . import metrics
-from .errors import ContractViolation
-from .simulator import Packets, TraceSeries, check_records
+from .errors import ContractViolation, InvariantViolation
+from .simulator import ABSENT_NS, Packets, TraceSeries, check_records
 
 PACKET_FIELDS = [
     "id",
@@ -46,44 +47,64 @@ __all__ = [
 
 
 # one row of packets.csv as csv.writer writes it (no cell needs quoting: ints
-# and the two drop reasons); None cells go in as ""
+# and the two drop reasons); ABSENT_NS timestamps and None reasons go in as ""
 _PACKET_ROW = "%d,%d,%d,%d,%s,%s,%s,%d,%s\r\n"
 
 
 def write_packets_csv(packets: Packets, path) -> None:
-    blank = {None: ""}.get  # blank(x, x): "" for None, else x
+    times = (packets.t_ns, packets.start_ns, packets.end_ns)
+    if metrics.admitted_ids(packets) is None:  # nothing dropped: no empty cell
+        dropped, why = repeat(0), repeat("")
+    else:
+        blank = {ABSENT_NS: "", None: ""}.get  # blank(x, x): "" for ABSENT_NS or None
+        times = (map(blank, column, column) for column in times)
+        dropped = map(is_not, packets.drop_reason, repeat(None))
+        why = map(blank, packets.drop_reason, packets.drop_reason)
     with open(path, "w", newline="", encoding="utf-8") as fh:
         fh.write(",".join(PACKET_FIELDS) + "\r\n")
         fh.writelines(map(_PACKET_ROW.__mod__, zip(
-            range(len(packets)),
-            packets.source,
-            packets.is_attack,
-            packets.a_ns,
-            map(blank, packets.t_ns, packets.t_ns),
-            map(blank, packets.start_ns, packets.start_ns),
-            map(blank, packets.end_ns, packets.end_ns),
-            map(is_not, packets.drop_reason, repeat(None)),
-            map(blank, packets.drop_reason, packets.drop_reason),
+            range(len(packets)), packets.source, packets.is_attack, packets.a_ns,
+            *times, dropped, why,
         )))
 
 
-def _ns(cell: str) -> Optional[int]:
-    return int(cell) if cell else None
+# Rows are parsed into lists and join the typed columns in batches:
+# list.append plus one array.fromlist per batch costs less than an
+# array.append per cell.
+_BATCH_ROWS = 4096
 
 
 def read_packets_csv(path) -> Packets:
-    """Read packets.csv back into columns.
+    """Read packets.csv back into columns; an empty timestamp is ABSENT_NS.
 
     Rejects, with ContractViolation, a header other than PACKET_FIELDS, a
-    malformed row, an ``id`` that is not the row index, and a ``dropped``
-    flag that disagrees with ``drop_reason``.
+    malformed row, an ``id`` that is not the row index, a ``dropped`` flag
+    that disagrees with ``drop_reason``, and a number too large for its
+    column (64-bit timestamps, 32-bit sources).
     """
     packets = Packets()
+    typed = (packets.source, packets.a_ns, packets.t_ns, packets.start_ns, packets.end_ns)
+    batch = tuple([] for _ in typed)
+    add_source, add_a, add_t, add_start, add_end = (cells.append for cells in batch)
+    add_attack, add_why = packets.is_attack.append, packets.drop_reason.append
+
+    def flush(rows: int) -> None:
+        try:
+            for column, cells in zip(typed, batch):
+                column.fromlist(cells)
+                cells.clear()
+        except OverflowError as exc:
+            raise ContractViolation(
+                f"{path}: a number in packet rows {rows - len(batch[-1])}..{rows - 1} "
+                f"does not fit its column ({exc})"
+            ) from exc
+
     with open(path, "r", newline="", encoding="utf-8") as fh:
         reader = csv.reader(fh)
         header = next(reader, None)
         if header != PACKET_FIELDS:
             raise ContractViolation(f"{path}: unexpected packet columns {header}")
+        index = -1
         for index, row in enumerate(filter(None, reader)):  # skip blank lines
             try:
                 pid, source, attack, a, t, start, end, dropped, why = row
@@ -91,15 +112,24 @@ def read_packets_csv(path) -> Packets:
                     raise ValueError(f"id {pid} is not the row index {index}")
                 if bool(int(dropped)) != bool(why):
                     raise ValueError("dropped flag disagrees with drop_reason")
-                packets.source.append(int(source))
-                packets.is_attack.append(bool(int(attack)))
-                packets.a_ns.append(int(a))
-                packets.t_ns.append(_ns(t))
-                packets.start_ns.append(_ns(start))
-                packets.end_ns.append(_ns(end))
-                packets.drop_reason.append(why or None)
+                # check_records' test, made on the cells: a cell of -1 would
+                # read back as ABSENT_NS and pass it there
+                if why and (t or start or end):
+                    raise InvariantViolation(
+                        f"packet {index}: dropped yet has gate/device timestamps"
+                    )
+                add_source(int(source))
+                add_attack(bool(int(attack)))
+                add_a(int(a))
+                add_t(int(t) if t else ABSENT_NS)
+                add_start(int(start) if start else ABSENT_NS)
+                add_end(int(end) if end else ABSENT_NS)
+                add_why(why or None)
             except ValueError as exc:
                 raise ContractViolation(f"{path}: bad packet row {row!r}: {exc}") from exc
+            if len(batch[-1]) == _BATCH_ROWS:
+                flush(index + 1)
+        flush(index + 1)
     return packets
 
 

@@ -16,7 +16,6 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import sys
-from itertools import compress
 from pathlib import Path
 
 from . import __version__
@@ -45,7 +44,14 @@ from .manifests import (
     resolve_scenario,
     run_manifest,
 )
-from .metrics import compare_runs, fd_bin_edges, histogram_counts, run_summary
+from .metrics import (
+    admitted,
+    admitted_ids,
+    compare_runs,
+    fd_bin_edges,
+    histogram_counts,
+    run_summary,
+)
 from .scenario import SERVICE_MODES, Scenario, ServiceModel
 from .simulator import Packets
 from .timebase import s_to_ns
@@ -175,11 +181,11 @@ def _load_run(run_dir: Path, fallback_interval_ms: float):
 
 def _write_delay_histogram(trace, path) -> None:
     p = trace.packets
-    kept = [why is None for why in p.drop_reason]
-    t = list(compress(p.t_ns, kept))
+    ids = admitted_ids(p)
+    t = admitted(p.t_ns, ids)
     if not t:
         return
-    sojourns_ms = [(e - x) / 1e6 for x, e in zip(t, compress(p.end_ns, kept))]
+    sojourns_ms = [(e - x) / 1e6 for x, e in zip(t, admitted(p.end_ns, ids))]
     window = trace.attack_window_ns
     if window is not None:
         baseline = [ms for x, ms in zip(t, sojourns_ms) if x < window[0]]

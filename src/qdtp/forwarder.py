@@ -451,6 +451,13 @@ class UdpServerStub:
         with self._cond:
             self._cond.notify_all()
         if self._sock is not None:
+            # close() alone leaves a thread blocked in recvfrom; shutdown
+            # wakes it (with an empty read), though on an unconnected UDP
+            # socket it also raises ENOTCONN
+            try:
+                self._sock.shutdown(socket.SHUT_RDWR)
+            except OSError:
+                pass
             self._sock.close()
         for t in self._threads:
             t.join(timeout=2.0)
@@ -466,6 +473,8 @@ class UdpServerStub:
             try:
                 data, addr = self._sock.recvfrom(65535)
             except OSError:
+                break
+            if self._stop.is_set():  # the wake-up read of stop(), not a datagram
                 break
             now = time.monotonic_ns()
             with self._cond:
@@ -506,7 +515,7 @@ class UdpServerStub:
     def snapshot_records(self) -> Packets:
         """A copy of the packet columns, consistent under the lock."""
         with self._cond:
-            return Packets(*(list(getattr(self.packets, f.name)) for f in fields(Packets)))
+            return Packets(*(getattr(self.packets, f.name)[:] for f in fields(Packets)))
 
     def wait_for_processed(self, count: int, timeout: float) -> bool:
         deadline = time.monotonic() + timeout

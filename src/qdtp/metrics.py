@@ -14,19 +14,23 @@ from __future__ import annotations
 
 import math
 import statistics
+from array import array
 from bisect import bisect_right
+from collections import Counter
 from dataclasses import dataclass
-from itertools import chain, compress, repeat
-from operator import and_, sub, truediv
+from itertools import chain, compress, islice, repeat
+from operator import gt, lt, sub, truediv
 from typing import Iterable, Optional, Sequence
 
 from .errors import ContractViolation
-from .timebase import ns_to_s, s_to_ns
+from .timebase import ABSENT_NS, ns_to_s, s_to_ns
 
 __all__ = [
     "SummaryStats",
     "RunComparison",
     "summarize",
+    "admitted_ids",
+    "admitted",
     "queue_intervals",
     "sample_queues",
     "occupancy_counts",
@@ -84,6 +88,9 @@ def summarize(values: Iterable[float]) -> SummaryStats:
     if data[0] == data[-1]:
         variance = 0.0  # constant sample; avoids float-summation dust
     else:
+        # keep (x - mean) ** 2: it calls libm pow, and d * d differs from
+        # pow(d, 2) in the last bit for some d, which would change
+        # summary.json (see CHANGES.md for the measured share)
         variance = math.fsum((x - mean) ** 2 for x in data) / len(data)
     return SummaryStats(
         count=len(data),
@@ -98,30 +105,62 @@ def summarize(values: Iterable[float]) -> SummaryStats:
     )
 
 
-def queue_intervals(packets) -> dict[str, tuple[list[int], list[int]]]:
-    """Both queues' sorted (entries, exits), built in one walk of the columns.
+def admitted_ids(packets) -> Optional[array]:
+    """Ids of the packets whose ``drop_reason`` is None; None when none was dropped."""
+    reasons = packets.drop_reason
+    if reasons.count(None) == len(reasons):
+        return None
+    return array("q", [pid for pid, why in enumerate(reasons) if why is None])
+
+
+def admitted(column, ids: Optional[array]):
+    """``column``'s entries for the admitted packets, as a column of its own type.
+
+    ``ids`` is what :func:`admitted_ids` returns; without ids (nothing was
+    dropped) this is ``column`` itself, not a copy.  The cost follows the
+    number of admitted packets, not the length of the log.
+    """
+    if ids is None:
+        return column
+    kept = column[:0]
+    kept.extend(map(column.__getitem__, ids))
+    return kept
+
+
+def _sorted(column: array) -> array:
+    """``column`` itself when it is already sorted, else a sorted copy."""
+    if any(map(gt, column, islice(column, 1, None))):
+        return array("q", sorted(column))
+    return column
+
+
+def queue_intervals(packets) -> dict[str, tuple[array, array]]:
+    """Both queues' sorted (entries, exits) as ``array('q')``, built from the columns.
 
     The shaping gate holds a packet on ``[a, t)``; the device holds it on
     ``[t, service_end)`` -- a packet in service still occupies the device.
     Dropped packets occupy nothing.  The gate's exits are the device's
-    entries, so the two share one sorted list.
+    entries, so the two share one sorted array.  A valid log is already in
+    order, so nothing is sorted then.
     """
-    arrivals, releases, ends = [], [], []
-    columns = zip(packets.a_ns, packets.t_ns, packets.end_ns, packets.drop_reason)
-    for a, t, end, why in columns:
-        if why is not None:
-            continue
-        if t is None or end is None:
-            raise ContractViolation("record is missing queue timestamps")
-        if t < a or end < t:
-            raise ContractViolation("queue exit precedes entry")
-        arrivals.append(a)
-        releases.append(t)
-        ends.append(end)
-    arrivals.sort()
-    releases.sort()
-    ends.sort()
-    return {"sqf": (arrivals, releases), "server": (releases, ends)}
+    ids = admitted_ids(packets)
+    arrivals, releases, ends = (
+        array("q", admitted(column, ids))
+        for column in (packets.a_ns, packets.t_ns, packets.end_ns)
+    )
+    entries = _sorted(arrivals)
+    # ABSENT_NS lies below every real timestamp, so a missing t or end fails
+    # t < a or end < t; only a negative a lets it through, so look for it then
+    if any(map(lt, releases, arrivals)) or any(map(lt, ends, releases)) or (
+        entries and entries[0] < 0 and (ABSENT_NS in releases or ABSENT_NS in ends)
+    ):
+        for a, t, end in zip(arrivals, releases, ends):  # name the first bad row
+            if t == ABSENT_NS or end == ABSENT_NS:
+                raise ContractViolation("record is missing queue timestamps")
+            if t < a or end < t:
+                raise ContractViolation("queue exit precedes entry")
+    releases = _sorted(releases)
+    return {"sqf": (entries, releases), "server": (releases, _sorted(ends))}
 
 
 def occupancy_counts(
@@ -138,23 +177,30 @@ def occupancy_counts(
 
 
 def _sweep(entries: Sequence[int], exits: Sequence[int]) -> tuple[int, int]:
-    """Exact peak and time integral of occupancy, in one sorted merge."""
+    """Exact peak and time integral of occupancy, in one sorted merge.
+
+    The loop walks the entries; before each one, the exits at or before it
+    leave (intervals are half-open), and the exits left over leave last.
+    """
     peak = level = integral = prev = 0
-    i = j = 0
-    n, m = len(entries), len(exits)
-    while i < n or j < m:
-        # exits at time <= next entry leave first (half-open intervals)
-        if j == m or (i < n and entries[i] < exits[j]):
-            t, step = entries[i], 1
-            i += 1
-        else:
-            t, step = exits[j], -1
+    j, m = 0, len(exits)
+    x = exits[0] if m else math.inf  # the next exit
+    for e in entries:
+        while x <= e:
+            integral += level * (x - prev)
+            level -= 1
+            prev = x
             j += 1
-        integral += level * (t - prev)
-        level += step
+            x = exits[j] if j < m else math.inf
+        integral += level * (e - prev)
+        level += 1
         if level > peak:
             peak = level
-        prev = t
+        prev = e
+    for x in islice(exits, j, None):
+        integral += level * (x - prev)
+        level -= 1
+        prev = x
     return peak, integral
 
 
@@ -303,24 +349,25 @@ def run_summary(trace) -> dict:
     Each sample lives only while its own statistics are computed.
     """
     p = trace.packets
-    drops: dict[str, int] = {}
-    for why in p.drop_reason:
-        if why is not None:
-            drops[why] = drops.get(why, 0) + 1
-    kept = [why is None for why in p.drop_reason]
+    drops = Counter(p.drop_reason)
+    completed = drops.pop(None, 0)
+    ids = admitted_ids(p)
+    a, t, start, end, attack = (
+        admitted(column, ids) for column in (p.a_ns, p.t_ns, p.start_ns, p.end_ns, p.is_attack)
+    )
 
-    def seconds(later, earlier, rows=kept):  # (later - earlier) / 1e9, no Python loop
-        diffs = map(sub, compress(later, rows), compress(earlier, rows))
-        return map(truediv, diffs, repeat(1e9))
+    def seconds(later, earlier, rows=None):  # (later - earlier) / 1e9, no Python loop
+        if rows is not None:
+            later, earlier = compress(later, rows), compress(earlier, rows)
+        return map(truediv, map(sub, later, earlier), repeat(1e9))
 
-    a, t, start, end = p.a_ns, p.t_ns, p.start_ns, p.end_ns
     services = _maybe_summary_ms(seconds(end, start))
     summary = {
         "packets": {
             "total": len(p),
-            "completed": kept.count(True),
+            "completed": completed,
             "dropped": sum(drops.values()),
-            "drop_reasons": drops,
+            "drop_reasons": dict(drops),
         },
         "config": {
             "d_ms": trace.d_ns / 1e6 if trace.d_ns is not None else None,
@@ -348,10 +395,7 @@ def run_summary(trace) -> dict:
 
     if trace.attack_window_ns is not None:
         start_ns, end_ns = trace.attack_window_ns
-        attack = list(map(and_, kept, p.is_attack))
-        baseline = [
-            k and not atk and x < start_ns for k, atk, x in zip(kept, p.is_attack, a)
-        ]
+        baseline = [not atk and x < start_ns for atk, x in zip(attack, a)]
         summary["attack"] = {
             "window_s": [start_ns / 1e9, end_ns / 1e9],
             "offered": sum(p.is_attack),
@@ -372,7 +416,7 @@ def run_summary(trace) -> dict:
             "max_service_ms": max_service_ms,
             "suggested_d_ms": round(max_service_ms * 1.01, 4),
             "d_exceeds_max_service": (
-                trace.d_ns > max(map(sub, compress(end, kept), compress(start, kept)))
+                trace.d_ns > max(map(sub, end, start))
                 if trace.d_ns is not None
                 else None
             ),

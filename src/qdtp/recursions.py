@@ -29,8 +29,8 @@ meaningful.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import repeat
-from operator import sub
+from itertools import pairwise, repeat, starmap
+from operator import gt, sub
 from typing import Iterable, Iterator, Sequence, Union
 
 from .errors import ContractViolation
@@ -52,17 +52,20 @@ __all__ = [
 
 @dataclass(frozen=True)
 class ArrivalSequence:
-    """Packet arrival instants, non-negative and non-decreasing."""
+    """Packet arrival instants, non-negative and non-decreasing.
 
-    times_ns: tuple[int, ...]
+    ``times_ns`` is a tuple, or the ``array('q')`` that
+    ``scenario.generate_arrivals`` builds.
+    """
+
+    times_ns: Sequence[int]
 
     def __post_init__(self) -> None:
         t = self.times_ns
         if t and t[0] < 0:
             raise ContractViolation("arrival instants must be non-negative")
-        for prev, cur in zip(t, t[1:]):
-            if cur < prev:
-                raise ContractViolation("arrival instants must be non-decreasing")
+        if any(starmap(gt, pairwise(t))):
+            raise ContractViolation("arrival instants must be non-decreasing")
 
     @classmethod
     def from_seconds(cls, times: Iterable[float]) -> "ArrivalSequence":

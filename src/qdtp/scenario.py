@@ -12,7 +12,10 @@ from __future__ import annotations
 import json
 import math
 import random
+from array import array
 from dataclasses import dataclass
+from itertools import repeat
+from operator import and_, eq, lshift, or_, rshift
 from typing import Optional, Sequence
 
 from .errors import ConfigurationError, ContractViolation
@@ -256,11 +259,15 @@ class Scenario:
 
 @dataclass(frozen=True)
 class LabeledArrivals:
-    """Merged arrival stream with per-packet provenance."""
+    """Merged arrival stream with per-packet provenance.
+
+    ``source_ids`` and ``is_attack`` are the ``array('i')`` and
+    ``bytearray`` columns ``simulator.Packets`` keeps.
+    """
 
     arrivals: ArrivalSequence
-    source_ids: tuple[int, ...]
-    is_attack: tuple[bool, ...]
+    source_ids: array
+    is_attack: bytearray
 
     def __post_init__(self) -> None:
         if not (len(self.arrivals) == len(self.source_ids) == len(self.is_attack)):
@@ -292,23 +299,28 @@ def generate_arrivals(scenario: Scenario) -> LabeledArrivals:
     attack flag only when the scenario says labels are available.
     """
     source_seeds, attack_seed, _ = _child_seeds(scenario)
-    tagged: list[tuple[int, int, bool]] = []
-    for idx, src in enumerate(scenario.normal_sources):
-        rng = random.Random(source_seeds[idx])
-        for t in src.generate_ns(rng):
-            tagged.append((t, idx, False))
+    streams = [
+        src.generate_ns(random.Random(seed))
+        for src, seed in zip(scenario.normal_sources, source_seeds)
+    ]
     if scenario.attack is not None:
-        rng = random.Random(attack_seed)
-        attack_id = len(scenario.normal_sources)
-        flag = scenario.attack_labels
-        for t in scenario.attack.generate_ns(rng):
-            tagged.append((t, attack_id, flag))
-    tagged.sort(key=lambda item: item[0])
-    return LabeledArrivals(
-        arrivals=ArrivalSequence(tuple(t for t, _, _ in tagged)),
-        source_ids=tuple(s for _, s, _ in tagged),
-        is_attack=tuple(f for _, _, f in tagged),
-    )
+        streams.append(scenario.attack.generate_ns(random.Random(attack_seed)))
+    # One int per packet, (t << bits) | source, sorts by time and then by
+    # source; each stream is already sorted, so the sort merges runs.
+    bits = max(1, (len(streams) - 1).bit_length())
+    keys: list[int] = []
+    for idx, times in enumerate(streams):
+        keys += map(or_, map(lshift, times, repeat(bits)), repeat(idx))
+        times.clear()
+    keys.sort()
+    times_ns = array("q", map(rshift, keys, repeat(bits)))
+    source_ids = array("i", map(and_, keys, repeat((1 << bits) - 1)))
+    del keys
+    if scenario.attack is not None and scenario.attack_labels:
+        is_attack = bytearray(map(eq, source_ids, repeat(len(streams) - 1)))
+    else:
+        is_attack = bytearray(len(source_ids))
+    return LabeledArrivals(ArrivalSequence(times_ns), source_ids, is_attack)
 
 
 class ServiceSampler:

@@ -20,6 +20,7 @@ rather than a tautology.
 from __future__ import annotations
 
 import math
+from array import array
 from collections import deque
 from dataclasses import dataclass, field
 from functools import cached_property
@@ -41,9 +42,10 @@ from .recursions import (
     qdtp_schedule,  # unused here; bench/selftest.py reaches it through this module
 )
 from .scenario import LabeledArrivals, Scenario, ServiceSampler, generate_arrivals
-from .timebase import s_to_ns
+from .timebase import ABSENT_NS, s_to_ns
 
 __all__ = [
+    "ABSENT_NS",
     "Packets",
     "TraceSeries",
     "simulate",
@@ -55,24 +57,46 @@ __all__ = [
 _INF = 1 << 62
 
 
+def _is_array(column, typecode: str) -> bool:
+    return isinstance(column, array) and column.typecode == typecode
+
+
 @dataclass
 class Packets:
     """The packet log as columns, one entry per packet; a packet's id is its index.
 
-    Timestamps are nanoseconds.  A packet is dropped exactly when its
-    ``drop_reason`` is not None, and then ``t_ns``, ``start_ns`` and
-    ``end_ns`` are None.  Without a gate, ``t_ns`` equals ``a_ns``.  The
-    engine hands over its own lists and tuples; the CSV reader and the
-    device stub append to lists.
+    Timestamps are nanoseconds in ``array('q')`` columns, ``source`` is an
+    ``array('i')``, ``is_attack`` a ``bytearray`` of 0/1 and ``drop_reason``
+    a list.  A packet is dropped exactly when its ``drop_reason`` is not
+    None, and then its ``t_ns``, ``start_ns`` and ``end_ns`` hold
+    ``ABSENT_NS``.  Without a gate, ``t_ns`` equals ``a_ns``.  Columns given
+    as other sequences are converted once, here, with None in those three
+    columns read as ``ABSENT_NS``; the CSV reader and the device stub then
+    append to the arrays.
     """
 
-    source: Sequence[int] = field(default_factory=list)
-    is_attack: Sequence[bool] = field(default_factory=list)
-    a_ns: Sequence[int] = field(default_factory=list)
-    t_ns: Sequence[Optional[int]] = field(default_factory=list)
-    start_ns: Sequence[Optional[int]] = field(default_factory=list)
-    end_ns: Sequence[Optional[int]] = field(default_factory=list)
-    drop_reason: Sequence[Optional[str]] = field(default_factory=list)
+    source: Sequence[int] = ()
+    is_attack: Sequence[bool] = ()
+    a_ns: Sequence[int] = ()
+    t_ns: Sequence[Optional[int]] = ()
+    start_ns: Sequence[Optional[int]] = ()
+    end_ns: Sequence[Optional[int]] = ()
+    drop_reason: Sequence[Optional[str]] = ()
+
+    def __post_init__(self) -> None:
+        if not _is_array(self.source, "i"):
+            self.source = array("i", self.source)
+        if not isinstance(self.is_attack, bytearray):
+            self.is_attack = bytearray(self.is_attack)
+        if not _is_array(self.a_ns, "q"):
+            self.a_ns = array("q", self.a_ns)
+        for name in ("t_ns", "start_ns", "end_ns"):
+            column = getattr(self, name)
+            if not _is_array(column, "q"):
+                column = [ABSENT_NS if x is None else x for x in column]
+                setattr(self, name, array("q", column))
+        if not isinstance(self.drop_reason, list):
+            self.drop_reason = list(self.drop_reason)
 
     def __len__(self) -> int:
         return len(self.a_ns)
@@ -88,14 +112,15 @@ class TraceSeries:
     server_counts: tuple[int, ...]
     packets: Packets
     # metrics.queue_intervals(packets): each queue's sorted (entries, exits)
-    intervals: dict[str, tuple[list[int], list[int]]]
+    intervals: dict[str, tuple[array, array]]
     d_ns: Optional[int] = None
     mitigation: Optional[tuple[int, int]] = None
     attack_window_ns: Optional[tuple[int, int]] = None
     seed: Optional[int] = None
-    # congestion flag at each service start, in service order; feeding these
-    # back through scenario.sample_services reproduces the drawn durations
-    service_regime: list[bool] = field(default_factory=list)
+    # congestion flag (0 or 1) at each service start, in service order;
+    # feeding these back through scenario.sample_services reproduces the
+    # drawn durations
+    service_regime: bytearray = field(default_factory=bytearray)
 
     @cached_property
     def occupancy(self) -> dict[str, dict]:
@@ -130,11 +155,11 @@ def _engine(
 
     at = labeled.arrivals.times_ns
     n = len(at)
-    t_out: list[Optional[int]] = [None] * n
-    ss_out: list[Optional[int]] = [None] * n
-    se_out: list[Optional[int]] = [None] * n
+    t_out = array("q", [ABSENT_NS]) * n
+    ss_out = array("q", [ABSENT_NS]) * n
+    se_out = array("q", [ABSENT_NS]) * n
     drop_reason: list[Optional[str]] = [None] * n
-    regime: list[bool] = []
+    regime = bytearray()
 
     gate_fifo: deque[int] = deque()
     gate_open = 0  # earliest instant the next release may happen
@@ -151,18 +176,15 @@ def _engine(
         busy = j
         done_at = now + service_source(j, congested)
 
-    def enter_server(j: int, now: int) -> None:
-        if busy >= 0:
-            server_fifo.append(j)
-        else:
-            start_service(j, now)
-
-    def release(j: int, now: int) -> None:
+    def release(j: int, now: int) -> None:  # through the gate (if any) into the device
         nonlocal gate_open, gate_at
         t_out[j] = now
         gate_open = now + d
         gate_at = gate_open if gate_fifo else _INF
-        enter_server(j, now)
+        if busy >= 0:
+            server_fifo.append(j)
+        else:
+            start_service(j, now)
 
     i = 0
     next_arr = at[0] if n else _INF
@@ -197,8 +219,7 @@ def _engine(
                     if gate_at == _INF:
                         gate_at = gate_open
             else:
-                t_out[j] = now
-                enter_server(j, now)
+                release(j, now)
 
     if gate_fifo or server_fifo or busy >= 0:
         raise InvariantViolation("simulation ended with packets in flight")
@@ -279,8 +300,8 @@ def simulate_sequences(
         raise ContractViolation("need one service duration per arrival")
     labeled = LabeledArrivals(
         arrivals=a,
-        source_ids=tuple([0] * len(a)),
-        is_attack=tuple([False] * len(a)),
+        source_ids=array("i", [0]) * len(a),
+        is_attack=bytearray(len(a)),
     )
     dur = svc.durations_ns
     return _engine(
@@ -297,7 +318,7 @@ def simulate_sequences(
 
 
 def _match(
-    name: str, expected: Iterable[int], recorded: Iterable[int], ids: list[int]
+    name: str, expected: Iterable[int], recorded: Iterable[int], ids: Iterable[int]
 ) -> None:
     """Raise naming the first packet where a recursion and the trace differ."""
     for pid, want, got in zip(ids, expected, recorded):
@@ -308,15 +329,14 @@ def _match(
             )
 
 
-def check_records(packets: Packets) -> list[int]:
-    """Check a packet log's consistency; return the admitted packets' ids.
+def check_records(packets: Packets) -> None:
+    """Check a packet log's consistency.
 
     Drop reasons match the timestamps, ``a <= t <= start <= end``, FIFO
     order holds and services never overlap, all in one walk of the columns.
     No recursion is replayed, so live recordings pass too.  Raises
     InvariantViolation on the first failure.
     """
-    admitted: list[int] = []
     prev_t = prev_start = prev_end = None  # the previous admitted packet's
     columns = zip(packets.a_ns, packets.t_ns, packets.start_ns, packets.end_ns,
                   packets.drop_reason)
@@ -324,28 +344,26 @@ def check_records(packets: Packets) -> list[int]:
         if why is not None:
             if why not in ("mitigation", "capacity"):
                 raise InvariantViolation(f"packet {pid}: dropped with reason {why!r}")
-            if t is not None or start is not None or end is not None:
+            if t != ABSENT_NS or start != ABSENT_NS or end != ABSENT_NS:
                 raise InvariantViolation(f"packet {pid}: dropped yet has gate/device timestamps")
             continue
-        if t is None or start is None or end is None:
+        if t == ABSENT_NS or start == ABSENT_NS or end == ABSENT_NS:
             raise InvariantViolation("admitted packet missing timestamps")
         if not (a <= t <= start <= end):
             raise InvariantViolation("packet timestamps out of order")
-        if admitted:
+        if prev_t is not None:
             if t < prev_t or start < prev_start:
                 raise InvariantViolation("FIFO order violated")
             if start < prev_end:
                 raise InvariantViolation("service overlap at the device")
         prev_t, prev_start, prev_end = t, start, end
-        admitted.append(pid)
-    return admitted
 
 
 def verify_trace(trace: TraceSeries) -> None:
     """Cross-check a finished run against the closed-form recursions.
 
     The packet log must pass :func:`check_records`; the admitted packets'
-    timestamps, picked by id, are then replayed through the loops behind
+    timestamps are then replayed through the loops behind
     ``qdtp_schedule`` / ``qdtp_delays_ns`` / ``server_waits`` (or
     ``lindley_waits`` when no gate was configured) and must agree with the
     recorded ones to the nanosecond, compared pair by pair as they stream;
@@ -354,34 +372,31 @@ def verify_trace(trace: TraceSeries) -> None:
     then hold.  Raises InvariantViolation on the first failure.
     """
     p = trace.packets
-    ids = check_records(p)
-
-    def admitted(column):
-        return map(column.__getitem__, ids)
+    check_records(p)
+    kept = metrics.admitted_ids(p)
+    ids = range(len(p)) if kept is None else kept  # to name a diverging packet
+    a, t, start, end = (
+        metrics.admitted(column, kept) for column in (p.a_ns, p.t_ns, p.start_ns, p.end_ns)
+    )
 
     # what ArrivalSequence and ServiceSequence check, without their tuples
-    if ids and p.a_ns[ids[0]] < 0:
+    if a and a[0] < 0:
         raise ContractViolation("arrival instants must be non-negative")
-    if any(starmap(gt, pairwise(admitted(p.a_ns)))):
+    if any(starmap(gt, pairwise(a))):
         raise ContractViolation("arrival instants must be non-decreasing")
-    if min(map(sub, admitted(p.end_ns), admitted(p.start_ns)), default=1) <= 0:
+    if min(map(sub, end, start), default=1) <= 0:
         raise ContractViolation("service durations must be positive")
-    services = map(sub, admitted(p.end_ns), admitted(p.start_ns))
+    services = map(sub, end, start)
     if trace.d_ns is not None:
         d = QdtpConfig(trace.d_ns).d_ns
-        _match("qdtp_schedule", _paced(admitted(p.a_ns), d), admitted(p.t_ns), ids)
-        _match(
-            "qdtp_delays_ns",
-            _lindley(admitted(p.a_ns), repeat(d)),
-            map(sub, admitted(p.t_ns), admitted(p.a_ns)),
-            ids,
-        )
-        name, waits = "server_waits", _lindley(_paced(admitted(p.a_ns), d), services)
+        _match("qdtp_schedule", _paced(a, d), t, ids)
+        _match("qdtp_delays_ns", _lindley(a, repeat(d)), map(sub, t, a), ids)
+        name, waits = "server_waits", _lindley(_paced(a, d), services)
     else:
-        if any(map(ne, admitted(p.t_ns), admitted(p.a_ns))):
+        if any(map(ne, t, a)):
             raise InvariantViolation("no gate configured yet t differs from a")
-        name, waits = "lindley_waits", _lindley(admitted(p.a_ns), services)
-    _match(name, waits, map(sub, admitted(p.start_ns), admitted(p.t_ns)), ids)
+        name, waits = "lindley_waits", _lindley(a, services)
+    _match(name, waits, map(sub, start, t), ids)
 
     for which, law in trace.occupancy.items():
         if not law["ok"]:

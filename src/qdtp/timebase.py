@@ -9,6 +9,10 @@ once, here.
 NS_PER_MS = 1_000_000
 NS_PER_S = 1_000_000_000
 
+# the value of a timestamp a packet never got (a dropped packet's gate and
+# device times); every real timestamp is at least 0
+ABSENT_NS = -1
+
 
 def s_to_ns(seconds: float) -> int:
     """Convert seconds to integer nanoseconds (round-to-nearest)."""

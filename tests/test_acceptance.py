@@ -34,7 +34,7 @@ from qdtp.recursions import (
     qdtp_schedule,
     server_waits,
 )
-from qdtp.simulator import simulate, simulate_sequences, verify_trace
+from qdtp.simulator import ABSENT_NS, simulate, simulate_sequences, verify_trace
 
 PROPERTY_CASES = 500
 
@@ -366,9 +366,9 @@ def _prop_conservation(data, d, n, cap):
     for why, start, end in zip(p.drop_reason, p.start_ns, p.end_ns):
         if why is not None:
             assert why in ("mitigation", "capacity")
-            assert start is None
+            assert start == ABSENT_NS
         else:
-            assert end is not None
+            assert end != ABSENT_NS
 
 
 @settings(max_examples=PROPERTY_CASES, deadline=None)

@@ -1,6 +1,7 @@
 """Round-trip tests for the CSV/JSON artifact schemas."""
 import csv
 import io
+from array import array
 from dataclasses import fields
 
 import pytest
@@ -16,11 +17,11 @@ from qdtp.artifacts import (
     write_run_dir,
     write_summary_json,
 )
-from qdtp.errors import ContractViolation
+from qdtp.errors import ContractViolation, InvariantViolation
 from qdtp.metrics import run_summary
 from qdtp.mitigation import MitigationPolicy
 from qdtp.recursions import QdtpConfig
-from qdtp.simulator import Packets, simulate_sequences
+from qdtp.simulator import ABSENT_NS, Packets, simulate_sequences
 
 
 def columns(packets):
@@ -70,12 +71,15 @@ class TestPacketsCsv:
 
     @pytest.mark.parametrize("packets", [
         Packets(),
-        sample_trace().packets,  # two packets dropped by the mitigation gate
+        sample_trace().packets,  # one packet dropped by the mitigation gate
         # as the device stub records: t = a, lists, a mixed is_attack column
         Packets([0, 1, 0], [False, True, False], [0, 5, 9], [0, 5, 9],
                 [3, 8, 12], [7, 11, 15], [None, None, None]),
     ], ids=["empty", "dropped", "stub"])
     def test_bytes_match_csv_writer(self, tmp_path, packets):
+        def cells(column):  # an absent timestamp is an empty cell
+            return ["" if x == ABSENT_NS else x for x in column]
+
         expected = io.StringIO(newline="")
         writer = csv.writer(expected)
         writer.writerow(PACKET_FIELDS)
@@ -84,15 +88,65 @@ class TestPacketsCsv:
             packets.source,
             map(int, packets.is_attack),
             packets.a_ns,
-            packets.t_ns,
-            packets.start_ns,
-            packets.end_ns,
+            cells(packets.t_ns),
+            cells(packets.start_ns),
+            cells(packets.end_ns),
             [0 if why is None else 1 for why in packets.drop_reason],
             packets.drop_reason,
         ))
         path = tmp_path / "packets.csv"
         write_packets_csv(packets, path)
         assert path.read_bytes() == expected.getvalue().encode("utf-8")
+
+    def test_reader_returns_typed_columns(self, tmp_path):
+        path = tmp_path / "packets.csv"
+        write_packets_csv(sample_trace().packets, path)
+        back = read_packets_csv(path)
+        for column in (back.a_ns, back.t_ns, back.start_ns, back.end_ns):
+            assert isinstance(column, array) and column.typecode == "q"
+            assert column.itemsize == 8
+        assert isinstance(back.source, array) and back.source.typecode == "i"
+        assert type(back.is_attack) is bytearray
+        assert type(back.drop_reason) is list
+
+    def test_none_round_trips_as_empty_cells(self, tmp_path):
+        # built from lists, as a caller outside the package would: None marks
+        # the dropped packet's timestamps
+        packets = Packets([0, 0, 1], [False, False, True], [0, 1, 2], [0, None, 2],
+                          [0, None, 5], [3, None, 9], [None, "capacity", None])
+        assert list(packets.t_ns) == [0, ABSENT_NS, 2]
+        path = tmp_path / "packets.csv"
+        write_packets_csv(packets, path)
+        with open(path, newline="") as fh:
+            rows = list(csv.reader(fh))
+        assert rows[2] == ["1", "0", "0", "1", "", "", "", "1", "capacity"]
+        assert columns(read_packets_csv(path)) == columns(packets)
+
+    def test_sentinel_never_written(self, tmp_path):
+        packets = sample_trace().packets  # the mitigation gate drops packet 3
+        assert packets.drop_reason.count("mitigation") == 1
+        assert packets.t_ns[3] == packets.start_ns[3] == packets.end_ns[3] == ABSENT_NS
+        path = tmp_path / "packets.csv"
+        write_packets_csv(packets, path)
+        with open(path, newline="") as fh:
+            rows = list(csv.reader(fh))
+        assert str(ABSENT_NS) not in [cell for row in rows for cell in row]
+        assert rows[4][4:7] == ["", "", ""]
+
+    def test_dropped_row_with_a_minus_one_timestamp_rejected(self, tmp_path):
+        # -1 is ABSENT_NS in memory; the file must not smuggle a time in as it
+        path = tmp_path / "minus_one.csv"
+        path.write_text(",".join(PACKET_FIELDS) + "\n0,0,0,5,-1,,,1,capacity\n")
+        with pytest.raises(InvariantViolation, match="packet 0: dropped yet has gate/device"):
+            read_packets_csv(path)
+
+    def test_number_too_large_for_its_column_rejected(self, tmp_path):
+        path = tmp_path / "big.csv"
+        path.write_text(
+            ",".join(PACKET_FIELDS) + f"\n0,0,0,0,0,0,{2**63},0,\n"
+        )
+        with pytest.raises(ContractViolation, match="does not fit its column"):
+            read_packets_csv(path)
 
     def test_deterministic_bytes(self, tmp_path):
         trace = sample_trace()

@@ -45,8 +45,12 @@ def quiet_timing():
     A generational collection triggered mid-pacing stalls whichever thread
     happens to allocate — in a big test process that pause dwarfs the
     500 us tolerance — and a timeshare test thread that is descheduled
-    while holding the GIL blocks the realtime pacer behind it.
+    while holding the GIL blocks the realtime pacer behind it.  The
+    thread's scheduling policy is restored on exit.
     """
+    saved = None
+    if hasattr(os, "sched_getscheduler"):
+        saved = os.sched_getscheduler(0), os.sched_getparam(0)
     gc.collect()
     gc.disable()
     try_realtime_priority(8)
@@ -54,6 +58,8 @@ def quiet_timing():
         yield
     finally:
         gc.enable()
+        if saved is not None:  # threads started later must not inherit SCHED_FIFO
+            os.sched_setscheduler(0, *saved)
 
 
 def retry_timing(attempts=5):
@@ -170,15 +176,23 @@ class TestConfig:
             sink.close()
 
 
+class TestQuietTiming:
+    @pytest.mark.skipif(not hasattr(os, "sched_getscheduler"), reason="no sched_* API")
+    def test_scheduling_policy_restored(self):
+        before = os.sched_getscheduler(0), os.sched_getparam(0)
+        with quiet_timing():
+            pass
+        assert (os.sched_getscheduler(0), os.sched_getparam(0)) == before
+
+
 class TestSleepUntil:
     def test_short_waits_are_slept_not_spun(self):
         """A 100 us wait on a timeshare thread sleeps; it does not spin."""
         result = {}
 
         def waits():
-            if hasattr(os, "sched_setscheduler"):
-                # threads inherit the realtime policy quiet_timing grants
-                os.sched_setscheduler(0, os.SCHED_OTHER, os.sched_param(0))
+            if hasattr(os, "sched_getscheduler"):
+                result["policy"] = os.sched_getscheduler(0)  # inherited from this thread
             early = []
             wall0, cpu0 = time.monotonic_ns(), time.thread_time_ns()
             for _ in range(200):
@@ -193,6 +207,7 @@ class TestSleepUntil:
         t = threading.Thread(target=waits)
         t.start()
         t.join()
+        assert result.get("policy", 0) == getattr(os, "SCHED_OTHER", 0)
         assert result["early"] == []
         assert result["cpu"] < result["wall"] / 2, result
 
@@ -347,6 +362,17 @@ class TestControlChannel:
         finally:
             fwd.stop()
             sink.close()
+
+
+class TestServerStubStop:
+    def test_stop_is_prompt_and_leaves_no_thread(self):
+        stub = UdpServerStub((LOOP, 0), ServiceModel(mode="constant", mean=0.001))
+        stub.start()
+        threads = list(stub._threads)
+        started = time.monotonic()
+        stub.stop()
+        assert time.monotonic() - started < 0.5
+        assert not any(t.is_alive() for t in threads)
 
 
 @pytest.mark.live

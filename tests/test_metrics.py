@@ -21,7 +21,7 @@ from qdtp.metrics import (
 )
 from qdtp.recursions import QdtpConfig
 from qdtp.scenario import Scenario, ServiceModel, TrafficModel
-from qdtp.simulator import Packets, simulate, simulate_sequences
+from qdtp.simulator import ABSENT_NS, Packets, simulate, simulate_sequences
 
 MS = 1_000_000
 
@@ -109,7 +109,7 @@ class TestQueueSeries:
     def test_dropped_packets_occupy_nothing(self):
         rec = make_packets(
             (0, 0, 0, 3 * MS),
-            (0, None, None, None, "mitigation"),
+            (0, ABSENT_NS, ABSENT_NS, ABSENT_NS, "mitigation"),
         )
         _, sqf, server = sample_queues(queue_intervals(rec), 0.001)
         assert max(server) == 1

@@ -168,8 +168,8 @@ class TestScenario:
             horizon=1.0,
         )
         lab = generate_arrivals(s)
-        assert lab.arrivals.times_ns == (0, 0, 500_000_000, 500_000_000)
-        assert lab.source_ids == (0, 1, 0, 1)
+        assert tuple(lab.arrivals.times_ns) == (0, 0, 500_000_000, 500_000_000)
+        assert tuple(lab.source_ids) == (0, 1, 0, 1)
 
     def test_generation_is_deterministic(self):
         a = generate_arrivals(tiny_scenario())

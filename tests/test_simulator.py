@@ -6,6 +6,7 @@ closed-form recursions applied to the same inputs.
 """
 import dataclasses
 import tracemalloc
+from array import array
 
 import pytest
 from hypothesis import given, settings
@@ -24,7 +25,7 @@ from qdtp.recursions import (
     server_waits,
 )
 from qdtp.scenario import Scenario, ServiceModel, TrafficModel, sample_services
-from qdtp.simulator import simulate, simulate_sequences, verify_trace
+from qdtp.simulator import ABSENT_NS, Packets, simulate, simulate_sequences, verify_trace
 
 import strategies as own
 
@@ -199,11 +200,14 @@ class TestStreamingSelfChecks:
     the log.
     """
 
+    @staticmethod
+    def scenario():
+        s = resolve_scenario("flood_10s")
+        return dataclasses.replace(s, attack=dataclasses.replace(s.attack, duration=3.3))
+
     @pytest.fixture(scope="class")
     def flood(self):
-        s = resolve_scenario("flood_10s")
-        s = dataclasses.replace(s, attack=dataclasses.replace(s.attack, duration=3.3))
-        trace = simulate(s, QdtpConfig.from_seconds(0.003))
+        trace = simulate(self.scenario(), QdtpConfig.from_seconds(0.003))
         assert len(trace.packets) >= 50_000
         assert not any(trace.packets.drop_reason)  # the gate admits the whole flood
         return trace
@@ -217,6 +221,55 @@ class TestStreamingSelfChecks:
         finally:
             tracemalloc.stop()
         assert peak / len(flood.packets) < 120
+
+    def test_whole_run_peak_per_packet(self):
+        """The log is typed columns, not lists of Python ints, end to end.
+
+        simulate + verify_trace + run_summary of this flood peaked at 266 B
+        per packet under tracemalloc when the columns were lists and tuples
+        of Python ints and generate sorted (t, source, flag) tuples; with
+        typed columns it peaks at 118 B.
+        """
+        tracemalloc.start()
+        try:
+            trace = simulate(self.scenario(), QdtpConfig.from_seconds(0.003))
+            verify_trace(trace)
+            run_summary(trace)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak / len(trace.packets) < 160
+
+
+class TestTypedColumns:
+    def test_simulate_returns_typed_columns(self):
+        trace = simulate(constant_scenario(), QdtpConfig.from_seconds(0.004))
+        p = trace.packets
+        for column in (p.a_ns, p.t_ns, p.start_ns, p.end_ns):
+            assert isinstance(column, array) and column.typecode == "q"
+            assert column.itemsize == 8
+        assert isinstance(p.source, array) and p.source.typecode == "i"
+        assert type(p.is_attack) is bytearray
+        assert type(p.drop_reason) is list
+        assert type(trace.service_regime) is bytearray
+
+    def test_dropped_timestamps_are_the_sentinel(self):
+        trace = simulate_sequences(
+            [0.0] * 6, [0.001] * 6, QdtpConfig.from_seconds(0.003), sqf_capacity=2
+        )
+        p = trace.packets
+        for why, t, start, end in zip(p.drop_reason, p.t_ns, p.start_ns, p.end_ns):
+            assert (why is not None) == (t == start == end == ABSENT_NS)
+
+    def test_lists_are_converted_once_and_arrays_kept(self):
+        p = Packets([0, 1], [False, True], [0, 5], [0, None], [1, None], [3, None],
+                    (None, "capacity"))
+        assert list(p.start_ns) == [1, ABSENT_NS]
+        assert type(p.is_attack) is bytearray and list(p.is_attack) == [0, 1]
+        assert p.drop_reason == [None, "capacity"]
+        again = Packets(p.source, p.is_attack, p.a_ns, p.t_ns, p.start_ns, p.end_ns,
+                        p.drop_reason)
+        assert again.a_ns is p.a_ns and again.is_attack is p.is_attack
 
 
 class TestScenarioRuns:
