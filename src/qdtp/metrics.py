@@ -37,6 +37,7 @@ __all__ = [
     "littles_law_check",
     "drain_time",
     "compare_runs",
+    "MAX_HISTOGRAM_BINS",
     "fd_bin_edges",
     "histogram_counts",
     "run_summary",
@@ -295,14 +296,21 @@ class RunComparison:
         return max(self.server_b) if self.server_b else 0
 
 
+# the most bins fd_bin_edges gives; a flood's sojourns span orders of
+# magnitude, and fixed-width bins over them would number in the millions
+MAX_HISTOGRAM_BINS = 1000
+
+
 def fd_bin_edges(
     reference: Sequence[float], cover: Optional[Sequence[float]] = None
 ) -> list[float]:
-    """Fixed-width histogram edges, width from Freedman-Diaconis.
+    """Histogram edges, width from Freedman-Diaconis, at most MAX_HISTOGRAM_BINS bins.
 
     The width is sized on the reference sample; the edge range is extended
     to also cover ``cover``, so a second sample can be binned on the same
-    grid and the two histograms stay visually aligned.
+    grid and the two histograms stay visually aligned.  When fixed-width
+    bins would outnumber the cap, there are MAX_HISTOGRAM_BINS bins instead,
+    their edges log-spaced from the lowest value to the highest.
     """
     ref = sorted(reference)
     if not ref:
@@ -317,7 +325,13 @@ def fd_bin_edges(
         # degenerate (near-constant) sample: one bin covering everything
         width = (hi - lo) or max(abs(hi), 1e-9)
     steps = max(1, math.ceil((hi - lo) / width + 1e-12))
-    return [lo + k * width for k in range(steps + 1)]
+    if steps <= MAX_HISTOGRAM_BINS:
+        return [lo + k * width for k in range(steps + 1)]
+    # x - lo + base grows geometrically from base to hi - lo + base; base is
+    # lo itself (plain log spacing) unless lo is below the width, e.g. zero
+    base = max(lo, width)
+    growth, n = (hi - lo + base) / base, MAX_HISTOGRAM_BINS
+    return [lo, *(lo - base + base * growth ** (k / n) for k in range(1, n)), hi]
 
 
 def histogram_counts(values: Iterable[float], edges: Sequence[float]) -> list[int]:

@@ -334,9 +334,15 @@ def check_records(packets: Packets) -> None:
 
     Drop reasons match the timestamps, ``a <= t <= start <= end``, FIFO
     order holds and services never overlap, all in one walk of the columns.
+    No arrival is negative, which with the order bounds every timestamp.
     No recursion is replayed, so live recordings pass too.  Raises
     InvariantViolation on the first failure.
     """
+    earliest = min(packets.a_ns, default=0)
+    if earliest < 0:
+        raise InvariantViolation(
+            f"packet {packets.a_ns.index(earliest)}: negative arrival time {earliest} ns"
+        )
     prev_t = prev_start = prev_end = None  # the previous admitted packet's
     columns = zip(packets.a_ns, packets.t_ns, packets.start_ns, packets.end_ns,
                   packets.drop_reason)

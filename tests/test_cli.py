@@ -1,14 +1,22 @@
 """Exit codes and artifact plumbing of the qdtp command."""
 import csv
 import json
+import os
+import signal
 import socket
 import subprocess
 import sys
+from collections import Counter
 
 import pytest
 
-from qdtp import metrics
-from qdtp.artifacts import PACKET_FIELDS, read_packets_csv, trace_from_records
+from qdtp import cli, metrics
+from qdtp.artifacts import (
+    PACKET_FIELDS,
+    read_packets_csv,
+    trace_from_records,
+    write_comparison_csv,
+)
 from qdtp.cli import build_parser, main
 from qdtp.errors import InvariantViolation
 from qdtp.forwarder import ForwarderConfig
@@ -23,6 +31,19 @@ TINY_SCENARIO = {
     "service_under_attack": {"mode": "constant", "mean": 0.004},
     "seed": 5,
     "horizon": 1.0,
+}
+
+
+# a benign baseline, then a flood the device cannot keep up with until the
+# horizon: sojourns run from ~3 ms to seconds, and every packet arrives
+# inside [0, attack end), so the histogram holds every admitted packet
+HEAVY_TAIL_SCENARIO = {
+    "normal_sources": [{"kind": "periodic", "rate": 10.0, "duration": 4.0}],
+    "attack": {"kind": "periodic", "rate": 1000.0, "start": 2.0, "duration": 2.0},
+    "service_no_attack": {"mode": "gaussian", "mean": 0.00298, "variance": 5.5e-09},
+    "service_under_attack": {"mode": "gaussian", "mean": 0.00482, "variance": 5.1e-07},
+    "seed": 3,
+    "horizon": 4.0,
 }
 
 
@@ -42,6 +63,29 @@ def run_tiny(tmp_path, tiny_scenario, **extra):
         argv += [f"--{key}", str(value)]
     assert main(argv) == 0
     return tmp_path / "runs" / "tiny" / "seed0005"
+
+
+def run_ungated(tmp_path, tiny_scenario):
+    """The tiny scenario without a gate, as the run to compare against."""
+    assert main([
+        "simulate", "--scenario", str(tiny_scenario), "--name", "wide",
+        "--out", str(tmp_path / "runs"),
+    ]) == 0
+    return tmp_path / "runs" / "wide" / "seed0005"
+
+
+def edit_first_row(path, column, value):
+    """Set ``column`` of packets.csv's first row to ``value(row as a dict)``."""
+    with open(path, newline="") as fh:
+        rows = list(csv.reader(fh))
+    header, first = rows[0], rows[1]
+    first[header.index(column)] = str(value(dict(zip(header, first))))
+    with open(path, "w", newline="") as fh:
+        csv.writer(fh).writerows(rows)
+
+
+def end_before_start(row):
+    return int(row["service_start"]) - 1000
 
 
 class TestScenarioValidate:
@@ -185,21 +229,106 @@ class TestAnalyze:
     def test_compare_builds_intervals_once_per_run(self, tmp_path, tiny_scenario,
                                                    monkeypatch):
         a = run_tiny(tmp_path, tiny_scenario)
-        assert main([
-            "simulate", "--scenario", str(tiny_scenario), "--name", "wide",
-            "--out", str(tmp_path / "runs"),
-        ]) == 0
-        b = tmp_path / "runs" / "wide" / "seed0005"
-        calls = []
+        b = run_ungated(tmp_path, tiny_scenario)
+        calls = tmp_path / "calls.txt"  # the compare run loads in a child process
         original = metrics.queue_intervals
 
         def counting(*args):
-            calls.append(len(args[0]))
+            with open(calls, "a") as fh:
+                fh.write(f"{len(args[0])}\n")
             return original(*args)
 
         monkeypatch.setattr(metrics, "queue_intervals", counting)
         assert main(["analyze", str(a), "--compare", str(b)]) == 0
-        assert calls == [60, 60]
+        assert calls.read_text().split() == ["60", "60"]
+
+    def test_compare_matches_a_sequential_reference(self, tmp_path, tiny_scenario):
+        a = run_tiny(tmp_path, tiny_scenario)
+        b = run_ungated(tmp_path, tiny_scenario)
+        out, ref = tmp_path / "out", tmp_path / "ref"
+        assert main(["analyze", str(a), "--compare", str(b), "--out", str(out)]) == 0
+        assert main(["analyze", str(a), "--out", str(ref)]) == 0
+        comparison = metrics.compare_runs(cli._load_run(a, 100.0), cli._load_run(b, 100.0))
+        write_comparison_csv(comparison, ref / "figure_comparison.csv")
+        names = sorted(path.name for path in out.iterdir())
+        assert names == sorted(path.name for path in ref.iterdir())
+        assert "figure_comparison.csv" in names
+        for name in names:
+            assert (out / name).read_bytes() == (ref / name).read_bytes(), name
+
+    def test_corrupt_compare_run_is_invariant_error(self, tmp_path, tiny_scenario, capsys):
+        a = run_tiny(tmp_path, tiny_scenario)
+        b = run_ungated(tmp_path, tiny_scenario)
+        edit_first_row(b / "packets.csv", "service_end", end_before_start)
+        capsys.readouterr()
+        assert main(["analyze", str(b), "--out", str(tmp_path / "alone")]) == 3
+        message = capsys.readouterr().err
+        assert "out of order" in message
+        out = tmp_path / "out"
+        assert main(["analyze", str(a), "--compare", str(b), "--out", str(out)]) == 3
+        assert capsys.readouterr().err == message
+        # the primary run's outputs are written before the compare run is read
+        assert sorted(path.name for path in out.iterdir()) == [
+            "figure_delay_histogram.csv", "figure_queues.csv", "summary.json",
+        ]
+
+    def test_missing_compare_directory_is_io_error(self, tmp_path, tiny_scenario, capsys):
+        a = run_tiny(tmp_path, tiny_scenario)
+        assert main(["analyze", str(a), "--compare", str(tmp_path / "nope")]) == 4
+        assert "nope" in capsys.readouterr().err
+
+    def test_corrupt_primary_run_reaps_the_child(self, tmp_path, tiny_scenario,
+                                                 monkeypatch):
+        a = run_tiny(tmp_path, tiny_scenario)
+        b = run_ungated(tmp_path, tiny_scenario)
+        edit_first_row(a / "packets.csv", "service_end", end_before_start)
+        children, fork = [], os.fork
+
+        def recording_fork():
+            pid = fork()
+            if pid:
+                children.append(pid)
+            return pid
+
+        monkeypatch.setattr(os, "fork", recording_fork)
+        assert main(["analyze", str(a), "--compare", str(b)]) == 3
+        assert len(children) == 1
+        with pytest.raises(ChildProcessError):
+            os.waitpid(children[0], os.WNOHANG)
+
+    def test_child_dying_without_a_result_is_reported(self, tmp_path, tiny_scenario,
+                                                      monkeypatch, capsys):
+        a = run_tiny(tmp_path, tiny_scenario)
+        b = run_ungated(tmp_path, tiny_scenario)
+        parent, load = os.getpid(), cli._load_run
+
+        def dying_in_the_child(*args):
+            if os.getpid() != parent:
+                os.kill(os.getpid(), signal.SIGKILL)
+            return load(*args)
+
+        monkeypatch.setattr(cli, "_load_run", dying_in_the_child)
+        assert main(["analyze", str(a), "--compare", str(b)]) == 4
+        assert "killed by signal 9 without a result" in capsys.readouterr().err
+
+    def test_compare_child_does_not_flush_inherited_stdout(self, tmp_path, tiny_scenario):
+        a = run_tiny(tmp_path, tiny_scenario)
+        b = run_ungated(tmp_path, tiny_scenario)
+        # stdout is a buffered pipe, so "ready" is still in the buffer when
+        # the child forks
+        script = (
+            "import sys\nfrom qdtp.cli import main\nprint('ready')\n"
+            "sys.exit(main(sys.argv[1:]))\n"
+        )
+        env = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
+        proc = subprocess.run(
+            [sys.executable, "-c", script, "analyze", str(a), "--compare", str(b)],
+            capture_output=True, text=True, env=env,
+        )
+        assert proc.returncode == 0, proc.stderr
+        lines = Counter(proc.stdout.splitlines())
+        assert "ready" in lines and any("server queue peaks" in line for line in lines)
+        assert set(lines.values()) == {1}, lines
 
     def test_empty_directory_is_io_error(self, tmp_path):
         assert main(["analyze", str(tmp_path)]) == 4
@@ -210,7 +339,7 @@ class TestAnalyze:
         # packet 0 is flagged dropped without a reason; packet 0 carries a
         # drop reason without the flag
         edits = (
-            ("service_end", lambda row: int(row["service_start"]) - 1000, "out of order"),
+            ("service_end", end_before_start, "out of order"),
             ("t", lambda row: int(row["service_start"]) + 1000, "out of order"),
             ("id", lambda row: 5, "id 5 is not the row index 0"),
             ("dropped", lambda row: 1, "dropped flag disagrees"),
@@ -218,13 +347,7 @@ class TestAnalyze:
         )
         for column, value, message in edits:
             seed_dir = run_tiny(tmp_path, tiny_scenario)
-            path = seed_dir / "packets.csv"
-            with open(path, newline="") as fh:
-                rows = list(csv.reader(fh))
-            header, first = rows[0], rows[1]
-            first[header.index(column)] = str(value(dict(zip(header, first))))
-            with open(path, "w", newline="") as fh:
-                csv.writer(fh).writerows(rows)
+            edit_first_row(seed_dir / "packets.csv", column, value)
             capsys.readouterr()
             assert main(["analyze", str(seed_dir)]) == 3, column
             assert message in capsys.readouterr().err, column
@@ -245,6 +368,41 @@ class TestAnalyze:
             verify_trace(trace_from_records(read_packets_csv(tmp_path / "packets.csv")))
         assert main(["analyze", str(tmp_path), "--interval", "1"]) == 0
         assert "5/5 packets completed" in capsys.readouterr().out
+
+    def test_negative_timestamps_are_invariant_error(self, tmp_path, capsys):
+        rows = [
+            [0, 0, 0, -5_000_000, -5_000_000, -5_000_000, -2_000_000, 0, ""],
+            [1, 0, 0, 0, 0, 0, 2_000_000, 0, ""],
+        ]
+        with open(tmp_path / "packets.csv", "w", newline="") as fh:
+            csv.writer(fh).writerows([PACKET_FIELDS] + rows)
+        assert main(["analyze", str(tmp_path)]) == 3
+        assert "packet 0: negative arrival time" in capsys.readouterr().err
+
+    def test_heavy_tailed_histogram_is_capped(self, tmp_path):
+        path = tmp_path / "heavy.json"
+        path.write_text(json.dumps(HEAVY_TAIL_SCENARIO))
+        assert main([
+            "simulate", "--scenario", str(path), "--name", "heavy",
+            "--out", str(tmp_path / "runs"),
+        ]) == 0
+        seed_dir = tmp_path / "runs" / "heavy" / "seed0003"
+        assert main(["analyze", str(seed_dir)]) == 0
+        with open(seed_dir / "figure_delay_histogram.csv", newline="") as fh:
+            rows = list(csv.DictReader(fh))
+        # fixed-width bins would number over 10^5 here; the cap takes over
+        assert len(rows) == metrics.MAX_HISTOGRAM_BINS
+        counts = [int(r["baseline"]) + int(r["under_attack"]) for r in rows]
+        sojourns = json.loads((seed_dir / "summary.json").read_text())["server_sojourn_ms"]
+        assert sum(counts) == sojourns["count"]
+        rank, seen = -(-sojourns["count"] // 2), 0  # nearest rank, as summarize
+        for row, count in zip(rows, counts):
+            seen += count
+            if seen >= rank:
+                break
+        # labels carry five decimals
+        assert float(row["bin_lo_ms"]) - 1e-5 <= sojourns["p50_ms"]
+        assert sojourns["p50_ms"] <= float(row["bin_hi_ms"]) + 1e-5
 
     def test_histogram_labels_are_milliseconds(self, tmp_path):
         # every packet finds the device idle, so every sojourn is exactly 3 ms
@@ -325,6 +483,18 @@ class TestEntryPoint:
         )
         assert proc.returncode == 0
         assert proc.stdout.strip() == "0.1.0"
+
+    def test_import_starts_no_process_pool(self):
+        # analyze --compare forks by hand; a process pool would cost every
+        # command its import time and the analysis its memory
+        proc = subprocess.run(
+            [sys.executable, "-c",
+             "import sys, qdtp.cli\n"
+             "print(sorted(set(sys.modules) & {'multiprocessing', 'concurrent.futures'}))"],
+            capture_output=True, text=True,
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.strip() == "[]"
 
     def test_unknown_subcommand_exits_2(self):
         with pytest.raises(SystemExit) as err:

@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 from qdtp import metrics
 from qdtp.errors import ContractViolation
 from qdtp.metrics import (
+    MAX_HISTOGRAM_BINS,
     compare_runs,
     fd_bin_edges,
     histogram_counts,
@@ -163,6 +164,19 @@ class TestHistograms:
         assert edges[-1] >= 9.5
         widths = {round(b - a, 12) for a, b in zip(edges, edges[1:])}
         assert len(widths) == 1  # fixed width
+
+    @pytest.mark.parametrize("lowest", [2.7, 0.0])
+    def test_wide_sample_gets_capped_log_spaced_edges(self, lowest):
+        # 2.7: plain log spacing; 0.0: log spacing has to start above zero
+        ref = [lowest + 0.01 * k for k in range(300)]
+        edges = fd_bin_edges(ref, cover=[1.87e6])
+        assert len(edges) == MAX_HISTOGRAM_BINS + 1
+        assert edges[0] == lowest and edges[-1] == 1.87e6
+        widths = [b - a for a, b in zip(edges, edges[1:])]
+        assert all(w > 0 for w in widths)
+        assert all(b > a for a, b in zip(widths, widths[1:]))
+        counts = histogram_counts(ref + [1.87e6], edges)
+        assert sum(counts) == 301 and counts[-1] == 1
 
     def test_histogram_counts_total(self):
         ref = [float(x) for x in range(100)]
