@@ -20,6 +20,7 @@ from pathlib import Path
 
 from . import __version__
 from .artifacts import (
+    Forked,
     read_packets_csv,
     read_summary_json,
     trace_from_records,
@@ -179,74 +180,14 @@ def _load_run(run_dir: Path, fallback_interval_ms: float):
     )
 
 
-class _ChildLoad:
-    """``_load_run`` of one run in a forked child, while the parent does other work.
+def _load_sampled(run_dir: Path, fallback_interval_ms: float):
+    """``_load_run`` without the packet log and intervals, as ``compare_runs`` reads it.
 
-    The child pipes back, pickled, the run's ``TraceSeries`` without its
-    packet log and intervals (``compare_runs`` reads only the sampled
-    series), or the exception that stopped it.  It leaves through
-    ``os._exit``, so it never flushes the stdio buffers or runs the atexit
-    handlers it inherited.  Each process holds one run's columns at a time.
+    The compare run loads in a forked child, which pipes this slim trace
+    back; each process then holds one run's columns at a time.
     """
-
-    def __init__(self, run_dir: Path, fallback_interval_ms: float):
-        # imported here, not at module level: only `analyze --compare` forks.
-        # pickle is imported after the fork, so the parent's peak (its own
-        # summary) does not carry it
-        import os
-
-        self.run_dir = run_dir
-        read_fd, write_fd = os.pipe()
-        self.pid = os.fork()
-        if self.pid:
-            os.close(write_fd)
-            self.pipe = open(read_fd, "rb")
-            return
-        status = 1
-        try:
-            import pickle
-
-            os.close(read_fd)
-            try:
-                trace = _load_run(run_dir, fallback_interval_ms)
-                result = dataclasses.replace(trace, packets=Packets(), intervals={})
-            except BaseException as exc:
-                result = exc
-            with open(write_fd, "wb") as pipe:
-                pickle.dump(result, pipe)
-            status = 0
-        finally:
-            os._exit(status)
-
-    def result(self):
-        """Wait for the child; its slim trace, or its exception raised here."""
-        import os
-        import pickle
-
-        with self.pipe:
-            data = self.pipe.read()
-        _, status = os.waitpid(self.pid, 0)
-        self.pid = None
-        code = os.waitstatus_to_exitcode(status)
-        if code != 0:
-            how = f"was killed by signal {-code}" if code < 0 else f"exited with status {code}"
-            raise ChildProcessError(f"the child loading {self.run_dir} {how} without a result")
-        result = pickle.loads(data)
-        if isinstance(result, BaseException):
-            raise result
-        return result
-
-    def kill(self) -> None:
-        """Stop and reap the child unless :meth:`result` already has."""
-        import os
-        import signal
-
-        if self.pid is None:
-            return
-        self.pipe.close()
-        os.kill(self.pid, signal.SIGKILL)
-        os.waitpid(self.pid, 0)
-        self.pid = None
+    trace = _load_run(run_dir, fallback_interval_ms)
+    return dataclasses.replace(trace, packets=Packets(), intervals={})
 
 
 def _write_delay_histogram(trace, path) -> None:
@@ -280,16 +221,15 @@ def _write_delay_histogram(trace, path) -> None:
 
 
 def cmd_analyze(args) -> int:
+    if not args.compare:
+        return _analyze(args, None)
     # the two loads are independent: the compare run loads in a child meanwhile
-    other = _ChildLoad(Path(args.compare), args.interval) if args.compare else None
-    try:
+    compare_dir = Path(args.compare)
+    with Forked(f"loading {compare_dir}", _load_sampled, compare_dir, args.interval) as other:
         return _analyze(args, other)
-    finally:
-        if other is not None:
-            other.kill()
 
 
-def _analyze(args, other: _ChildLoad | None) -> int:
+def _analyze(args, other: Forked | None) -> int:
     run_dir = Path(args.run_dir)
     trace = _load_run(run_dir, args.interval)
     summary = run_summary(trace)

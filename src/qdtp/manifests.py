@@ -21,7 +21,7 @@ from .errors import ConfigurationError
 from .mitigation import MitigationPolicy
 from .recursions import QdtpConfig
 from .scenario import Scenario
-from .simulator import simulate, verify_trace
+from .simulator import simulate
 from .timebase import NS_PER_MS, s_to_ns
 
 __all__ = [
@@ -156,6 +156,13 @@ def resolve_scenario(ref: str) -> Scenario:
     return Scenario.from_json_file(path)
 
 
+def _marker(manifest: ExperimentManifest) -> dict:
+    """What ``manifest.json`` records: the manifest, except where it was written."""
+    marker = manifest.to_dict()
+    del marker["out"]
+    return marker
+
+
 def _check_name_collision(run_root: Path, manifest: ExperimentManifest) -> None:
     marker = run_root / "manifest.json"
     if marker.is_file():
@@ -163,7 +170,9 @@ def _check_name_collision(run_root: Path, manifest: ExperimentManifest) -> None:
             existing = json.loads(marker.read_text(encoding="utf-8"))
         except json.JSONDecodeError:
             existing = None
-        if existing is not None and existing != manifest.to_dict():
+        if isinstance(existing, dict):
+            existing.pop("out", None)  # recorded by earlier versions
+        if existing is not None and existing != _marker(manifest):
             raise ConfigurationError(
                 f"output {run_root} already holds a different manifest "
                 f"named {manifest.name!r}"
@@ -174,10 +183,12 @@ def run_manifest(manifest: ExperimentManifest, base_dir=".") -> list[Path]:
     """Execute every seed of a manifest and write its artifact tree.
 
     Layout: ``<base>/<out>/seed<N>/{packets.csv,queues.csv,summary.json}``
-    plus a ``manifest.json`` marker at the top.  Every trace is verified
-    against the closed-form recursions before anything is written; a
-    mismatch raises InvariantViolation and leaves no partial seed dir
-    behind.  Returns the list of seed directories.
+    plus a ``manifest.json`` marker at the top, which leaves out ``out`` so
+    that the tree does not depend on where it was written.
+    ``write_run_dir`` verifies every trace against the closed-form
+    recursions before it writes anything; a mismatch raises
+    InvariantViolation and leaves no partial seed dir behind.  Returns the
+    list of seed directories.
     """
     scenario = resolve_scenario(manifest.scenario)
     run_root = Path(base_dir) / manifest.out
@@ -192,13 +203,11 @@ def run_manifest(manifest: ExperimentManifest, base_dir=".") -> list[Path]:
             manifest.mitigation,
             sampling_interval=manifest.sampling_interval_ms / 1000.0,
         )
-        verify_trace(trace)
         seed_dir = run_root / f"seed{seed:04d}"
-        seed_dir.mkdir(parents=True, exist_ok=True)
         write_run_dir(trace, seed_dir)
         seed_dirs.append(seed_dir)
 
     with open(run_root / "manifest.json", "w", encoding="utf-8") as fh:
-        json.dump(manifest.to_dict(), fh, indent=2)
+        json.dump(_marker(manifest), fh, indent=2)
         fh.write("\n")
     return seed_dirs

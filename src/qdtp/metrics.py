@@ -250,10 +250,12 @@ def littles_law_check(
 
 
 def drain_time(trace, queue: str = "server") -> float:
-    """Seconds between the end of the attack window and the queue emptying.
+    """Seconds from the end of the attack window to the queue's last exit.
 
-    The queue empties at its last sorted exit.  Zero when there is no
-    attack or the queue was already clear at the attack's end.
+    That is the last exit of the whole run, not the first instant the queue
+    is empty after the attack: when benign traffic goes on after the
+    attack, it is the last benign exit (see ROADMAP.md, item 4).  Zero when
+    there is no attack or no exit falls after the attack's end.
     """
     if queue not in trace.intervals:
         raise ContractViolation(f"unknown queue {queue!r}")

@@ -10,7 +10,7 @@ from collections import Counter
 
 import pytest
 
-from qdtp import cli, metrics
+from qdtp import cli, manifests, metrics
 from qdtp.artifacts import (
     PACKET_FIELDS,
     read_packets_csv,
@@ -18,7 +18,7 @@ from qdtp.artifacts import (
     write_comparison_csv,
 )
 from qdtp.cli import build_parser, main
-from qdtp.errors import InvariantViolation
+from qdtp.errors import ContractViolation, InvariantViolation
 from qdtp.forwarder import ForwarderConfig
 from qdtp.simulator import verify_trace
 
@@ -54,11 +54,16 @@ def tiny_scenario(tmp_path):
     return path
 
 
-def run_tiny(tmp_path, tiny_scenario, **extra):
-    argv = [
+def tiny_argv(tmp_path, tiny_scenario):
+    """``simulate`` of the tiny scenario behind a gate, into tmp_path/runs/tiny/seed0005."""
+    return [
         "simulate", "--scenario", str(tiny_scenario), "--sqf-d", "3",
         "--name", "tiny", "--out", str(tmp_path / "runs"),
     ]
+
+
+def run_tiny(tmp_path, tiny_scenario, **extra):
+    argv = tiny_argv(tmp_path, tiny_scenario)
     for key, value in extra.items():
         argv += [f"--{key}", str(value)]
     assert main(argv) == 0
@@ -203,6 +208,68 @@ class TestSimulate:
             "--sqf-d", "3", "--mitigation", "ten-three",
             "--out", str(tmp_path / "x"),
         ]) == 2
+
+
+class TestSimulateChild:
+    """The summary is computed in a forked child while the parent verifies and writes."""
+
+    def test_unverified_trace_leaves_no_seed_dir_and_reaps_the_child(
+            self, tmp_path, tiny_scenario, monkeypatch, capsys):
+        simulate, fork, children = manifests.simulate, os.fork, []
+
+        def doctored(*args, **kwargs):
+            trace = simulate(*args, **kwargs)
+            trace.packets.start_ns[0] += 1  # a wait the recursions do not give
+            return trace
+
+        def recording_fork():
+            pid = fork()
+            if pid:
+                children.append(pid)
+            return pid
+
+        monkeypatch.setattr(manifests, "simulate", doctored)
+        monkeypatch.setattr(os, "fork", recording_fork)
+        assert main(tiny_argv(tmp_path, tiny_scenario)) == 3
+        assert "server_waits" in capsys.readouterr().err
+        assert not (tmp_path / "runs" / "tiny" / "seed0005").exists()
+        assert len(children) == 1
+        with pytest.raises(ChildProcessError):
+            os.waitpid(children[0], os.WNOHANG)
+
+    def test_summary_error_in_the_child_is_invariant_error(self, tmp_path, tiny_scenario,
+                                                           monkeypatch, capsys):
+        where = tmp_path / "pid.txt"
+
+        def failing(trace):
+            where.write_text(str(os.getpid()))
+            raise ContractViolation("cannot summarize an empty sample")
+
+        monkeypatch.setattr(metrics, "run_summary", failing)
+        assert main(tiny_argv(tmp_path, tiny_scenario)) == 3
+        assert capsys.readouterr().err == (
+            "invariant violation: cannot summarize an empty sample\n"
+        )
+        assert int(where.read_text()) != os.getpid()
+        assert not (tmp_path / "runs" / "tiny" / "seed0005" / "summary.json").exists()
+
+    def test_child_killed_mid_summary_is_io_error(self, tmp_path, tiny_scenario,
+                                                  monkeypatch, capsys):
+        parent, summarize = os.getpid(), metrics.run_summary
+
+        def dying_in_the_child(trace):
+            if os.getpid() != parent:
+                os.kill(os.getpid(), signal.SIGKILL)
+            return summarize(trace)
+
+        monkeypatch.setattr(metrics, "run_summary", dying_in_the_child)
+        assert main(tiny_argv(tmp_path, tiny_scenario)) == 4
+        seed_dir = tmp_path / "runs" / "tiny" / "seed0005"
+        assert capsys.readouterr().err == (
+            f"i/o error: the child summarizing {seed_dir} was killed by signal 9 "
+            "without a result\n"
+        )
+        assert not (seed_dir / "summary.json").exists()
 
 
 class TestAnalyze:

@@ -2,11 +2,14 @@
 import dataclasses
 import hashlib
 import json
+import subprocess
+import sys
 
 import pytest
 
 from qdtp import metrics
 from qdtp.artifacts import read_packets_csv
+from qdtp.cli import main
 from qdtp.errors import ConfigurationError
 from qdtp.manifests import (
     ExperimentManifest,
@@ -116,17 +119,32 @@ class TestBundledData:
         assert load_manifest("fig3_no_sqf").mitigation is None
 
 
+def digests(seed_dir):
+    return {
+        fname: hashlib.sha256((seed_dir / fname).read_bytes()).hexdigest()
+        for fname in ("packets.csv", "queues.csv", "summary.json")
+    }
+
+
 class TestArtifactBytes:
     # one gated + mitigated run, one gated flood admitted whole, one ungated run
     @pytest.mark.parametrize("name", sorted(ARTIFACT_SHA256))
     def test_bundled_run_is_byte_stable(self, tmp_path, name):
         seed_dir = run_manifest(load_manifest(name), base_dir=tmp_path)[0]
         assert seed_dir.name == "seed0001"
-        digests = {
-            fname: hashlib.sha256((seed_dir / fname).read_bytes()).hexdigest()
-            for fname in ARTIFACT_SHA256[name]
-        }
-        assert digests == ARTIFACT_SHA256[name]
+        assert digests(seed_dir) == ARTIFACT_SHA256[name]
+
+    def test_command_in_a_fresh_interpreter_is_byte_stable(self, tmp_path):
+        # the summary child is forked by the qdtp command itself, not by pytest
+        proc = subprocess.run(
+            [sys.executable, "-m", "qdtp.cli", "simulate", "--manifest", "fig12_mitigation",
+             "--out", str(tmp_path)],
+            capture_output=True, text=True,
+        )
+        assert proc.returncode == 0, proc.stderr
+        seed_dir = tmp_path / "fig12_mitigation" / "seed0001"
+        assert proc.stdout.splitlines() == [str(seed_dir)]
+        assert digests(seed_dir) == ARTIFACT_SHA256["fig12_mitigation"]
 
 
 class TestManifestValidation:
@@ -168,7 +186,9 @@ class TestRunManifest:
         for fname in ("packets.csv", "queues.csv", "summary.json"):
             assert (dirs[0] / fname).is_file()
         marker = tmp_path / "runs" / "tiny" / "manifest.json"
-        assert json.loads(marker.read_text()) == m.to_dict()
+        expected = m.to_dict()
+        del expected["out"]  # where the run was written is not recorded
+        assert json.loads(marker.read_text()) == expected
 
     def test_one_dir_per_seed(self, tmp_path):
         m = tiny_manifest(tmp_path, seeds=(3, 5))
@@ -192,17 +212,19 @@ class TestRunManifest:
         assert calls == [100, 100]
 
     def test_one_occupancy_sweep_per_queue_per_seed(self, tmp_path, monkeypatch):
-        # verify_trace and run_summary read the same per-trace result
-        calls = []
+        # verify_trace and run_summary read the same per-trace result, and
+        # run_summary runs in a child process: count through a file
+        calls = tmp_path / "calls.txt"
         original = metrics._sweep
 
         def counting(entries, exits):
-            calls.append(len(entries))
+            with open(calls, "a") as fh:
+                fh.write(f"{len(entries)}\n")
             return original(entries, exits)
 
         monkeypatch.setattr(metrics, "_sweep", counting)
         run_manifest(tiny_manifest(tmp_path), base_dir=tmp_path)
-        assert calls == [100, 100]
+        assert calls.read_text().split() == ["100", "100"]
 
     def test_rerun_same_manifest_is_idempotent(self, tmp_path):
         m = tiny_manifest(tmp_path)
@@ -215,6 +237,27 @@ class TestRunManifest:
         run_manifest(m, base_dir=tmp_path)
         with pytest.raises(ConfigurationError):
             run_manifest(dataclasses.replace(m, sqf_d_ms=2.5), base_dir=tmp_path)
+
+    def test_marker_with_the_out_path_still_matches(self, tmp_path):
+        # earlier versions recorded `out` in manifest.json
+        m = tiny_manifest(tmp_path)
+        marker = tmp_path / "runs" / "tiny" / "manifest.json"
+        marker.parent.mkdir(parents=True)
+        marker.write_text(json.dumps(dict(m.to_dict(), out="/elsewhere/runs/tiny")))
+        run_manifest(m, base_dir=tmp_path)
+        assert "out" not in json.loads(marker.read_text())
+        with pytest.raises(ConfigurationError):
+            run_manifest(dataclasses.replace(m, sqf_d_ms=2.5), base_dir=tmp_path)
+
+    def test_marker_does_not_depend_on_the_output_root(self, tmp_path):
+        roots = [tmp_path / "a", tmp_path / "deeper" / "root" / "b"]
+        for root in roots:
+            assert main(["simulate", "--manifest", "fig12_mitigation", "--out", str(root)]) == 0
+        runs = [root / "fig12_mitigation" for root in roots]
+        markers = [(run / "manifest.json").read_bytes() for run in runs]
+        assert markers[0] == markers[1]
+        for run in runs:
+            assert digests(run / "seed0001") == ARTIFACT_SHA256["fig12_mitigation"]
 
     def test_manifest_seed_overrides_scenario_seed(self, tmp_path):
         scenario_path = tmp_path / "jittered.json"
