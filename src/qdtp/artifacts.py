@@ -17,7 +17,7 @@ from typing import Optional, Sequence
 
 from . import metrics
 from .errors import ContractViolation, InvariantViolation
-from .simulator import ABSENT_NS, Packets, TraceSeries, check_records, verify_trace
+from .simulator import ABSENT_NS, Packets, TraceSeries, _trace, check_records, verify_trace
 
 PACKET_FIELDS = [
     "id",
@@ -213,15 +213,9 @@ def trace_from_records(
 ) -> TraceSeries:
     """Rebuild a TraceSeries from packets that pass ``check_records`` (no recursion replay)."""
     check_records(packets)
-    intervals = metrics.queue_intervals(packets)
-    grid, sqf_counts, server_counts = metrics.sample_queues(intervals, sampling_interval)
-    return TraceSeries(
-        sampling_interval=sampling_interval,
-        times_ns=grid,
-        sqf_counts=sqf_counts,
-        server_counts=server_counts,
-        packets=packets,
-        intervals=intervals,
+    return _trace(
+        packets,
+        sampling_interval,
         d_ns=d_ns,
         mitigation=mitigation,
         attack_window_ns=attack_window_ns,
@@ -308,7 +302,6 @@ def write_run_dir(trace: TraceSeries, out_dir) -> dict:
     meanwhile: the three passes over the trace are independent and read it
     only, so the summary overlaps the verification and the CSV writes.
     """
-    trace.occupancy  # swept here, once: the child inherits the result
     with Forked(f"summarizing {out_dir}", metrics.run_summary, trace) as summary:
         verify_trace(trace)
         os.makedirs(out_dir, exist_ok=True)

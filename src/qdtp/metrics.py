@@ -1,14 +1,14 @@
-"""Measurement helpers: summary statistics, queue sampling, checks.
+"""Measurement helpers: summary statistics, queue sampling, histograms.
 
 A packet log is a ``simulator.Packets``: per-packet columns (``a_ns``,
 ``t_ns``, ``start_ns``, ``end_ns``, ``drop_reason``, ...), whether the
-engine filled them or ``artifacts.read_packets_csv`` read them back, so the
-functions apply equally to simulator output and to logs read from disk.
+engine filled them or ``artifacts.read_packets_csv`` read them back.
+Nothing here validates a log: ``simulator.check_records`` does, first.
 
 Occupancy flows one way: columns -> :func:`queue_intervals` (one walk per
 trace, kept as ``TraceSeries.intervals``) -> sampling, exact peak, drain
-time and the Little's-law sweep (run once per trace, kept as
-``TraceSeries.occupancy``), none of which walks the columns again.
+time and the occupancy integral (one sweep per queue, in
+:func:`run_summary`), none of which walks the columns again.
 """
 from __future__ import annotations
 
@@ -19,11 +19,11 @@ from bisect import bisect_right
 from collections import Counter
 from dataclasses import dataclass
 from itertools import chain, compress, islice, repeat
-from operator import gt, lt, sub, truediv
+from operator import gt, sub, truediv
 from typing import Iterable, Optional, Sequence
 
 from .errors import ContractViolation
-from .timebase import ABSENT_NS, ns_to_s, s_to_ns
+from .timebase import ns_to_s, s_to_ns
 
 __all__ = [
     "SummaryStats",
@@ -149,19 +149,8 @@ def queue_intervals(packets) -> dict[str, tuple[array, array]]:
         array("q", admitted(column, ids))
         for column in (packets.a_ns, packets.t_ns, packets.end_ns)
     )
-    entries = _sorted(arrivals)
-    # ABSENT_NS lies below every real timestamp, so a missing t or end fails
-    # t < a or end < t; only a negative a lets it through, so look for it then
-    if any(map(lt, releases, arrivals)) or any(map(lt, ends, releases)) or (
-        entries and entries[0] < 0 and (ABSENT_NS in releases or ABSENT_NS in ends)
-    ):
-        for a, t, end in zip(arrivals, releases, ends):  # name the first bad row
-            if t == ABSENT_NS or end == ABSENT_NS:
-                raise ContractViolation("record is missing queue timestamps")
-            if t < a or end < t:
-                raise ContractViolation("queue exit precedes entry")
     releases = _sorted(releases)
-    return {"sqf": (entries, releases), "server": (releases, _sorted(ends))}
+    return {"sqf": (_sorted(arrivals), releases), "server": (releases, _sorted(ends))}
 
 
 def occupancy_counts(
@@ -228,24 +217,22 @@ def sample_queues(
     )
 
 
-def littles_law_check(
-    entries: Sequence[int], exits: Sequence[int], *, tolerance: float = 1e-6
-) -> dict:
-    """Compare integrated occupancy with summed sojourn time.
+def littles_law_check(entries: Sequence[int], exits: Sequence[int]) -> dict:
+    """Integrated occupancy and summed sojourn time, with the exact peak.
 
-    For any finite trace the time integral of the queue length equals the
-    sum of per-packet dwell times exactly; with integer timestamps the two
-    integer sums must match to the nanosecond.  Returns both sides, the
-    verdict, and the exact peak occupancy the same merge yields.
+    This computes an accounting identity; it is not a check.  For sorted
+    integer entries and exits of equal length the time integral of the
+    queue length equals the sum of exits minus the sum of entries, so
+    ``ok`` is always true, whatever the trace.  Returns both sides, ``ok``
+    and the exact peak occupancy the same merge yields.
     """
     dwell_sum = sum(exits) - sum(entries)
     peak, integral = _sweep(entries, exits)
-    ok = abs(integral - dwell_sum) <= tolerance * max(1, dwell_sum)
     return {
         "peak": peak,
         "occupancy_integral_ns": integral,
         "sojourn_sum_ns": dwell_sum,
-        "ok": ok,
+        "ok": integral == dwell_sum,
     }
 
 
@@ -399,15 +386,15 @@ def run_summary(trace) -> dict:
     if trace.d_ns is not None:
         summary["gate_delay_ms"] = _maybe_summary_ms(seconds(t, a))
 
-    summary["queues"] = {
-        which: {
+    summary["queues"] = {}
+    for which, pair in trace.intervals.items():
+        law = littles_law_check(*pair)
+        summary["queues"][which] = {
             "peak": law["peak"],
             "sampled_peak": max(getattr(trace, f"{which}_counts"), default=0),
             "drain_s": drain_time(trace, which),
             "littles_law_ok": law["ok"],
         }
-        for which, law in trace.occupancy.items()
-    }
 
     if trace.attack_window_ns is not None:
         start_ns, end_ns = trace.attack_window_ns

@@ -11,8 +11,8 @@ public recursions over packet sequences:
 * ``qdtp_delays_ns`` -- the queueing delay inside that gate, computed as a
   FIFO queue whose every service time is ``D``
   (``q[n+1] = max(q[n] + D - (a[n+1] - a[n]), 0)``) rather than by
-  subtracting schedule values, so the two routes can be cross-checked for
-  exact equality.
+  subtracting schedule values, so the tests can cross-check the two routes
+  for exact equality.
 * ``server_waits`` -- waiting times of a FIFO server that is fed by the
   paced stream instead of the raw arrivals.
 
@@ -250,8 +250,9 @@ def qdtp_delays_ns(arrivals: ArrivalsLike, cfg: ConfigLike) -> list[int]:
 
     ``q[0] = 0``, ``q[n+1] = max(q[n] + D - (a[n+1] - a[n]), 0)``: the
     Lindley recursion with every service time equal to D.  This is
-    deliberately *not* computed from :func:`qdtp_schedule`; agreement of the
-    two routes on the integer values is one of the package self-checks.
+    deliberately *not* computed from :func:`qdtp_schedule`; the tests check
+    that the two routes agree.  ``verify_trace`` need not replay it: a ``t``
+    that matches the schedule gives ``q = t - a`` by induction.
     """
     a = _as_arrivals(arrivals)
     c = _as_config(cfg)

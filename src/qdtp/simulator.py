@@ -22,9 +22,8 @@ from __future__ import annotations
 import math
 from array import array
 from collections import deque
-from dataclasses import dataclass, field
-from functools import cached_property
-from itertools import pairwise, repeat, starmap
+from dataclasses import dataclass, field, fields
+from itertools import pairwise, starmap
 from operator import gt, ne, sub
 from typing import Callable, Iterable, Optional, Sequence
 
@@ -97,6 +96,9 @@ class Packets:
                 setattr(self, name, array("q", column))
         if not isinstance(self.drop_reason, list):
             self.drop_reason = list(self.drop_reason)
+        lengths = {f.name: len(getattr(self, f.name)) for f in fields(self)}
+        if len(set(lengths.values())) > 1:
+            raise ContractViolation(f"packet columns differ in length: {lengths}")
 
     def __len__(self) -> int:
         return len(self.a_ns)
@@ -122,10 +124,14 @@ class TraceSeries:
     # drawn durations
     service_regime: bytearray = field(default_factory=bytearray)
 
-    @cached_property
-    def occupancy(self) -> dict[str, dict]:
-        """Each queue's ``metrics.littles_law_check``, swept once per trace."""
-        return {q: metrics.littles_law_check(*pair) for q, pair in self.intervals.items()}
+
+def _trace(packets: Packets, sampling_interval: float, **rest) -> TraceSeries:
+    """``packets`` as a TraceSeries; ``rest`` holds its other fields."""
+    intervals = metrics.queue_intervals(packets)
+    grid, sqf_counts, server_counts = metrics.sample_queues(intervals, sampling_interval)
+    return TraceSeries(
+        sampling_interval, grid, sqf_counts, server_counts, packets, intervals, **rest
+    )
 
 
 def _engine(
@@ -227,15 +233,9 @@ def _engine(
     packets = Packets(
         labeled.source_ids, labeled.is_attack, at, t_out, ss_out, se_out, drop_reason
     )
-    intervals = metrics.queue_intervals(packets)
-    grid, sqf_counts, server_counts = metrics.sample_queues(intervals, sampling_interval)
-    return TraceSeries(
-        sampling_interval=sampling_interval,
-        times_ns=grid,
-        sqf_counts=sqf_counts,
-        server_counts=server_counts,
-        packets=packets,
-        intervals=intervals,
+    return _trace(
+        packets,
+        sampling_interval,
         d_ns=d if use_gate else None,
         mitigation=(
             (gate_filter.policy.n_threshold, gate_filter.policy.k_factor)
@@ -353,29 +353,36 @@ def check_records(packets: Packets) -> None:
             if t != ABSENT_NS or start != ABSENT_NS or end != ABSENT_NS:
                 raise InvariantViolation(f"packet {pid}: dropped yet has gate/device timestamps")
             continue
-        if t == ABSENT_NS or start == ABSENT_NS or end == ABSENT_NS:
-            raise InvariantViolation("admitted packet missing timestamps")
-        if not (a <= t <= start <= end):
-            raise InvariantViolation("packet timestamps out of order")
+        if not (a <= t <= start <= end):  # a missing one fails too: ABSENT_NS < 0 <= a
+            what = ("admitted packet missing timestamps" if ABSENT_NS in (t, start, end)
+                    else "packet timestamps out of order")
+            raise InvariantViolation(
+                f"packet {pid}: {what}: a={a}, t={t}, start={start}, end={end} ns"
+            )
         if prev_t is not None:
             if t < prev_t or start < prev_start:
-                raise InvariantViolation("FIFO order violated")
+                raise InvariantViolation(
+                    f"packet {pid}: FIFO order violated: t={t}, start={start} ns after "
+                    f"the previous admitted packet's t={prev_t}, start={prev_start} ns"
+                )
             if start < prev_end:
-                raise InvariantViolation("service overlap at the device")
+                raise InvariantViolation(
+                    f"packet {pid}: service overlap at the device: start={start} ns "
+                    f"before the previous admitted packet's end={prev_end} ns"
+                )
         prev_t, prev_start, prev_end = t, start, end
 
 
 def verify_trace(trace: TraceSeries) -> None:
     """Cross-check a finished run against the closed-form recursions.
 
-    The packet log must pass :func:`check_records`; the admitted packets'
-    timestamps are then replayed through the loops behind
-    ``qdtp_schedule`` / ``qdtp_delays_ns`` / ``server_waits`` (or
-    ``lindley_waits`` when no gate was configured) and must agree with the
-    recorded ones to the nanosecond, compared pair by pair as they stream;
-    a mismatch names the recursion, the first diverging packet id and both
-    values.  Each queue's ``trace.occupancy`` (the Little's-law sweep) must
-    then hold.  Raises InvariantViolation on the first failure.
+    The packet log must pass :func:`check_records`.  The admitted packets'
+    releases are replayed from their arrivals by the loop behind
+    ``qdtp_schedule`` (without a gate, ``t`` must equal ``a``), and their
+    device waits from the recorded ``t`` and services by the loop behind
+    ``server_waits`` (``lindley_waits`` without a gate).  Both must agree with
+    the trace to the nanosecond, pair by pair as they stream; a mismatch
+    names the recursion, the first diverging packet id and both values.
     """
     p = trace.packets
     check_records(p)
@@ -386,24 +393,15 @@ def verify_trace(trace: TraceSeries) -> None:
     )
 
     # what ArrivalSequence and ServiceSequence check, without their tuples
-    if a and a[0] < 0:
-        raise ContractViolation("arrival instants must be non-negative")
     if any(starmap(gt, pairwise(a))):
         raise ContractViolation("arrival instants must be non-decreasing")
     if min(map(sub, end, start), default=1) <= 0:
         raise ContractViolation("service durations must be positive")
-    services = map(sub, end, start)
     if trace.d_ns is not None:
-        d = QdtpConfig(trace.d_ns).d_ns
-        _match("qdtp_schedule", _paced(a, d), t, ids)
-        _match("qdtp_delays_ns", _lindley(a, repeat(d)), map(sub, t, a), ids)
-        name, waits = "server_waits", _lindley(_paced(a, d), services)
+        _match("qdtp_schedule", _paced(a, QdtpConfig(trace.d_ns).d_ns), t, ids)
+        name = "server_waits"
     else:
         if any(map(ne, t, a)):
             raise InvariantViolation("no gate configured yet t differs from a")
-        name, waits = "lindley_waits", _lindley(a, services)
-    _match(name, waits, map(sub, start, t), ids)
-
-    for which, law in trace.occupancy.items():
-        if not law["ok"]:
-            raise InvariantViolation(f"occupancy integral mismatch on {which}")
+        name = "lindley_waits"
+    _match(name, _lindley(t, map(sub, end, start)), map(sub, start, t), ids)

@@ -59,8 +59,8 @@ def _reduce(name, manifest, trace, verify_error):
         d_ms=manifest.sqf_d_ms,
         mitigation=manifest.mitigation,
         sampled_server_max=max(trace.server_counts, default=0),
-        server_peak=trace.occupancy["server"]["peak"],
-        sqf_peak=trace.occupancy["sqf"]["peak"],
+        server_peak=littles_law_check(*trace.intervals["server"])["peak"],
+        sqf_peak=littles_law_check(*trace.intervals["sqf"])["peak"],
         backlog_at_attack_end=(
             _occupancy_at(trace, "server", window[1]) if window else 0
         ),

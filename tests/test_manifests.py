@@ -212,8 +212,8 @@ class TestRunManifest:
         assert calls == [100, 100]
 
     def test_one_occupancy_sweep_per_queue_per_seed(self, tmp_path, monkeypatch):
-        # verify_trace and run_summary read the same per-trace result, and
-        # run_summary runs in a child process: count through a file
+        # only run_summary sweeps, and it runs in a child process: count
+        # through a file
         calls = tmp_path / "calls.txt"
         original = metrics._sweep
 

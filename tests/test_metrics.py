@@ -7,7 +7,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from qdtp import metrics
-from qdtp.errors import ContractViolation
+from qdtp.artifacts import trace_from_records
+from qdtp.errors import ContractViolation, InvariantViolation
 from qdtp.metrics import (
     MAX_HISTOGRAM_BINS,
     compare_runs,
@@ -94,9 +95,10 @@ class TestQueueSeries:
         assert sample_queues(queue_intervals(make_packets()), 0.001) == ((0,), (0,), (0,))
 
     def test_inconsistent_timestamps_rejected(self):
+        # queue_intervals validates nothing; the row is rejected on the way in
         rec = make_packets((5 * MS, 5 * MS, 5 * MS, 3 * MS))
-        with pytest.raises(ContractViolation):
-            sample_queues(queue_intervals(rec), 0.001)
+        with pytest.raises(InvariantViolation, match="packet 0: packet timestamps out of order"):
+            trace_from_records(rec, 0.001)
 
     def test_nonpositive_interval_rejected(self):
         with pytest.raises(ContractViolation):

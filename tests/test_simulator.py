@@ -7,6 +7,7 @@ closed-form recursions applied to the same inputs.
 import dataclasses
 import tracemalloc
 from array import array
+from operator import sub
 
 import pytest
 from hypothesis import given, settings
@@ -21,11 +22,19 @@ from qdtp.recursions import (
     QdtpConfig,
     ServiceSequence,
     lindley_waits,
+    qdtp_delays_ns,
     qdtp_schedule,
     server_waits,
 )
 from qdtp.scenario import Scenario, ServiceModel, TrafficModel, sample_services
-from qdtp.simulator import ABSENT_NS, Packets, simulate, simulate_sequences, verify_trace
+from qdtp.simulator import (
+    ABSENT_NS,
+    Packets,
+    check_records,
+    simulate,
+    simulate_sequences,
+    verify_trace,
+)
 
 import strategies as own
 
@@ -190,6 +199,67 @@ class TestVerifyTrace:
             "expected 1003000000 ns, recorded 1002999999 ns"
         )
 
+    @pytest.mark.parametrize("d, recursion, expected_wait", [
+        (0.001, "server_waits", 4 * MS),
+        (None, "lindley_waits", 6 * MS),
+    ])
+    def test_idle_device_caught_by_device_replay(self, d, recursion, expected_wait):
+        # three packets at 0 of 3 ms each: the device serves them back to
+        # back until 9 ms; the last one then starts 1 ms late, so the device
+        # idles while it waits, with FIFO order kept and no overlap
+        cfg = None if d is None else QdtpConfig.from_seconds(d)
+        trace = simulate_sequences([0.0] * 3, [0.003] * 3, cfg)
+        verify_trace(trace)
+        p = trace.packets
+        assert (p.start_ns[2], p.end_ns[2]) == (6 * MS, 9 * MS)
+        p.start_ns[2] += MS
+        p.end_ns[2] += MS
+        check_records(p)
+        with pytest.raises(InvariantViolation) as err:
+            verify_trace(trace)
+        assert str(err.value) == (
+            f"{recursion} disagrees with the trace at packet 2: "
+            f"expected {expected_wait} ns, recorded {expected_wait + MS} ns"
+        )
+
+    @pytest.mark.parametrize("arrivals, d, column, index, value, error, message", [
+        ([0.001, 0.002], 0.003, "a_ns", 1, MS // 2, ContractViolation, "non-decreasing"),
+        ([0.0], None, "end_ns", 0, 0, ContractViolation, "durations must be positive"),
+        ([0.0, 0.01], None, "a_ns", 1, 9 * MS, InvariantViolation, "t differs from a"),
+    ], ids=["arrivals_out_of_order", "zero_service", "ungated_t_not_a"])
+    def test_replay_inputs_checked(self, arrivals, d, column, index, value, error, message):
+        # each doctored log passes check_records, which neither orders the
+        # arrivals nor asks for a positive service or t == a
+        cfg = None if d is None else QdtpConfig.from_seconds(d)
+        trace = simulate_sequences(arrivals, [0.001] * len(arrivals), cfg)
+        getattr(trace.packets, column)[index] = value
+        check_records(trace.packets)
+        with pytest.raises(error, match=message):
+            verify_trace(trace)
+
+
+class TestCheckRecords:
+    @pytest.mark.parametrize("second, message", [
+        ((MS, None, None, None),
+         "packet 1: admitted packet missing timestamps: "
+         f"a=1000000, t={ABSENT_NS}, start={ABSENT_NS}, end={ABSENT_NS} ns"),
+        ((MS, MS, 5 * MS, 4 * MS),
+         "packet 1: packet timestamps out of order: "
+         "a=1000000, t=1000000, start=5000000, end=4000000 ns"),
+        ((MS, MS, 4 * MS, 5 * MS),
+         "packet 1: FIFO order violated: t=1000000, start=4000000 ns after "
+         "the previous admitted packet's t=2000000, start=2000000 ns"),
+        ((MS, 2 * MS, 2 * MS, 4 * MS),
+         "packet 1: service overlap at the device: start=2000000 ns "
+         "before the previous admitted packet's end=3000000 ns"),
+    ], ids=["missing", "out_of_order", "fifo", "overlap"])
+    def test_message_names_packet_and_values(self, second, message):
+        first = (0, 2 * MS, 2 * MS, 3 * MS)
+        p = Packets([0, 0], [0, 0], *zip(first, second), [None, None])
+        with pytest.raises(InvariantViolation) as err:
+            check_records(p)
+        assert str(err.value) == message
+
 
 class TestStreamingSelfChecks:
     """verify_trace and run_summary stream the packet columns.
@@ -270,6 +340,12 @@ class TestTypedColumns:
         again = Packets(p.source, p.is_attack, p.a_ns, p.t_ns, p.start_ns, p.end_ns,
                         p.drop_reason)
         assert again.a_ns is p.a_ns and again.is_attack is p.is_attack
+
+    def test_columns_of_different_lengths_rejected(self):
+        # a shorter column would end check_records' walk early
+        with pytest.raises(ContractViolation, match="'t_ns': 1, 'start_ns': 1, 'end_ns': 1"):
+            Packets(source=[0, 0], is_attack=[0, 0], a_ns=[0, 5], t_ns=[0], start_ns=[0],
+                    end_ns=[3], drop_reason=[None, None])
 
 
 class TestScenarioRuns:
@@ -396,6 +472,12 @@ class TestEngineProperties:
             QdtpConfig(d),
         )
         verify_trace(trace)
+        # why verify_trace need not replay the gate delays: once t matches
+        # the schedule, they follow from it
+        p = trace.packets
+        assert qdtp_delays_ns(ArrivalSequence(tuple(times)), QdtpConfig(d)) == list(
+            map(sub, p.t_ns, p.a_ns)
+        )
 
     @given(own.arrivals_with_services(min_size=1, max_size=30))
     @settings(deadline=None)
