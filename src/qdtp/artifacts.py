@@ -54,7 +54,7 @@ _PACKET_ROW = "%d,%d,%d,%d,%s,%s,%s,%d,%s\r\n"
 
 def write_packets_csv(packets: Packets, path) -> None:
     times = (packets.t_ns, packets.start_ns, packets.end_ns)
-    if metrics.admitted_ids(packets) is None:  # nothing dropped: no empty cell
+    if packets.drop_reason.count(None) == len(packets):  # nothing dropped: no empty cell
         dropped, why = repeat(0), repeat("")
     else:
         blank = {ABSENT_NS: "", None: ""}.get  # blank(x, x): "" for ABSENT_NS or None

@@ -16,6 +16,7 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import sys
+from itertools import compress
 from pathlib import Path
 
 from . import __version__
@@ -31,7 +32,6 @@ from .artifacts import (
 )
 from .errors import ConfigurationError, ContractViolation, InvariantViolation
 from .forwarder import (
-    DEFAULT_TOLERANCE_US,
     ForwarderConfig,
     parse_addr,
     run_forwarder,
@@ -128,7 +128,6 @@ def cmd_forward(args) -> int:
         queue_capacity=args.capacity,
         control=parse_addr(args.control) if args.control else None,
         stats_interval=args.stats_interval,
-        tolerance_us=args.tolerance_us,
     )
     run_forwarder(cfg)
     return EXIT_OK
@@ -191,18 +190,21 @@ def _load_sampled(run_dir: Path, fallback_interval_ms: float):
 
 
 def _write_delay_histogram(trace, path) -> None:
+    """The admitted packets' device sojourns in ms, split as ``run_summary`` splits them.
+
+    ``baseline``: benign and arrived before the attack; ``under_attack``: attack-labelled.
+    """
     p = trace.packets
     ids = admitted_ids(p)
-    t = admitted(p.t_ns, ids)
+    a, t, end, attack = (admitted(c, ids) for c in (p.a_ns, p.t_ns, p.end_ns, p.is_attack))
     if not t:
         return
-    sojourns_ms = [(e - x) / 1e6 for x, e in zip(t, admitted(p.end_ns, ids))]
+    sojourns_ms = [(e - x) / 1e6 for x, e in zip(t, end)]
     window = trace.attack_window_ns
     if window is not None:
-        baseline = [ms for x, ms in zip(t, sojourns_ms) if x < window[0]]
-        attacked = [
-            ms for x, ms in zip(t, sojourns_ms) if window[0] <= x < window[1]
-        ]
+        baseline = [ms for atk, x, ms in zip(attack, a, sojourns_ms)
+                    if not atk and x < window[0]]
+        attacked = list(compress(sojourns_ms, attack))
         if baseline and attacked:
             edges = fd_bin_edges(baseline, cover=attacked)
             write_histogram_csv(
@@ -320,7 +322,6 @@ def build_parser() -> argparse.ArgumentParser:
                      help="UDP control channel (DROP <seconds>)")
     fwd.add_argument("--stats-interval", type=float,
                      default=ForwarderConfig.stats_interval)
-    fwd.add_argument("--tolerance-us", type=int, default=DEFAULT_TOLERANCE_US)
     fwd.set_defaults(func=cmd_forward)
 
     stub = sub.add_parser("stub", help="run the protected-device stand-in")

@@ -147,7 +147,6 @@ class ForwarderConfig:
     queue_capacity: Optional[int] = None
     stats_interval: float = 5.0
     control: Optional[tuple[str, int]] = None
-    tolerance_us: int = DEFAULT_TOLERANCE_US
     record_log: bool = False
 
     def __post_init__(self) -> None:
@@ -159,8 +158,6 @@ class ForwarderConfig:
         # Event.wait returns at once on NaN and overflows past TIMEOUT_MAX
         if not 0 < self.stats_interval <= threading.TIMEOUT_MAX:
             raise ConfigurationError("stats interval must be positive and finite")
-        if self.tolerance_us < 0:
-            raise ConfigurationError("tolerance cannot be negative")
         if self.mitigation is not None:
             MitigationPolicy.coerce(self.mitigation)
 
@@ -306,7 +303,7 @@ class UdpForwarder:
     def _pacer_loop(self) -> None:
         try_realtime_priority()
         d_ns = self.cfg.d_ns
-        tol_ns = self.cfg.tolerance_us * 1000
+        tol_ns = DEFAULT_TOLERANCE_US * 1000
         while True:
             with self._cond:
                 if self._stop.is_set():

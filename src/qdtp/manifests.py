@@ -39,14 +39,17 @@ def _data_dir(kind: str):
     return resources.files("qdtp").joinpath("data").joinpath(kind)
 
 
-def bundled_scenario_names() -> list[str]:
-    return sorted(p.name[:-5] for p in _data_dir("scenarios").iterdir()
+def _bundled_names(kind: str) -> list[str]:
+    return sorted(p.name[:-5] for p in _data_dir(kind).iterdir()
                   if p.name.endswith(".json"))
+
+
+def bundled_scenario_names() -> list[str]:
+    return _bundled_names("scenarios")
 
 
 def bundled_manifest_names() -> list[str]:
-    return sorted(p.name[:-5] for p in _data_dir("manifests").iterdir()
-                  if p.name.endswith(".json"))
+    return _bundled_names("manifests")
 
 
 @dataclass(frozen=True)
@@ -120,40 +123,32 @@ class ExperimentManifest:
             raise ConfigurationError(f"bad manifest field: {exc}") from exc
 
 
-def load_manifest(ref: str) -> ExperimentManifest:
-    """Load a manifest by bundled name or file path."""
-    bundled = _data_dir("manifests").joinpath(f"{ref}.json")
+def _load_json(kind: str, ref: str) -> dict:
+    """JSON of the bundled ``kind`` (manifest, scenario) named ``ref``, or of file ``ref``."""
+    bundled = _data_dir(f"{kind}s").joinpath(f"{ref}.json")
     if "/" not in str(ref) and "\\" not in str(ref) and bundled.is_file():
-        raw_text = bundled.read_text(encoding="utf-8")
+        text = bundled.read_text(encoding="utf-8")
     else:
         path = Path(ref)
         if not path.is_file():
             raise ConfigurationError(
-                f"no manifest named {ref!r}; bundled: {', '.join(bundled_manifest_names())}"
+                f"no {kind} named {ref!r}; bundled: {', '.join(_bundled_names(f'{kind}s'))}"
             )
-        raw_text = path.read_text(encoding="utf-8")
+        text = path.read_text(encoding="utf-8")
     try:
-        raw = json.loads(raw_text)
+        return json.loads(text)
     except json.JSONDecodeError as exc:
         raise ConfigurationError(f"{ref}: not valid JSON ({exc})") from exc
-    return ExperimentManifest.from_dict(raw)
+
+
+def load_manifest(ref: str) -> ExperimentManifest:
+    """Load a manifest by bundled name or file path."""
+    return ExperimentManifest.from_dict(_load_json("manifest", ref))
 
 
 def resolve_scenario(ref: str) -> Scenario:
     """Load a scenario by bundled name or file path."""
-    bundled = _data_dir("scenarios").joinpath(f"{ref}.json")
-    if "/" not in str(ref) and "\\" not in str(ref) and bundled.is_file():
-        try:
-            raw = json.loads(bundled.read_text(encoding="utf-8"))
-        except json.JSONDecodeError as exc:  # pragma: no cover - ships valid
-            raise ConfigurationError(f"{ref}: not valid JSON ({exc})") from exc
-        return Scenario.from_dict(raw)
-    path = Path(ref)
-    if not path.is_file():
-        raise ConfigurationError(
-            f"no scenario named {ref!r}; bundled: {', '.join(bundled_scenario_names())}"
-        )
-    return Scenario.from_json_file(path)
+    return Scenario.from_dict(_load_json("scenario", ref))
 
 
 def _marker(manifest: ExperimentManifest) -> dict:

@@ -5,10 +5,11 @@ A packet log is a ``simulator.Packets``: per-packet columns (``a_ns``,
 engine filled them or ``artifacts.read_packets_csv`` read them back.
 Nothing here validates a log: ``simulator.check_records`` does, first.
 
-Occupancy flows one way: columns -> :func:`queue_intervals` (one walk per
-trace, kept as ``TraceSeries.intervals``) -> sampling, exact peak, drain
-time and the occupancy integral (one sweep per queue, in
-:func:`run_summary`), none of which walks the columns again.
+Occupancy flows one way: columns -> :func:`queue_intervals` (kept as
+``TraceSeries.intervals``) -> sampling, exact peak, drain time and the
+occupancy integral (one sweep per queue, in :func:`run_summary`), none of
+which walks the columns again.  The intervals are the columns themselves
+when nothing was dropped, and never need a sort: ``check_records`` orders them.
 """
 from __future__ import annotations
 
@@ -19,7 +20,7 @@ from bisect import bisect_right
 from collections import Counter
 from dataclasses import dataclass
 from itertools import chain, compress, islice, repeat
-from operator import gt, sub, truediv
+from operator import sub, truediv
 from typing import Iterable, Optional, Sequence
 
 from .errors import ContractViolation
@@ -128,29 +129,23 @@ def admitted(column, ids: Optional[array]):
     return kept
 
 
-def _sorted(column: array) -> array:
-    """``column`` itself when it is already sorted, else a sorted copy."""
-    if any(map(gt, column, islice(column, 1, None))):
-        return array("q", sorted(column))
-    return column
-
-
 def queue_intervals(packets) -> dict[str, tuple[array, array]]:
-    """Both queues' sorted (entries, exits) as ``array('q')``, built from the columns.
+    """Both queues' sorted (entries, exits): :func:`admitted` of three columns.
 
     The shaping gate holds a packet on ``[a, t)``; the device holds it on
     ``[t, service_end)`` -- a packet in service still occupies the device.
     Dropped packets occupy nothing.  The gate's exits are the device's
-    entries, so the two share one sorted array.  A valid log is already in
-    order, so nothing is sorted then.
+    entries, so the two share one column.  Nothing is sorted: the log must
+    pass ``simulator.check_records``, which orders the admitted ``a``, ``t``
+    and ``end``.  The engine's trace, FIFO by construction, gets its
+    intervals before ``verify_trace`` checks it, and no run is written
+    unless that passes.
     """
     ids = admitted_ids(packets)
     arrivals, releases, ends = (
-        array("q", admitted(column, ids))
-        for column in (packets.a_ns, packets.t_ns, packets.end_ns)
+        admitted(column, ids) for column in (packets.a_ns, packets.t_ns, packets.end_ns)
     )
-    releases = _sorted(releases)
-    return {"sqf": (_sorted(arrivals), releases), "server": (releases, _sorted(ends))}
+    return {"sqf": (arrivals, releases), "server": (releases, ends)}
 
 
 def occupancy_counts(

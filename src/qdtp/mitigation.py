@@ -104,15 +104,16 @@ class MitigationGate:
         # resolve embargoes that expired before this arrival; each renewal
         # pushes the boundary a full K*D, so this loop is short
         while self._drop_until_ns is not None and arrival_ns >= self._drop_until_ns:
-            if self._count_window(self._drop_until_ns) > self.policy.n_threshold:
+            if self._trim(self._drop_until_ns) > self.policy.n_threshold:
                 self._drop_until_ns += self.policy.k_factor * self.d_ns
             else:
                 self._drop_until_ns = None
 
-        self._observe(arrival_ns)
+        self._recent.append(arrival_ns)
+        observed = self._trim(arrival_ns)
         if self._drop_until_ns is not None or self._forced(arrival_ns):
             return False
-        if self._count_window(arrival_ns) > self.policy.n_threshold:
+        if observed > self.policy.n_threshold:
             # the packet that trips the threshold is itself dropped
             self._drop_until_ns = arrival_ns + self.policy.k_factor * self.d_ns
             return False
@@ -133,14 +134,14 @@ class MitigationGate:
             return True
         return False
 
-    def _observe(self, arrival_ns: int) -> None:
-        recent = self._recent
-        recent.append(arrival_ns)
-        floor = arrival_ns - self.d_ns
-        while recent[0] <= floor:
-            recent.popleft()
+    def _trim(self, at_ns: int) -> int:
+        """Forget what left the window (at - D, at]; the count of what is left.
 
-    def _count_window(self, at_ns: int) -> int:
-        """Observed packets in the half-open window (at - D, at]."""
+        Every recorded arrival is at or before ``at`` (an embargo's expiry is
+        later than every arrival seen during it), so what is left is the window.
+        """
+        recent = self._recent
         floor = at_ns - self.d_ns
-        return sum(1 for t in self._recent if floor < t <= at_ns)
+        while recent and recent[0] <= floor:
+            recent.popleft()
+        return len(recent)

@@ -16,11 +16,13 @@ from qdtp.artifacts import (
     read_packets_csv,
     trace_from_records,
     write_comparison_csv,
+    write_packets_csv,
 )
 from qdtp.cli import build_parser, main
 from qdtp.errors import ContractViolation, InvariantViolation
 from qdtp.forwarder import ForwarderConfig
-from qdtp.simulator import verify_trace
+from qdtp.recursions import QdtpConfig
+from qdtp.simulator import simulate_sequences, verify_trace
 
 TINY_SCENARIO = {
     "normal_sources": [
@@ -35,8 +37,7 @@ TINY_SCENARIO = {
 
 
 # a benign baseline, then a flood the device cannot keep up with until the
-# horizon: sojourns run from ~3 ms to seconds, and every packet arrives
-# inside [0, attack end), so the histogram holds every admitted packet
+# horizon: sojourns run from ~3 ms to seconds
 HEAVY_TAIL_SCENARIO = {
     "normal_sources": [{"kind": "periodic", "rate": 10.0, "duration": 4.0}],
     "attack": {"kind": "periodic", "rate": 1000.0, "start": 2.0, "duration": 2.0},
@@ -446,6 +447,35 @@ class TestAnalyze:
         assert main(["analyze", str(tmp_path)]) == 3
         assert "packet 0: negative arrival time" in capsys.readouterr().err
 
+    def test_arrivals_out_of_order_are_invariant_error(self, tmp_path, capsys):
+        # the gate forwarded packet 1 after packet 0, yet it arrived first
+        trace = simulate_sequences([0.001, 0.002], [0.001] * 2, QdtpConfig.from_seconds(0.003))
+        trace.packets.a_ns[1] = 500_000
+        write_packets_csv(trace.packets, tmp_path / "packets.csv")
+        assert main(["analyze", str(tmp_path)]) == 3
+        assert "packet 1: arrivals out of order" in capsys.readouterr().err
+
+    def test_gated_flood_histogram_counts_what_the_summary_counts(self, tmp_path):
+        # the gate releases most of the flood after the attack window ends;
+        # those packets still belong in the under_attack column
+        path = tmp_path / "heavy.json"
+        path.write_text(json.dumps(HEAVY_TAIL_SCENARIO))
+        assert main([
+            "simulate", "--scenario", str(path), "--name", "gated", "--sqf-d", "3",
+            "--out", str(tmp_path / "runs"),
+        ]) == 0
+        seed_dir = tmp_path / "runs" / "gated" / "seed0003"
+        assert main(["analyze", str(seed_dir)]) == 0
+        with open(seed_dir / "figure_delay_histogram.csv", newline="") as fh:
+            rows = list(csv.DictReader(fh))
+        attack = json.loads((seed_dir / "summary.json").read_text())["attack"]
+        late = max(read_packets_csv(seed_dir / "packets.csv").t_ns) / 1e9
+        assert late > attack["window_s"][1] + 1
+        for column, stats in (("baseline", "baseline_sojourn_ms"),
+                              ("under_attack", "attack_sojourn_ms")):
+            assert sum(int(r[column]) for r in rows) == attack[stats]["count"]
+        assert attack["attack_sojourn_ms"]["count"] == attack["admitted"] == 2000
+
     def test_heavy_tailed_histogram_is_capped(self, tmp_path):
         path = tmp_path / "heavy.json"
         path.write_text(json.dumps(HEAVY_TAIL_SCENARIO))
@@ -459,9 +489,12 @@ class TestAnalyze:
             rows = list(csv.DictReader(fh))
         # fixed-width bins would number over 10^5 here; the cap takes over
         assert len(rows) == metrics.MAX_HISTOGRAM_BINS
-        counts = [int(r["baseline"]) + int(r["under_attack"]) for r in rows]
-        sojourns = json.loads((seed_dir / "summary.json").read_text())["server_sojourn_ms"]
-        assert sum(counts) == sojourns["count"]
+        attack = json.loads((seed_dir / "summary.json").read_text())["attack"]
+        baseline, sojourns = attack["baseline_sojourn_ms"], attack["attack_sojourn_ms"]
+        counts = [int(r["under_attack"]) for r in rows]
+        assert sum(int(r["baseline"]) for r in rows) + sum(counts) == (
+            baseline["count"] + sojourns["count"]
+        )
         rank, seen = -(-sojourns["count"] // 2), 0  # nearest rank, as summarize
         for row, count in zip(rows, counts):
             seen += count

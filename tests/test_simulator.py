@@ -13,6 +13,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from qdtp.artifacts import trace_from_records
 from qdtp.errors import ConfigurationError, ContractViolation, InvariantViolation
 from qdtp.manifests import resolve_scenario
 from qdtp.metrics import drain_time, run_summary
@@ -223,13 +224,12 @@ class TestVerifyTrace:
         )
 
     @pytest.mark.parametrize("arrivals, d, column, index, value, error, message", [
-        ([0.001, 0.002], 0.003, "a_ns", 1, MS // 2, ContractViolation, "non-decreasing"),
         ([0.0], None, "end_ns", 0, 0, ContractViolation, "durations must be positive"),
         ([0.0, 0.01], None, "a_ns", 1, 9 * MS, InvariantViolation, "t differs from a"),
-    ], ids=["arrivals_out_of_order", "zero_service", "ungated_t_not_a"])
+    ], ids=["zero_service", "ungated_t_not_a"])
     def test_replay_inputs_checked(self, arrivals, d, column, index, value, error, message):
-        # each doctored log passes check_records, which neither orders the
-        # arrivals nor asks for a positive service or t == a
+        # each doctored log passes check_records, which asks neither for a
+        # positive service nor for t == a
         cfg = None if d is None else QdtpConfig.from_seconds(d)
         trace = simulate_sequences(arrivals, [0.001] * len(arrivals), cfg)
         getattr(trace.packets, column)[index] = value
@@ -252,13 +252,23 @@ class TestCheckRecords:
         ((MS, 2 * MS, 2 * MS, 4 * MS),
          "packet 1: service overlap at the device: start=2000000 ns "
          "before the previous admitted packet's end=3000000 ns"),
-    ], ids=["missing", "out_of_order", "fifo", "overlap"])
+        ((MS // 2, 4 * MS, 4 * MS, 5 * MS),
+         "packet 1: arrivals out of order: a=500000 ns after "
+         "the previous packet's a=1000000 ns"),
+    ], ids=["missing", "out_of_order", "fifo", "overlap", "arrivals_out_of_order"])
     def test_message_names_packet_and_values(self, second, message):
-        first = (0, 2 * MS, 2 * MS, 3 * MS)
+        first = (MS, 2 * MS, 2 * MS, 3 * MS)
         p = Packets([0, 0], [0, 0], *zip(first, second), [None, None])
         with pytest.raises(InvariantViolation) as err:
             check_records(p)
         assert str(err.value) == message
+
+    def test_dropped_packets_arrive_in_order_too(self):
+        # the gate sees every arrival, so a dropped one out of order is a bad log
+        p = Packets([0] * 3, [0] * 3, [0, 2 * MS, MS], [0, None, MS], [0, None, MS],
+                    [MS // 2, None, 2 * MS], [None, "mitigation", None])
+        with pytest.raises(InvariantViolation, match="packet 2: arrivals out of order"):
+            check_records(p)
 
 
 class TestStreamingSelfChecks:
@@ -322,6 +332,16 @@ class TestTypedColumns:
         assert type(p.is_attack) is bytearray
         assert type(p.drop_reason) is list
         assert type(trace.service_regime) is bytearray
+
+    @pytest.mark.parametrize("route", ["simulate", "trace_from_records"])
+    def test_intervals_are_the_columns_when_nothing_is_dropped(self, route):
+        trace = simulate(constant_scenario(), QdtpConfig.from_seconds(0.004))
+        if route == "trace_from_records":
+            trace = trace_from_records(trace.packets, trace.sampling_interval)
+        p, intervals = trace.packets, trace.intervals
+        assert intervals["sqf"][0] is p.a_ns
+        assert intervals["sqf"][1] is intervals["server"][0] is p.t_ns
+        assert intervals["server"][1] is p.end_ns
 
     def test_dropped_timestamps_are_the_sentinel(self):
         trace = simulate_sequences(
