@@ -47,7 +47,6 @@ from .recursions import (
     QdtpConfig,
     ServiceSequence,
     WaitSequence,
-    check_result1,
     lindley_waits,
     qdtp_schedule,
     server_waits,
@@ -97,7 +96,6 @@ __all__ = [
     "WaitSequence",
     "bundled_manifest_names",
     "bundled_scenario_names",
-    "check_result1",
     "compare_runs",
     "drain_time",
     "generate_arrivals",

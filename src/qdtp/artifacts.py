@@ -11,8 +11,10 @@ from __future__ import annotations
 import csv
 import json
 import os
+from contextlib import contextmanager
 from itertools import repeat
 from operator import is_not
+from pathlib import Path
 from typing import Optional, Sequence
 
 from . import metrics
@@ -69,6 +71,16 @@ def write_packets_csv(packets: Packets, path) -> None:
         )))
 
 
+@contextmanager
+def _open_utf8(path):
+    """``path`` open as UTF-8 text; bytes that do not decode raise ContractViolation."""
+    try:
+        with open(path, "r", newline="", encoding="utf-8") as fh:
+            yield fh
+    except UnicodeDecodeError as exc:  # raised where the reader pulls a line
+        raise ContractViolation(f"{path}: not UTF-8 text ({exc})") from exc
+
+
 # Rows are parsed into lists and join the typed columns in batches:
 # list.append plus one array.fromlist per batch costs less than an
 # array.append per cell.
@@ -78,10 +90,10 @@ _BATCH_ROWS = 4096
 def read_packets_csv(path) -> Packets:
     """Read packets.csv back into columns; an empty timestamp is ABSENT_NS.
 
-    Rejects, with ContractViolation, a header other than PACKET_FIELDS, a
-    malformed row, an ``id`` that is not the row index, a ``dropped`` flag
-    that disagrees with ``drop_reason``, and a number too large for its
-    column (64-bit timestamps, 32-bit sources).
+    Rejects, with ContractViolation, bytes that are not UTF-8, a header
+    other than PACKET_FIELDS, a malformed row, an ``id`` that is not the row
+    index, a ``dropped`` flag that disagrees with ``drop_reason``, and a
+    number too large for its column (64-bit timestamps, 32-bit sources).
     """
     packets = Packets()
     typed = (packets.source, packets.a_ns, packets.t_ns, packets.start_ns, packets.end_ns)
@@ -100,7 +112,7 @@ def read_packets_csv(path) -> Packets:
                 f"does not fit its column ({exc})"
             ) from exc
 
-    with open(path, "r", newline="", encoding="utf-8") as fh:
+    with _open_utf8(path) as fh:
         reader = csv.reader(fh)
         header = next(reader, None)
         if header != PACKET_FIELDS:
@@ -144,7 +156,7 @@ def write_queues_csv(trace: TraceSeries, path) -> None:
 
 def read_queues_csv(path) -> tuple[list[int], list[int], list[int]]:
     times, sqf, server = [], [], []
-    with open(path, "r", newline="", encoding="utf-8") as fh:
+    with _open_utf8(path) as fh:
         reader = csv.DictReader(fh)
         if reader.fieldnames != ["time_ns", "sqf_len", "server_len"]:
             raise ContractViolation(f"{path}: unexpected queue columns")
@@ -161,9 +173,23 @@ def write_summary_json(summary: dict, path) -> None:
         fh.write("\n")
 
 
+def _read_json(source, error: type[Exception]):
+    """The JSON in ``source``, a Path or a package resource, read as UTF-8.
+
+    Bytes that do not decode and bad syntax both raise ``error`` naming
+    the file: each caller says what an unreadable file of its kind means.
+    """
+    try:
+        return json.loads(source.read_bytes().decode("utf-8"))
+    except ValueError as exc:  # UnicodeDecodeError or json.JSONDecodeError
+        raise error(f"{source}: not UTF-8 JSON ({exc})") from exc
+
+
 def read_summary_json(path) -> dict:
-    with open(path, "r", encoding="utf-8") as fh:
-        return json.load(fh)
+    summary = _read_json(Path(path), ContractViolation)
+    if not isinstance(summary, dict):
+        raise ContractViolation(f"{path}: not a JSON object")
+    return summary
 
 
 def write_comparison_csv(comparison: metrics.RunComparison, path) -> None:

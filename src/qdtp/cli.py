@@ -6,7 +6,7 @@ Subcommands:
 * ``forward``   — live UDP pacing gate
 * ``stub``      — protected-device stand-in (FCFS, sampled service times)
 * ``analyze``   — post-process a run directory into summary + figure CSVs
-* ``scenario``  — scenario file utilities (``scenario validate FILE``)
+* ``scenario``  — scenario utilities (``scenario validate REF``)
 
 Exit codes: 0 success, 2 configuration error, 3 invariant/contract
 violation, 4 I/O error.
@@ -16,6 +16,7 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import sys
+from functools import partial
 from itertools import compress
 from pathlib import Path
 
@@ -53,8 +54,8 @@ from .metrics import (
     histogram_counts,
     run_summary,
 )
-from .scenario import SERVICE_MODES, Scenario, ServiceModel
-from .simulator import Packets
+from .scenario import SERVICE_MODES, ServiceModel, _is_finite_number
+from .simulator import Packets, _check_interval
 from .timebase import s_to_ns
 
 EXIT_OK = 0
@@ -149,26 +150,46 @@ def cmd_stub(args) -> int:
 
 # -- analyze ----------------------------------------------------------------
 
+def _is_int(value) -> bool:
+    return type(value) is int
+
+
+def _pair(ok):
+    return lambda value: isinstance(value, list) and len(value) == 2 and all(map(ok, value))
+
+
+def _stored_field(path: Path, stored: dict, name: str, ok):
+    """Field ``name`` ("section.key") of the summary read from ``path``, or None.
+
+    A section that is not an object, or a value that fails ``ok``, raises
+    ContractViolation naming the file and the field.
+    """
+    section, key = name.split(".")
+    part = stored.get(section) or {}
+    if not isinstance(part, dict):
+        raise ContractViolation(f"{path}: {section} is not an object")
+    value = part.get(key)
+    if value is not None and not ok(value):
+        raise ContractViolation(f"{path}: bad {name} {value!r}")
+    return value
+
+
 def _load_run(run_dir: Path, fallback_interval_ms: float):
     packets = read_packets_csv(run_dir / "packets.csv")
     interval_s = fallback_interval_ms / 1000.0
     d_ns = mitigation = attack_window_ns = seed = None
     summary_path = run_dir / "summary.json"
     if summary_path.is_file():
-        stored = read_summary_json(summary_path)
-        cfg = stored.get("config", {})
-        if cfg.get("sampling_interval_s"):
-            interval_s = cfg["sampling_interval_s"]
-        if cfg.get("d_ms") is not None:
-            d_ns = round(cfg["d_ms"] * 1e6)
-        if cfg.get("mitigation"):
-            mitigation = tuple(cfg["mitigation"])
-        if cfg.get("seed") is not None:
-            seed = cfg["seed"]
-        attack = stored.get("attack")
-        if attack and attack.get("window_s"):
-            lo, hi = attack["window_s"]
-            attack_window_ns = (s_to_ns(lo), s_to_ns(hi))
+        field = partial(_stored_field, summary_path, read_summary_json(summary_path))
+        interval_s = field("config.sampling_interval_s", _is_finite_number) or interval_s
+        d_ms = field("config.d_ms", lambda x: _is_finite_number(x) and x > 0)
+        if d_ms is not None:
+            d_ns = round(d_ms * 1e6)
+        if mitigation := field("config.mitigation", _pair(_is_int)):
+            mitigation = tuple(mitigation)
+        seed = field("config.seed", _is_int)
+        if window := field("attack.window_s", _pair(_is_finite_number)):
+            attack_window_ns = (s_to_ns(window[0]), s_to_ns(window[1]))
     return trace_from_records(
         packets,
         interval_s,
@@ -223,6 +244,7 @@ def _write_delay_histogram(trace, path) -> None:
 
 
 def cmd_analyze(args) -> int:
+    _check_interval(args.interval / 1000.0)
     if not args.compare:
         return _analyze(args, None)
     # the two loads are independent: the compare run loads in a child meanwhile
@@ -266,7 +288,7 @@ def _analyze(args, other: Forked | None) -> int:
 # -- scenario ---------------------------------------------------------------
 
 def cmd_scenario_validate(args) -> int:
-    scenario = Scenario.from_json_file(args.file)
+    scenario = resolve_scenario(args.file)
     n_sources = len(scenario.normal_sources)
     attack = "none"
     if scenario.attack is not None:
@@ -346,10 +368,10 @@ def build_parser() -> argparse.ArgumentParser:
     ana.add_argument("--out", help="write outputs here (default: run dir)")
     ana.set_defaults(func=cmd_analyze)
 
-    scen = sub.add_parser("scenario", help="scenario file utilities")
+    scen = sub.add_parser("scenario", help="scenario utilities")
     scen_sub = scen.add_subparsers(dest="scenario_command", required=True)
-    val = scen_sub.add_parser("validate", help="parse and sanity-check a file")
-    val.add_argument("file")
+    val = scen_sub.add_parser("validate", help="parse and sanity-check a scenario")
+    val.add_argument("file", metavar="REF", help="bundled scenario name or JSON path")
     val.set_defaults(func=cmd_scenario_validate)
 
     return parser

@@ -16,13 +16,13 @@ from importlib import resources
 from pathlib import Path
 from typing import Optional
 
-from .artifacts import write_run_dir
+from .artifacts import _read_json, write_run_dir
 from .errors import ConfigurationError
 from .mitigation import MitigationPolicy
 from .recursions import QdtpConfig
 from .scenario import Scenario
-from .simulator import simulate
-from .timebase import NS_PER_MS, s_to_ns
+from .simulator import _check_interval, simulate
+from .timebase import NS_PER_MS
 
 __all__ = [
     "ExperimentManifest",
@@ -81,9 +81,7 @@ class ExperimentManifest:
                 raise ConfigurationError("mitigation requires an sqf gate")
             pol = MitigationPolicy.coerce(self.mitigation)
             object.__setattr__(self, "mitigation", (pol.n_threshold, pol.k_factor))
-        interval = self.sampling_interval_ms / 1000.0
-        if not math.isfinite(interval) or s_to_ns(interval) <= 0:
-            raise ConfigurationError("sampling interval must be finite and at least 1 ns")
+        _check_interval(self.sampling_interval_ms / 1000.0)
 
     @property
     def qdtp_config(self) -> Optional[QdtpConfig]:
@@ -125,20 +123,14 @@ class ExperimentManifest:
 
 def _load_json(kind: str, ref: str) -> dict:
     """JSON of the bundled ``kind`` (manifest, scenario) named ``ref``, or of file ``ref``."""
-    bundled = _data_dir(f"{kind}s").joinpath(f"{ref}.json")
-    if "/" not in str(ref) and "\\" not in str(ref) and bundled.is_file():
-        text = bundled.read_text(encoding="utf-8")
-    else:
-        path = Path(ref)
-        if not path.is_file():
+    source = _data_dir(f"{kind}s").joinpath(f"{ref}.json")
+    if "/" in str(ref) or "\\" in str(ref) or not source.is_file():
+        source = Path(ref)
+        if not source.is_file():
             raise ConfigurationError(
                 f"no {kind} named {ref!r}; bundled: {', '.join(_bundled_names(f'{kind}s'))}"
             )
-        text = path.read_text(encoding="utf-8")
-    try:
-        return json.loads(text)
-    except json.JSONDecodeError as exc:
-        raise ConfigurationError(f"{ref}: not valid JSON ({exc})") from exc
+    return _read_json(source, ConfigurationError)
 
 
 def load_manifest(ref: str) -> ExperimentManifest:
@@ -162,8 +154,8 @@ def _check_name_collision(run_root: Path, manifest: ExperimentManifest) -> None:
     marker = run_root / "manifest.json"
     if marker.is_file():
         try:
-            existing = json.loads(marker.read_text(encoding="utf-8"))
-        except json.JSONDecodeError:
+            existing = _read_json(marker, ConfigurationError)
+        except ConfigurationError:  # unreadable: as if absent
             existing = None
         if isinstance(existing, dict):
             existing.pop("out", None)  # recorded by earlier versions

@@ -80,16 +80,6 @@ class MitigationGate:
         self._forced_until_ns: Optional[int] = None
         self._last_ns: Optional[int] = None
 
-    # -- inspection ---------------------------------------------------
-
-    @property
-    def state(self) -> str:
-        return "dropping" if self._drop_until_ns is not None else "open"
-
-    @property
-    def drop_until_ns(self) -> Optional[int]:
-        return self._drop_until_ns
-
     # -- operations ---------------------------------------------------
 
     def step(self, arrival_ns: int) -> bool:

@@ -34,7 +34,7 @@ from operator import gt, sub
 from typing import Iterable, Iterator, Sequence, Union
 
 from .errors import ContractViolation
-from .timebase import ns_to_s, s_to_ns
+from .timebase import s_to_ns
 
 __all__ = [
     "ArrivalSequence",
@@ -46,7 +46,6 @@ __all__ = [
     "qdtp_schedule",
     "qdtp_delays_ns",
     "server_waits",
-    "check_result1",
 ]
 
 
@@ -111,35 +110,11 @@ class QdtpConfig:
 @dataclass(frozen=True)
 class ForwardSchedule:
     """Forwarding instants produced by the pacing gate, plus the per-packet
-    delays the gate imposed and the spacing it was built with.
-
-    Invariants are re-checked at construction so schedules assembled by any
-    other code path (e.g. replayed from a capture) cannot silently violate
-    them: consecutive instants at least ``d_ns`` apart, the first packet
-    forwarded immediately, and no packet forwarded before it arrived.
-    """
+    delays the gate imposed and the spacing it was built with."""
 
     times_ns: tuple[int, ...]
     delays_ns: tuple[int, ...]
     d_ns: int
-
-    def __post_init__(self) -> None:
-        if self.d_ns <= 0:
-            raise ContractViolation("spacing D must be positive")
-        if len(self.times_ns) != len(self.delays_ns):
-            raise ContractViolation("schedule and delay lengths differ")
-        if self.delays_ns:
-            if self.delays_ns[0] != 0:
-                raise ContractViolation("first packet must be forwarded on arrival")
-            if any(q < 0 for q in self.delays_ns):
-                raise ContractViolation("gate delays cannot be negative")
-        for prev, cur in zip(self.times_ns, self.times_ns[1:]):
-            if cur - prev < self.d_ns:
-                raise ContractViolation("forwarding instants closer than D")
-
-    @property
-    def times(self) -> list[float]:
-        return [ns_to_s(x) for x in self.times_ns]
 
     def __len__(self) -> int:
         return len(self.times_ns)
@@ -150,13 +125,6 @@ class WaitSequence:
     """Non-negative per-packet waiting times; the first packet never waits."""
 
     waits_ns: tuple[int, ...]
-
-    def __post_init__(self) -> None:
-        if self.waits_ns:
-            if self.waits_ns[0] != 0:
-                raise ContractViolation("first packet never waits")
-            if any(w < 0 for w in self.waits_ns):
-                raise ContractViolation("waits cannot be negative")
 
     def __len__(self) -> int:
         return len(self.waits_ns)
@@ -266,23 +234,10 @@ def server_waits(schedule: ForwardSchedule, services: ServicesLike) -> WaitSeque
     gaps seen by the server are the schedule gaps ``t[n+1] - t[n]``, each of
     which is at least D by construction.  Hence the server backlog can only
     grow on packets whose processing exceeds D -- and never grows at all if
-    D dominates every processing time (see :func:`check_result1`).
+    D exceeds every processing time (Result 1).
     """
     t = _as_services(services)
     if len(schedule) != len(t):
         raise ContractViolation("need one service duration per scheduled packet")
     return WaitSequence(tuple(_lindley(schedule.times_ns, t.durations_ns)))
 
-
-def check_result1(services: ServicesLike, cfg: ConfigLike) -> bool:
-    """True when D strictly exceeds every supplied processing time.
-
-    Under that condition a server behind the gate never queues: each packet
-    is done before the next one can legally be forwarded.  Vacuously true
-    for an empty sequence.
-    """
-    t = _as_services(services)
-    c = _as_config(cfg)
-    if not t.durations_ns:
-        return True
-    return c.d_ns > max(t.durations_ns)

@@ -9,7 +9,6 @@ the same scenario always produces byte-identical traces.
 """
 from __future__ import annotations
 
-import json
 import math
 import random
 from array import array
@@ -40,6 +39,19 @@ TRAFFIC_KINDS = ("periodic", "poisson", "burst")
 MIN_SERVICE_NS = 1_000
 
 
+def _is_finite_number(value) -> bool:
+    number = isinstance(value, (int, float)) and not isinstance(value, bool)
+    return number and abs(value) < math.inf  # NaN compares false
+
+
+def _finite(owner: str, model, *fields: str) -> None:
+    """Reject a field of ``model`` that is not a finite number, naming it."""
+    for name in fields:
+        value = getattr(model, name)
+        if not _is_finite_number(value):
+            raise ConfigurationError(f"{owner} {name} must be a finite number, got {value!r}")
+
+
 @dataclass(frozen=True)
 class ServiceModel:
     """Distribution of per-packet processing time, in seconds.
@@ -59,6 +71,7 @@ class ServiceModel:
     def __post_init__(self) -> None:
         if self.mode not in SERVICE_MODES:
             raise ConfigurationError(f"unknown service mode {self.mode!r}")
+        _finite("service", self, "mean", "variance", "outlier_probability", "outlier_scale")
         if self.mean <= 0:
             raise ConfigurationError("service mean must be positive")
         if self.variance < 0:
@@ -121,6 +134,7 @@ class TrafficModel:
     def __post_init__(self) -> None:
         if self.kind not in TRAFFIC_KINDS:
             raise ConfigurationError(f"unknown traffic kind {self.kind!r}")
+        _finite("traffic", self, "rate", "duration", "start", "jitter")
         if self.rate <= 0:
             raise ConfigurationError("rate must be positive")
         if self.duration <= 0:
@@ -201,6 +215,7 @@ class Scenario:
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "normal_sources", tuple(self.normal_sources))
+        _finite("scenario", self, "horizon")
         if self.horizon <= 0:
             raise ConfigurationError("horizon must be positive")
         if self.congestion_threshold < 1:
@@ -247,15 +262,6 @@ class Scenario:
         except (TypeError, ValueError) as exc:
             raise ConfigurationError(f"bad scenario field: {exc}") from exc
 
-    @classmethod
-    def from_json_file(cls, path) -> "Scenario":
-        try:
-            with open(path, "r", encoding="utf-8") as fh:
-                raw = json.load(fh)
-        except json.JSONDecodeError as exc:
-            raise ConfigurationError(f"{path}: not valid JSON ({exc})") from exc
-        return cls.from_dict(raw)
-
 
 @dataclass(frozen=True)
 class LabeledArrivals:
@@ -268,10 +274,6 @@ class LabeledArrivals:
     arrivals: ArrivalSequence
     source_ids: array
     is_attack: bytearray
-
-    def __post_init__(self) -> None:
-        if not (len(self.arrivals) == len(self.source_ids) == len(self.is_attack)):
-            raise ContractViolation("labeled arrival columns differ in length")
 
     def __len__(self) -> int:
         return len(self.arrivals)

@@ -136,6 +136,12 @@ def _trace(packets: Packets, sampling_interval: float, **rest) -> TraceSeries:
     )
 
 
+def _check_interval(seconds: float) -> None:
+    """Reject a sampling interval setting that is not finite or rounds to 0 ns."""
+    if not math.isfinite(seconds) or s_to_ns(seconds) <= 0:
+        raise ConfigurationError("sampling interval must be finite and at least 1 ns")
+
+
 def _engine(
     labeled: LabeledArrivals,
     service_source: Callable[[int, bool], int],
@@ -148,8 +154,7 @@ def _engine(
     seed: Optional[int],
     sqf_capacity: Optional[int],
 ) -> TraceSeries:
-    if not math.isfinite(sampling_interval) or s_to_ns(sampling_interval) <= 0:
-        raise ConfigurationError("sampling interval must be finite and at least 1 ns")
+    _check_interval(sampling_interval)
     if mitigation is not None and cfg is None:
         raise ConfigurationError("mitigation is defined in units of D; configure the gate")
     if sqf_capacity is not None and cfg is None:

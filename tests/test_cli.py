@@ -109,8 +109,49 @@ class TestScenarioValidate:
         bad.write_text(json.dumps(dict(TINY_SCENARIO, horizon=-1.0)))
         assert main(["scenario", "validate", str(bad)]) == 2
 
-    def test_missing_file_is_io_error(self, tmp_path):
-        assert main(["scenario", "validate", str(tmp_path / "nope.json")]) == 4
+    def test_missing_file_is_config_error(self, tmp_path):
+        # as `simulate --scenario nope.json`: neither a bundled name nor a file
+        assert main(["scenario", "validate", str(tmp_path / "nope.json")]) == 2
+
+    def test_bundled_name(self, capsys):
+        assert main(["scenario", "validate", "flood_60s"]) == 0
+        assert "flood_60s: OK" in capsys.readouterr().out
+
+    def test_file_that_is_not_utf8_is_config_error(self, tmp_path, capsys):
+        bad = tmp_path / "bom.json"
+        bad.write_bytes(b"\xff\xfe{}")
+        manifest = tmp_path / "m.json"
+        manifest.write_bytes(b"\xff\xfe{}")
+        for argv in (["scenario", "validate", str(bad)],
+                     ["simulate", "--scenario", str(bad), "--out", str(tmp_path / "runs")],
+                     ["simulate", "--manifest", str(manifest)]):
+            assert main(argv) == 2, argv
+            err = capsys.readouterr().err
+            assert "not UTF-8 JSON" in err and ".json" in err, argv
+
+    @pytest.mark.parametrize("section, field, value, named", [
+        ("attack", "rate", float("nan"), "traffic rate"),
+        ("service_no_attack", "mean", float("inf"), "service mean"),
+        (None, "horizon", float("nan"), "scenario horizon"),
+        ("normal_sources", "jitter", float("inf"), "traffic jitter"),
+        ("service_under_attack", "outlier_scale", float("nan"), "service outlier_scale"),
+    ])
+    def test_non_finite_number_is_config_error(self, tmp_path, capsys,
+                                               section, field, value, named):
+        raw = json.loads(json.dumps(TINY_SCENARIO))
+        raw["attack"] = {"kind": "periodic", "rate": 100.0, "start": 0.2, "duration": 0.5}
+        if section is None:
+            raw[field] = value
+        elif section == "normal_sources":
+            raw[section][0][field] = value
+        else:
+            raw[section][field] = value
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps(raw))
+        for argv in (["scenario", "validate", str(bad)],
+                     ["simulate", "--scenario", str(bad), "--out", str(tmp_path / "runs")]):
+            assert main(argv) == 2, argv
+            assert f"{named} must be a finite number" in capsys.readouterr().err
 
 
 class TestSimulate:
@@ -524,14 +565,66 @@ class TestAnalyze:
         assert float(rows[0]["bin_lo_ms"]) == 3.0
         assert sum(int(r["all"]) for r in rows) == 10
 
-    @pytest.mark.parametrize("interval", ["0", "nan", "inf"])
-    def test_analyze_bad_interval_without_summary_is_invariant_error(
+    @pytest.mark.parametrize("interval", ["0", "-5", "nan", "inf"])
+    def test_analyze_bad_interval_is_config_error(
         self, tmp_path, tiny_scenario, interval, capsys
     ):
+        # a command-line setting, checked where it enters: also when the
+        # run's summary.json would supply the interval instead
         seed_dir = run_tiny(tmp_path, tiny_scenario)
-        (seed_dir / "summary.json").unlink()
-        assert main(["analyze", str(seed_dir), "--interval", interval]) == 3
-        assert "sampling interval must be positive" in capsys.readouterr().err
+        capsys.readouterr()
+        assert main(["analyze", str(seed_dir), f"--interval={interval}"]) == 2
+        assert "sampling interval must be finite" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("content", [b"{not json", b"\xff\xfe{}", b"[1, 2]"])
+    def test_unreadable_summary_is_invariant_error(self, tmp_path, tiny_scenario, capsys,
+                                                   content):
+        seed_dir = run_tiny(tmp_path, tiny_scenario)
+        (seed_dir / "summary.json").write_bytes(content)
+        capsys.readouterr()
+        assert main(["analyze", str(seed_dir)]) == 3
+        assert "summary.json" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("section, field, value", [
+        ("config", "d_ms", "3"),
+        ("config", "d_ms", float("nan")),
+        ("config", "sampling_interval_s", "0.1"),
+        ("config", "mitigation", 5),
+        ("config", "seed", 1.5),
+        ("attack", "window_s", [1.0]),
+        ("attack", "window_s", ["0", "1"]),
+    ])
+    def test_bad_stored_config_is_invariant_error(self, tmp_path, tiny_scenario, capsys,
+                                                  section, field, value):
+        seed_dir = run_tiny(tmp_path, tiny_scenario)
+        path = seed_dir / "summary.json"
+        summary = json.loads(path.read_text())
+        summary[section] = dict(summary[section] or {}, **{field: value})
+        path.write_text(json.dumps(summary))
+        capsys.readouterr()
+        assert main(["analyze", str(seed_dir)]) == 3
+        err = capsys.readouterr().err
+        assert "summary.json" in err and f"{section}.{field}" in err
+
+    def test_stored_section_that_is_not_an_object_is_invariant_error(
+        self, tmp_path, tiny_scenario, capsys
+    ):
+        seed_dir = run_tiny(tmp_path, tiny_scenario)
+        path = seed_dir / "summary.json"
+        path.write_text(json.dumps(dict(json.loads(path.read_text()), config=[3.0])))
+        capsys.readouterr()
+        assert main(["analyze", str(seed_dir)]) == 3
+        assert "summary.json: config is not an object" in capsys.readouterr().err
+
+    def test_packets_that_are_not_utf8_is_invariant_error(self, tmp_path, tiny_scenario,
+                                                          capsys):
+        seed_dir = run_tiny(tmp_path, tiny_scenario)
+        path = seed_dir / "packets.csv"
+        path.write_bytes(path.read_bytes()[:-2] + b"\xff\r\n")  # into the last cell
+        capsys.readouterr()
+        assert main(["analyze", str(seed_dir)]) == 3
+        err = capsys.readouterr().err
+        assert "packets.csv: not UTF-8 text" in err
 
     def test_analyze_without_summary_uses_cli_interval(self, tmp_path,
                                                        tiny_scenario):
@@ -573,6 +666,21 @@ class TestForward:
             "--upstream", "127.0.0.1:9", "--d-us", "1000",
         ])
         assert args.stats_interval == ForwarderConfig.stats_interval == 5.0
+
+
+class TestStub:
+    @pytest.mark.parametrize("option, value", [
+        ("--mean-ms", "nan"), ("--variance-ms2", "inf"), ("--outlier-scale", "nan"),
+    ])
+    def test_non_finite_service_setting_is_config_error(self, monkeypatch, capsys,
+                                                        option, value):
+        # rejected before the stub binds a socket or starts its worker thread
+        def started(*args, **kwargs):
+            pytest.fail("the stub started")
+
+        monkeypatch.setattr(cli, "run_server_stub", started)
+        assert main(["stub", "--listen", "127.0.0.1:0", option, value]) == 2
+        assert "must be a finite number" in capsys.readouterr().err
 
 
 class TestEntryPoint:

@@ -249,6 +249,14 @@ class TestRunManifest:
         with pytest.raises(ConfigurationError):
             run_manifest(dataclasses.replace(m, sqf_d_ms=2.5), base_dir=tmp_path)
 
+    def test_marker_that_is_not_utf8_counts_as_absent(self, tmp_path):
+        m = tiny_manifest(tmp_path)
+        marker = tmp_path / "runs" / "tiny" / "manifest.json"
+        marker.parent.mkdir(parents=True)
+        marker.write_bytes(b"\xff\xfe{}")
+        run_manifest(m, base_dir=tmp_path)
+        assert json.loads(marker.read_text())["name"] == "tiny"  # rewritten
+
     def test_marker_does_not_depend_on_the_output_root(self, tmp_path):
         roots = [tmp_path / "a", tmp_path / "deeper" / "root" / "b"]
         for root in roots:

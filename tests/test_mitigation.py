@@ -59,16 +59,14 @@ class TestExamples:
 
     def test_embargo_spans_k_windows(self):
         gate = MitigationGate(MitigationPolicy(10, 3), 3 * MS)
-        for _ in range(11):
-            gate.step(0)
-        assert gate.state == "dropping"
-        assert gate.drop_until_ns == 9 * MS
-        # still inside the embargo
-        assert gate.step(8_900_000) is False
+        assert [gate.step(0) for _ in range(11)] == [True] * 10 + [False]
+        # the embargo lasts K * D = 9 ms: dropping up to its last nanosecond
+        assert gate.step(1) is False
+        assert gate.step(9 * MS - 1) is False
         # at the boundary: the trailing window holds a single packet, the
-        # embargo lapses and the packet is admitted
+        # embargo lapses and the packet is admitted, as is the next one
         assert gate.step(9 * MS) is True
-        assert gate.state == "open"
+        assert gate.step(9 * MS) is True
 
     def test_sustained_flood_renews(self):
         # 50 us spacing for half a second; only the pre-trigger packets pass
@@ -87,7 +85,6 @@ class TestExamples:
         # no policy: no overload detector, so a burst passes untouched
         gate = MitigationGate(None, 3 * MS)
         assert [gate.step(0) for _ in range(1000)] == [True] * 1000
-        assert gate.state == "open"
 
     def test_out_of_order_rejected(self):
         for policy in (MitigationPolicy(10, 3), None):

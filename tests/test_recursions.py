@@ -8,18 +8,18 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from qdtp.errors import ContractViolation
+from qdtp.metrics import run_summary
 from qdtp.recursions import (
     ArrivalSequence,
     ForwardSchedule,
     QdtpConfig,
     ServiceSequence,
-    WaitSequence,
-    check_result1,
     lindley_waits,
     qdtp_delays_ns,
     qdtp_schedule,
     server_waits,
 )
+from qdtp.simulator import simulate_sequences
 
 import strategies as own
 
@@ -71,10 +71,12 @@ class TestFrozenExamples:
         assert sched.delays_ns == (0, 3 * MS, 6 * MS, 9 * MS)
 
     def test_check_result1(self):
-        assert check_result1([0.001, 0.002, 0.0029], 0.003) is True
-        # equality is not enough: the condition is strict
-        assert check_result1([0.001, 0.003], 0.003) is False
-        assert check_result1([], 0.003) is True
+        # summary.json checks Result 1's condition, D above every processing
+        # time, on each run; equality is not enough: the condition is strict
+        for services, holds in (([0.001, 0.002, 0.0029], True), ([0.001, 0.003], False)):
+            trace = simulate_sequences([0.0] * len(services), services, QdtpConfig(3 * MS))
+            advisor = run_summary(trace)["spacing_advisor"]
+            assert advisor["d_exceeds_max_service"] is holds
 
 
 class TestValidation:
@@ -100,14 +102,6 @@ class TestValidation:
         sched = qdtp_schedule([0.0, 0.001], 0.003)
         with pytest.raises(ContractViolation):
             server_waits(sched, [0.001])
-
-    def test_schedule_spacing_enforced_on_construction(self):
-        with pytest.raises(ContractViolation):
-            ForwardSchedule((0, MS), (0, 0), 3 * MS)
-
-    def test_wait_sequence_must_start_at_zero(self):
-        with pytest.raises(ContractViolation):
-            WaitSequence((MS, 0))
 
     def test_empty_sequences_allowed(self):
         assert len(lindley_waits([], [])) == 0
@@ -137,6 +131,7 @@ class TestProperties:
         durs = [min(x, d - 1) for x in durs]
         if any(x < 1 for x in durs):
             return
+        assert d > max(durs)
         sched = qdtp_schedule(ArrivalSequence(tuple(times)), QdtpConfig(d))
         w = server_waits(sched, ServiceSequence(tuple(durs)))
         assert set(w.waits_ns) <= {0}
@@ -147,7 +142,7 @@ class TestProperties:
         # server still never queues -- the boundary is tight but safe
         sched = qdtp_schedule(ArrivalSequence(tuple(times)), QdtpConfig(d))
         svc = ServiceSequence(tuple([d] * len(times)))
-        assert check_result1(svc, QdtpConfig(d)) is False
+        assert not d > max(svc.durations_ns)
         w = server_waits(sched, svc)
         assert set(w.waits_ns) <= {0}
 

@@ -7,6 +7,7 @@ import statistics
 import pytest
 
 from qdtp.errors import ConfigurationError, ContractViolation
+from qdtp.manifests import resolve_scenario
 from qdtp.scenario import (
     MIN_SERVICE_NS,
     Scenario,
@@ -201,7 +202,7 @@ class TestScenario:
     def test_json_roundtrip(self, tmp_path):
         path = tmp_path / "s.json"
         path.write_text(json.dumps(TINY_SCENARIO_JSON))
-        assert Scenario.from_json_file(path) == tiny_scenario()
+        assert resolve_scenario(str(path)) == tiny_scenario()
 
     def test_json_missing_field_rejected(self, tmp_path):
         raw = dict(TINY_SCENARIO_JSON)
@@ -209,13 +210,13 @@ class TestScenario:
         path = tmp_path / "bad.json"
         path.write_text(json.dumps(raw))
         with pytest.raises(ConfigurationError):
-            Scenario.from_json_file(path)
+            resolve_scenario(str(path))
 
     def test_json_syntax_error_rejected(self, tmp_path):
         path = tmp_path / "broken.json"
         path.write_text("{not json")
         with pytest.raises(ConfigurationError):
-            Scenario.from_json_file(path)
+            resolve_scenario(str(path))
 
 
 class TestServiceSampling:
