@@ -19,6 +19,7 @@ from typing import Optional, Sequence
 
 from . import metrics
 from .errors import ContractViolation, InvariantViolation
+from .forked import Forked
 from .simulator import ABSENT_NS, Packets, TraceSeries, _trace, check_records, verify_trace
 
 PACKET_FIELDS = [
@@ -44,7 +45,6 @@ __all__ = [
     "write_comparison_csv",
     "write_histogram_csv",
     "trace_from_records",
-    "Forked",
     "write_run_dir",
 ]
 
@@ -249,84 +249,15 @@ def trace_from_records(
     )
 
 
-class Forked:
-    """``fn(*args)`` in a forked child while the parent does other work.
-
-    A context manager: leaving the ``with`` block kills and reaps a child
-    whose :meth:`result` was not read.  The child pipes back its pickled
-    result, or the exception that stopped it.  It leaves through
-    ``os._exit``, so it never flushes the stdio buffers or runs the atexit
-    handlers it inherited.  ``doing`` names the child's work in the error
-    raised when it dies without a result.
-    """
-
-    def __init__(self, doing: str, fn, *args):
-        # pickle is imported after the fork, so the parent does not carry it
-        # while the child works
-        self.doing = doing
-        read_fd, write_fd = os.pipe()
-        self.pid = os.fork()
-        if self.pid:
-            os.close(write_fd)
-            self.pipe = open(read_fd, "rb")
-            return
-        status = 1
-        try:
-            import pickle
-
-            os.close(read_fd)
-            try:
-                result = fn(*args)
-            except BaseException as exc:
-                result = exc
-            with open(write_fd, "wb") as pipe:
-                pickle.dump(result, pipe)
-            status = 0
-        finally:
-            os._exit(status)
-
-    def __enter__(self) -> Forked:
-        return self
-
-    def __exit__(self, *exc_info) -> None:
-        self.kill()
-
-    def result(self):
-        """Wait for the child; its result, or its exception raised here."""
-        import pickle
-
-        with self.pipe:
-            data = self.pipe.read()
-        _, status = os.waitpid(self.pid, 0)
-        self.pid = None
-        code = os.waitstatus_to_exitcode(status)
-        if code != 0:
-            how = f"was killed by signal {-code}" if code < 0 else f"exited with status {code}"
-            raise ChildProcessError(f"the child {self.doing} {how} without a result")
-        result = pickle.loads(data)
-        if isinstance(result, BaseException):
-            raise result
-        return result
-
-    def kill(self) -> None:
-        """Stop and reap the child unless :meth:`result` already has."""
-        import signal
-
-        if self.pid is None:
-            return
-        self.pipe.close()
-        os.kill(self.pid, signal.SIGKILL)
-        os.waitpid(self.pid, 0)
-        self.pid = None
-
-
 def write_run_dir(trace: TraceSeries, out_dir) -> dict:
     """Verify one run, then write its three standard artifacts; returns their paths.
 
     ``verify_trace`` passes before anything is written, so a run that fails
     it leaves no directory.  ``metrics.run_summary`` runs in a forked child
     meanwhile: the three passes over the trace are independent and read it
-    only, so the summary overlaps the verification and the CSV writes.
+    only, so the summary overlaps the verification and the CSV writes.  The
+    summary forks a child of its own for half its statistics, so three
+    processes share the cores; killing the summary's child kills that one too.
     """
     with Forked(f"summarizing {out_dir}", metrics.run_summary, trace) as summary:
         verify_trace(trace)

@@ -22,7 +22,6 @@ from pathlib import Path
 
 from . import __version__
 from .artifacts import (
-    Forked,
     read_packets_csv,
     read_summary_json,
     trace_from_records,
@@ -32,6 +31,7 @@ from .artifacts import (
     write_summary_json,
 )
 from .errors import ConfigurationError, ContractViolation, InvariantViolation
+from .forked import Forked
 from .forwarder import (
     ForwarderConfig,
     parse_addr,

@@ -7,9 +7,10 @@ Nothing here validates a log: ``simulator.check_records`` does, first.
 
 Occupancy flows one way: columns -> :func:`queue_intervals` (kept as
 ``TraceSeries.intervals``) -> sampling, exact peak, drain time and the
-occupancy integral (one sweep per queue, in :func:`run_summary`), none of
-which walks the columns again.  The intervals are the columns themselves
-when nothing was dropped, and never need a sort: ``check_records`` orders them.
+occupancy integral (one sweep per queue, in the child process that
+:func:`run_summary` forks), none of which walks the columns again.  The
+intervals are the columns themselves when nothing was dropped, and never
+need a sort: ``check_records`` orders them.
 """
 from __future__ import annotations
 
@@ -24,6 +25,7 @@ from operator import sub, truediv
 from typing import Iterable, Optional, Sequence
 
 from .errors import ContractViolation
+from .forked import Forked
 from .timebase import ns_to_s, s_to_ns
 
 __all__ = [
@@ -339,27 +341,30 @@ def _maybe_summary_ms(values: Iterable[float]) -> Optional[dict]:
     return None if first is None else summarize(chain((first,), values)).to_ms_dict()
 
 
-def run_summary(trace) -> dict:
-    """Aggregate one finished trace into the exported summary mapping.
+def _seconds(later, earlier, rows=None):
+    """(later - earlier) / 1e9 per packet, no Python loop; ``rows`` selects packets."""
+    if rows is not None:
+        later, earlier = compress(later, rows), compress(earlier, rows)
+    return map(truediv, map(sub, later, earlier), repeat(1e9))
 
-    Everything downstream (CLI, acceptance checks, humans reading
-    summary.json) consumes this; times are reported in milliseconds.
-    Each sample lives only while its own statistics are computed.
-    """
-    p = trace.packets
-    drops = Counter(p.drop_reason)
-    completed = drops.pop(None, 0)
-    ids = admitted_ids(p)
-    a, t, start, end, attack = (
-        admitted(column, ids) for column in (p.a_ns, p.t_ns, p.start_ns, p.end_ns, p.is_attack)
+
+def _admitted_columns(packets) -> tuple:
+    """The admitted packets' ``a``, ``t``, start, end and attack flag columns."""
+    ids = admitted_ids(packets)
+    return tuple(
+        admitted(column, ids)
+        for column in (packets.a_ns, packets.t_ns, packets.start_ns, packets.end_ns,
+                       packets.is_attack)
     )
 
-    def seconds(later, earlier, rows=None):  # (later - earlier) / 1e9, no Python loop
-        if rows is not None:
-            later, earlier = compress(later, rows), compress(earlier, rows)
-        return map(truediv, map(sub, later, earlier), repeat(1e9))
 
-    services = _maybe_summary_ms(seconds(end, start))
+def _whole_run_summary(trace, columns) -> dict:
+    """``run_summary``'s packet counts, config, whole-run samples and spacing advisor."""
+    p = trace.packets
+    a, t, start, end, _ = columns
+    drops = Counter(p.drop_reason)
+    completed = drops.pop(None, 0)
+    services = _maybe_summary_ms(_seconds(end, start))
     summary = {
         "packets": {
             "total": len(p),
@@ -374,37 +379,12 @@ def run_summary(trace) -> dict:
             "sampling_interval_s": trace.sampling_interval,
         },
         "service_ms": services,
-        "server_wait_ms": _maybe_summary_ms(seconds(start, t)),
-        "server_sojourn_ms": _maybe_summary_ms(seconds(end, t)),
-        "total_delay_ms": _maybe_summary_ms(seconds(end, a)),
+        "server_wait_ms": _maybe_summary_ms(_seconds(start, t)),
+        "server_sojourn_ms": _maybe_summary_ms(_seconds(end, t)),
+        "total_delay_ms": _maybe_summary_ms(_seconds(end, a)),
     }
     if trace.d_ns is not None:
-        summary["gate_delay_ms"] = _maybe_summary_ms(seconds(t, a))
-
-    summary["queues"] = {}
-    for which, pair in trace.intervals.items():
-        law = littles_law_check(*pair)
-        summary["queues"][which] = {
-            "peak": law["peak"],
-            "sampled_peak": max(getattr(trace, f"{which}_counts"), default=0),
-            "drain_s": drain_time(trace, which),
-            "littles_law_ok": law["ok"],
-        }
-
-    if trace.attack_window_ns is not None:
-        start_ns, end_ns = trace.attack_window_ns
-        baseline = [not atk and x < start_ns for atk, x in zip(attack, a)]
-        summary["attack"] = {
-            "window_s": [start_ns / 1e9, end_ns / 1e9],
-            "offered": sum(p.is_attack),
-            "admitted": sum(attack),
-            "baseline_sojourn_ms": _maybe_summary_ms(seconds(end, t, baseline)),
-            "attack_sojourn_ms": _maybe_summary_ms(seconds(end, t, attack)),
-            "baseline_service_ms": _maybe_summary_ms(seconds(end, start, baseline)),
-            "attack_service_ms": _maybe_summary_ms(seconds(end, start, attack)),
-        }
-    else:
-        summary["attack"] = None
+        summary["gate_delay_ms"] = _maybe_summary_ms(_seconds(t, a))
 
     # spacing advisor: the smallest D that keeps the device idle is just
     # above the largest processing time seen in this run
@@ -421,6 +401,54 @@ def run_summary(trace) -> dict:
         }
     else:
         summary["spacing_advisor"] = None
+    return summary
+
+
+def _queues_and_attack_summary(trace, columns) -> dict:
+    """``run_summary``'s ``queues`` (one sweep per queue) and ``attack`` sections."""
+    a, t, start, end, attack = columns
+    queues = {}
+    for which, pair in trace.intervals.items():
+        law = littles_law_check(*pair)
+        queues[which] = {
+            "peak": law["peak"],
+            "sampled_peak": max(getattr(trace, f"{which}_counts"), default=0),
+            "drain_s": drain_time(trace, which),
+            "littles_law_ok": law["ok"],
+        }
+    if trace.attack_window_ns is None:
+        return {"queues": queues, "attack": None}
+    start_ns, end_ns = trace.attack_window_ns
+    baseline = [not atk and x < start_ns for atk, x in zip(attack, a)]
+    return {
+        "queues": queues,
+        "attack": {
+            "window_s": [start_ns / 1e9, end_ns / 1e9],
+            "offered": sum(trace.packets.is_attack),
+            "admitted": sum(attack),
+            "baseline_sojourn_ms": _maybe_summary_ms(_seconds(end, t, baseline)),
+            "attack_sojourn_ms": _maybe_summary_ms(_seconds(end, t, attack)),
+            "baseline_service_ms": _maybe_summary_ms(_seconds(end, start, baseline)),
+            "attack_service_ms": _maybe_summary_ms(_seconds(end, start, attack)),
+        },
+    }
+
+
+def run_summary(trace) -> dict:
+    """Aggregate one finished trace into the exported summary mapping.
+
+    Everything downstream (CLI, acceptance checks, humans reading
+    summary.json) consumes this; times are reported in milliseconds.
+    Each sample lives only while its own statistics are computed.  The
+    summary uses two cores: a forked child computes the ``queues`` and
+    ``attack`` sections while this process computes the rest, both from
+    the admitted columns selected once, before the fork.
+    """
+    columns = _admitted_columns(trace.packets)
+    with Forked("summarizing the queues and the attack window",
+                _queues_and_attack_summary, trace, columns) as half:
+        summary = _whole_run_summary(trace, columns)
+        summary.update(half.result())
     return summary
 
 

@@ -19,7 +19,7 @@ from typing import Optional, Sequence
 
 from .errors import ConfigurationError, ContractViolation
 from .recursions import ArrivalSequence, ServiceSequence
-from .timebase import s_to_ns
+from .timebase import NS_PER_S, s_to_ns
 
 __all__ = [
     "ServiceModel",
@@ -52,6 +52,18 @@ def _finite(owner: str, model, *fields: str) -> None:
             raise ConfigurationError(f"{owner} {name} must be a finite number, got {value!r}")
 
 
+def _fits_ns(owner: str, what: str, seconds: float) -> None:
+    """Reject a time whose nanosecond value does not fit in 64 bits, naming it.
+
+    Times are integer nanoseconds in ``array('q')`` columns; a larger one
+    would overflow while the run is generated or simulated.
+    """
+    if abs(seconds) * NS_PER_S >= 2.0**63:
+        raise ConfigurationError(
+            f"{owner} {what} of {seconds!r} s does not fit in 64-bit nanoseconds"
+        )
+
+
 @dataclass(frozen=True)
 class ServiceModel:
     """Distribution of per-packet processing time, in seconds.
@@ -80,6 +92,10 @@ class ServiceModel:
             raise ConfigurationError("outlier probability must be in [0, 1]")
         if self.outlier_scale < 1.0:
             raise ConfigurationError("outlier scale must be at least 1")
+        _fits_ns("service", "mean", self.mean)
+        _fits_ns("service", "standard deviation", math.sqrt(self.variance))
+        if self.mode == "gaussian_with_outliers":
+            _fits_ns("service", "outlier time", self.mean * self.outlier_scale)
 
     def draw_ns(self, u: float, g: float) -> int:
         """Map one uniform and one standard-normal variate to a duration.
@@ -143,6 +159,9 @@ class TrafficModel:
             raise ConfigurationError("start cannot be negative")
         if self.jitter < 0:
             raise ConfigurationError("jitter cannot be negative")
+        _fits_ns("traffic", "period", 1 / self.rate)
+        _fits_ns("traffic", "end", self.end)
+        _fits_ns("traffic", "jitter", self.jitter)
 
     @property
     def end(self) -> float:
@@ -218,6 +237,7 @@ class Scenario:
         _finite("scenario", self, "horizon")
         if self.horizon <= 0:
             raise ConfigurationError("horizon must be positive")
+        _fits_ns("scenario", "horizon", self.horizon)
         if self.congestion_threshold < 1:
             raise ConfigurationError("congestion threshold must be at least 1")
         for src in self._all_sources():

@@ -1,16 +1,18 @@
 """Exit codes and artifact plumbing of the qdtp command."""
 import csv
+import errno
 import json
 import os
 import signal
 import socket
 import subprocess
 import sys
+import time
 from collections import Counter
 
 import pytest
 
-from qdtp import cli, manifests, metrics
+from qdtp import artifacts, cli, manifests, metrics
 from qdtp.artifacts import (
     PACKET_FIELDS,
     read_packets_csv,
@@ -138,6 +140,26 @@ class TestScenarioValidate:
     ])
     def test_non_finite_number_is_config_error(self, tmp_path, capsys,
                                                section, field, value, named):
+        self.assert_rejected(tmp_path, capsys, section, field, value,
+                             f"{named} must be a finite number")
+
+    @pytest.mark.parametrize("section, field, value, named", [
+        ("attack", "rate", 1e-320, "traffic period of inf s"),
+        ("service_no_attack", "mean", 1e300, "service mean of 1e+300 s"),
+        ("service_under_attack", "variance", 1e300, "service standard deviation of 1e+150 s"),
+        ("normal_sources", "jitter", 1e10, "traffic jitter of 10000000000.0 s"),
+        (None, "horizon", 1e10, "scenario horizon of 10000000000.0 s"),
+    ])
+    def test_time_beyond_64_bit_ns_is_config_error(self, tmp_path, capsys,
+                                                   section, field, value, named):
+        # finite, so the checks above pass; the first two raised ValueError and
+        # OverflowError in simulate, after validate had printed OK
+        self.assert_rejected(tmp_path, capsys, section, field, value,
+                             f"{named} does not fit in 64-bit nanoseconds")
+
+    @staticmethod
+    def assert_rejected(tmp_path, capsys, section, field, value, message):
+        """The tiny scenario, with an attack and ``field`` set to ``value``, exits 2."""
         raw = json.loads(json.dumps(TINY_SCENARIO))
         raw["attack"] = {"kind": "periodic", "rate": 100.0, "start": 0.2, "duration": 0.5}
         if section is None:
@@ -151,7 +173,8 @@ class TestScenarioValidate:
         for argv in (["scenario", "validate", str(bad)],
                      ["simulate", "--scenario", str(bad), "--out", str(tmp_path / "runs")]):
             assert main(argv) == 2, argv
-            assert f"{named} must be a finite number" in capsys.readouterr().err
+            assert message in capsys.readouterr().err
+        assert not (tmp_path / "runs").exists()
 
 
 class TestSimulate:
@@ -312,6 +335,120 @@ class TestSimulateChild:
             "without a result\n"
         )
         assert not (seed_dir / "summary.json").exists()
+
+
+    def test_the_summary_childs_own_child_dies_with_it(self, tmp_path, tiny_scenario,
+                                                       monkeypatch):
+        simulate, verify = manifests.simulate, artifacts.verify_trace
+        where = tmp_path / "pid.txt"
+
+        def doctored(*args, **kwargs):
+            trace = simulate(*args, **kwargs)
+            trace.packets.start_ns[0] += 1  # a wait the recursions do not give
+            return trace
+
+        def sleeping_half(trace, columns):
+            (tmp_path / "pid.tmp").write_text(str(os.getpid()))
+            os.replace(tmp_path / "pid.tmp", where)
+            time.sleep(60)
+
+        def verify_once_the_half_sleeps(trace):
+            deadline = time.monotonic() + 30
+            while not where.exists() and time.monotonic() < deadline:
+                time.sleep(0.01)
+            verify(trace)
+
+        monkeypatch.setattr(manifests, "simulate", doctored)
+        monkeypatch.setattr(metrics, "_queues_and_attack_summary", sleeping_half)
+        monkeypatch.setattr(artifacts, "verify_trace", verify_once_the_half_sleeps)
+        assert main(tiny_argv(tmp_path, tiny_scenario)) == 3
+        pid = int(where.read_text())
+        try:
+            # gone, or a zombie its new parent has yet to reap; SIGKILL takes
+            # effect within moments, the sleep would take a minute
+            deadline = time.monotonic() + 5
+            while process_state(pid) not in (None, "Z") and time.monotonic() < deadline:
+                time.sleep(0.01)
+            assert process_state(pid) in (None, "Z")
+        finally:
+            if process_state(pid) not in (None, "Z"):
+                os.kill(pid, signal.SIGKILL)
+
+    def test_failed_fork_is_io_error_and_leaks_no_fd(self, tmp_path, tiny_scenario,
+                                                     monkeypatch, capsys):
+        def failing_fork():
+            raise OSError(errno.EAGAIN, os.strerror(errno.EAGAIN))
+
+        monkeypatch.setattr(os, "fork", failing_fork)
+        before = len(os.listdir("/proc/self/fd"))
+        assert main(tiny_argv(tmp_path, tiny_scenario)) == 4
+        assert len(os.listdir("/proc/self/fd")) == before
+        assert capsys.readouterr().err == f"i/o error: [Errno {errno.EAGAIN}] {os.strerror(errno.EAGAIN)}\n"
+
+
+def process_state(pid):
+    """The state letter of process ``pid`` ("Z" for a zombie), or None when it is gone."""
+    try:
+        with open(f"/proc/{pid}/stat") as fh:
+            return fh.read().rpartition(")")[2].split()[0]
+    except FileNotFoundError:
+        return None
+
+
+class TestSummaryHalves:
+    """``run_summary`` computes its queues and attack sections in a forked child."""
+
+    @staticmethod
+    def argv(tmp_path, tiny_scenario, command):
+        """A fresh ``simulate`` of the tiny run, or ``analyze`` of one written earlier."""
+        if command == "simulate":
+            return tiny_argv(tmp_path / "fresh", tiny_scenario)
+        return ["analyze", str(run_tiny(tmp_path, tiny_scenario))]
+
+    @pytest.mark.parametrize("command", ["simulate", "analyze"])
+    def test_error_in_the_forked_half_is_invariant_error(self, tmp_path, tiny_scenario,
+                                                         monkeypatch, capsys, command):
+        argv = self.argv(tmp_path, tiny_scenario, command)
+        where = tmp_path / "pid.txt"
+
+        def failing(trace, columns):
+            where.write_text(str(os.getpid()))
+            raise ContractViolation("cannot summarize an empty sample")
+
+        capsys.readouterr()
+        with monkeypatch.context() as patch:  # the half the summary computes itself
+            patch.setattr(metrics, "_whole_run_summary", failing)
+            assert main(argv) == 3
+        alone = capsys.readouterr().err
+        if command == "analyze":
+            assert int(where.read_text()) == os.getpid()
+        monkeypatch.setattr(metrics, "_queues_and_attack_summary", failing)
+        assert main(argv) == 3
+        assert capsys.readouterr().err == alone == (
+            "invariant violation: cannot summarize an empty sample\n"
+        )
+        assert int(where.read_text()) != os.getpid()
+        assert not (tmp_path / "fresh" / "runs" / "tiny" / "seed0005" / "summary.json").exists()
+
+    @pytest.mark.parametrize("command", ["simulate", "analyze"])
+    def test_forked_half_killed_is_io_error(self, tmp_path, tiny_scenario,
+                                            monkeypatch, capsys, command):
+        argv = self.argv(tmp_path, tiny_scenario, command)
+        parent, half = os.getpid(), metrics._queues_and_attack_summary
+
+        def dying_in_the_child(trace, columns):
+            if os.getpid() != parent:
+                os.kill(os.getpid(), signal.SIGKILL)
+            return half(trace, columns)
+
+        monkeypatch.setattr(metrics, "_queues_and_attack_summary", dying_in_the_child)
+        capsys.readouterr()
+        assert main(argv) == 4
+        assert capsys.readouterr().err == (
+            "i/o error: the child summarizing the queues and the attack window "
+            "was killed by signal 9 without a result\n"
+        )
+        assert not (tmp_path / "fresh" / "runs" / "tiny" / "seed0005" / "summary.json").exists()
 
 
 class TestAnalyze:

@@ -1,4 +1,5 @@
 """Tests for summary statistics, queue sampling and run comparison."""
+import dataclasses
 import math
 import random
 
@@ -24,6 +25,8 @@ from qdtp.metrics import (
 from qdtp.recursions import QdtpConfig
 from qdtp.scenario import Scenario, ServiceModel, TrafficModel
 from qdtp.simulator import ABSENT_NS, Packets, simulate, simulate_sequences
+
+from summary_halves import summary_in_process
 
 MS = 1_000_000
 
@@ -245,20 +248,22 @@ class TestRunSummary:
         assert out["spacing_advisor"]["max_service_ms"] == pytest.approx(10.0)
         assert out["config"]["d_ms"] is None
 
-    def test_one_occupancy_sweep_per_queue(self, monkeypatch):
+    def test_one_occupancy_sweep_per_queue(self, tmp_path, monkeypatch):
         trace = simulate_sequences(
             [0.0, 0.0, 0.0], [0.004] * 3, QdtpConfig.from_seconds(0.003)
         )
-        calls = []
+        # the sweeps run in run_summary's child process: count through a file
+        calls = tmp_path / "calls.txt"
         original = metrics._sweep
 
         def counting(entries, exits):
-            calls.append(len(entries))
+            with open(calls, "a") as fh:
+                fh.write(f"{len(entries)}\n")
             return original(entries, exits)
 
         monkeypatch.setattr(metrics, "_sweep", counting)
         out = run_summary(trace)
-        assert calls == [3, 3]
+        assert calls.read_text().split() == ["3", "3"]
         # the gate holds 2 of the burst at once, the device 2 (one in service)
         assert out["queues"]["sqf"]["peak"] == 2
         assert out["queues"]["server"]["peak"] == 2
@@ -268,3 +273,23 @@ class TestRunSummary:
         out = run_summary(trace)
         assert out["attack"] is None
         assert out["service_ms"]["mean_ms"] == pytest.approx(3.0)
+
+    @pytest.mark.parametrize("run", ["gated", "mitigated", "ungated", "no_attack"])
+    def test_forked_half_merges_to_the_in_process_summary(self, run):
+        scenario = Scenario(
+            normal_sources=(TrafficModel(kind="periodic", rate=20.0, duration=3.0),),
+            attack=TrafficModel(kind="periodic", rate=5000.0, start=1.0, duration=1.0),
+            service_no_attack=ServiceModel(mode="gaussian", mean=0.003, variance=1e-8),
+            service_under_attack=ServiceModel(mode="gaussian", mean=0.005, variance=1e-7),
+            seed=7,
+            horizon=3.0,
+        )
+        if run == "no_attack":
+            scenario = dataclasses.replace(scenario, attack=None)
+        cfg = None if run == "ungated" else QdtpConfig.from_seconds(0.003)
+        trace = simulate(scenario, cfg, (10, 3) if run == "mitigated" else None)
+        summary = run_summary(trace)
+        assert summary == summary_in_process(trace)
+        assert (summary["attack"] is None) == (run == "no_attack")
+        assert (summary["packets"]["dropped"] > 0) == (run == "mitigated")
+        assert ("gate_delay_ms" in summary) == (run != "ungated")

@@ -91,6 +91,14 @@ class TestTrafficModels:
         with pytest.raises(ConfigurationError):
             TrafficModel(kind="periodic", rate=1.0, duration=-1.0)
 
+    def test_period_must_fit_64_bit_ns(self):
+        # 2**63 ns is 9.22e9 s: a period of 1e10 s does not fit, 9e9 s does
+        TrafficModel(kind="periodic", rate=1 / 9e9, duration=1.0)
+        with pytest.raises(ConfigurationError, match="traffic period"):
+            TrafficModel(kind="periodic", rate=1e-10, duration=1.0)
+        with pytest.raises(ConfigurationError, match="traffic end"):
+            TrafficModel(kind="burst", rate=1.0, start=9e9, duration=3e8)
+
 
 class TestServiceModels:
     def test_constant(self):
@@ -134,6 +142,17 @@ class TestServiceModels:
             ServiceModel(
                 mode="gaussian_with_outliers", mean=1.0, outlier_probability=1.5
             )
+
+    def test_times_must_fit_64_bit_ns(self):
+        ServiceModel(mode="constant", mean=9e9)
+        with pytest.raises(ConfigurationError, match="service mean"):
+            ServiceModel(mode="constant", mean=1e10)
+        with pytest.raises(ConfigurationError, match="service standard deviation"):
+            ServiceModel(mode="gaussian", mean=1.0, variance=1e20)
+        # an outlier takes mean * outlier_scale; only that mode draws one
+        ServiceModel(mode="gaussian", mean=1e7, outlier_scale=1000.0)
+        with pytest.raises(ConfigurationError, match="service outlier time"):
+            ServiceModel(mode="gaussian_with_outliers", mean=1e7, outlier_scale=1000.0)
 
 
 class TestScenario:

@@ -16,7 +16,7 @@ from hypothesis import strategies as st
 from qdtp.artifacts import trace_from_records
 from qdtp.errors import ConfigurationError, ContractViolation, InvariantViolation
 from qdtp.manifests import resolve_scenario
-from qdtp.metrics import drain_time, run_summary
+from qdtp.metrics import drain_time
 from qdtp.mitigation import MitigationPolicy
 from qdtp.recursions import (
     ArrivalSequence,
@@ -38,6 +38,7 @@ from qdtp.simulator import (
 )
 
 import strategies as own
+from summary_halves import summary_in_process
 
 MS = 1_000_000
 
@@ -292,7 +293,10 @@ class TestStreamingSelfChecks:
         assert not any(trace.packets.drop_reason)  # the gate admits the whole flood
         return trace
 
-    @pytest.mark.parametrize("check", [verify_trace, run_summary])
+    # run_summary forks for half its work, so both halves run here instead
+    @pytest.mark.parametrize("check", [
+        verify_trace, pytest.param(summary_in_process, id="run_summary"),
+    ])
     def test_traced_peak_per_packet(self, flood, check):
         tracemalloc.start()
         try:
@@ -308,13 +312,14 @@ class TestStreamingSelfChecks:
         simulate + verify_trace + run_summary of this flood peaked at 266 B
         per packet under tracemalloc when the columns were lists and tuples
         of Python ints and generate sorted (t, source, flag) tuples; with
-        typed columns it peaks at 118 B.
+        typed columns it peaks at 118 B.  Both halves of the summary run in
+        this process, where tracemalloc sees them.
         """
         tracemalloc.start()
         try:
             trace = simulate(self.scenario(), QdtpConfig.from_seconds(0.003))
             verify_trace(trace)
-            run_summary(trace)
+            summary_in_process(trace)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
