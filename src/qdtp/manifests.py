@@ -184,12 +184,15 @@ def run_manifest(manifest: ExperimentManifest, base_dir=".") -> list[Path]:
 
     seed_dirs: list[Path] = []
     for seed in manifest.seeds:
-        trace = simulate(
-            dataclasses.replace(scenario, seed=seed),
-            manifest.qdtp_config,
-            manifest.mitigation,
-            sampling_interval=manifest.sampling_interval_ms / 1000.0,
-        )
+        try:
+            trace = simulate(
+                dataclasses.replace(scenario, seed=seed),
+                manifest.qdtp_config,
+                manifest.mitigation,
+                sampling_interval=manifest.sampling_interval_ms / 1000.0,
+            )
+        except ConfigurationError as exc:  # a run the scenario's numbers cannot hold
+            raise ConfigurationError(f"scenario {manifest.scenario}, seed {seed}: {exc}") from exc
         seed_dir = run_root / f"seed{seed:04d}"
         write_run_dir(trace, seed_dir)
         seed_dirs.append(seed_dir)

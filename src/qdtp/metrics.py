@@ -24,7 +24,7 @@ from itertools import chain, compress, islice, repeat
 from operator import sub, truediv
 from typing import Iterable, Optional, Sequence
 
-from .errors import ContractViolation
+from .errors import ConfigurationError, ContractViolation
 from .forked import Forked
 from .timebase import ns_to_s, s_to_ns
 
@@ -35,6 +35,7 @@ __all__ = [
     "admitted_ids",
     "admitted",
     "queue_intervals",
+    "MAX_SAMPLE_POINTS",
     "sample_queues",
     "occupancy_counts",
     "littles_law_check",
@@ -191,6 +192,11 @@ def _sweep(entries: Sequence[int], exits: Sequence[int]) -> tuple[int, int]:
     return peak, integral
 
 
+# the most instants sample_queues samples at; the bundled runs take at most
+# 40,230, and a run of scenario times near 2**63 ns would take billions
+MAX_SAMPLE_POINTS = 1_000_000
+
+
 def sample_queues(
     intervals: dict, interval: float
 ) -> tuple[tuple[int, ...], tuple[int, ...], tuple[int, ...]]:
@@ -199,14 +205,24 @@ def sample_queues(
     ``intervals`` is what :func:`queue_intervals` returns.  Returns
     ``(grid_ns, sqf_counts, server_counts)``.  The grid extends one step
     past the last exit from either queue, so both series return to zero.
-    An empty packet log yields the single grid instant 0.
+    An empty packet log yields the single grid instant 0.  A grid of more
+    than MAX_SAMPLE_POINTS instants raises ConfigurationError naming the
+    smallest interval that fits.
     """
     interval_ns = s_to_ns(interval) if math.isfinite(interval) else 0
     if interval_ns <= 0:
         raise ContractViolation("sampling interval must be positive")
     sqf, server = intervals["sqf"], intervals["server"]
     last = max(sqf[1][-1] if sqf[1] else 0, server[1][-1] if server[1] else 0)
-    grid = [k * interval_ns for k in range(-(-last // interval_ns) + 1)]
+    points = -(-last // interval_ns) + 1
+    if points > MAX_SAMPLE_POINTS:
+        fits_ns = -(-last // (MAX_SAMPLE_POINTS - 1))
+        raise ConfigurationError(
+            f"sampling interval of {interval * 1e3:.15g} ms takes {points} queue samples "
+            f"up to {last} ns, more than MAX_SAMPLE_POINTS ({MAX_SAMPLE_POINTS}); "
+            f"the smallest interval that fits is {fits_ns / 1e6!r} ms"
+        )
+    grid = [k * interval_ns for k in range(points)]
     return (
         tuple(grid),
         tuple(occupancy_counts(*sqf, grid)),
@@ -238,7 +254,7 @@ def drain_time(trace, queue: str = "server") -> float:
 
     That is the last exit of the whole run, not the first instant the queue
     is empty after the attack: when benign traffic goes on after the
-    attack, it is the last benign exit (see ROADMAP.md, item 4).  Zero when
+    attack, it is the last benign exit (see ROADMAP.md, item 6).  Zero when
     there is no attack or no exit falls after the attack's end.
     """
     if queue not in trace.intervals:

@@ -53,7 +53,12 @@ __all__ = [
     "verify_trace",
 ]
 
-_INF = 1 << 62
+# Columns hold times below _NO_FIT.  No event reaches _INF, "no event":
+# arrivals and D are checked to be below _NO_FIT, a release is a stored time
+# plus D, and a service end is stored as soon as it is computed, so one past
+# the columns fails there.  An int of this size compares as fast as 1 << 62.
+_NO_FIT = 1 << 63
+_INF = 1 << 64
 
 
 def _is_array(column, typecode: str) -> bool:
@@ -162,12 +167,17 @@ def _engine(
 
     use_gate = cfg is not None
     d = _as_config(cfg).d_ns if use_gate else 0
+    at = labeled.arrivals.times_ns
+    n = len(at)
+    if d >= _NO_FIT or n and at[-1] >= _NO_FIT:
+        raise ConfigurationError(
+            f"spacing D of {d} ns or last arrival at {at[-1] if n else 0} ns "
+            "does not fit in 64-bit nanoseconds"
+        )
     gate_filter = None
     if mitigation is not None:
         gate_filter = MitigationGate(MitigationPolicy.coerce(mitigation), d)
 
-    at = labeled.arrivals.times_ns
-    n = len(at)
     t_out = array("q", [ABSENT_NS]) * n
     ss_out = array("q", [ABSENT_NS]) * n
     se_out = array("q", [ABSENT_NS]) * n
@@ -188,6 +198,7 @@ def _engine(
         regime.append(congested)
         busy = j
         done_at = now + service_source(j, congested)
+        se_out[j] = done_at  # stored now, so an end past the columns fails at once
 
     def release(j: int, now: int) -> None:  # through the gate (if any) into the device
         nonlocal gate_open, gate_at
@@ -199,40 +210,45 @@ def _engine(
         else:
             start_service(j, now)
 
-    i = 0
+    i = now = 0
     next_arr = at[0] if n else _INF
-    while True:
-        if done_at <= gate_at and done_at <= next_arr:
-            if done_at == _INF:
-                break
-            now = done_at
-            se_out[busy] = now
-            busy = -1
-            done_at = _INF
-            if server_fifo:
-                start_service(server_fifo.popleft(), now)
-        elif gate_at <= next_arr:
-            now = gate_at
-            release(gate_fifo.popleft(), now)
-        else:
-            now = next_arr
-            j = i
-            i += 1
-            next_arr = at[i] if i < n else _INF
-            if gate_filter is not None and not gate_filter.step(now):
-                drop_reason[j] = "mitigation"
-                continue
-            if use_gate:
-                if not gate_fifo and now >= gate_open:
-                    release(j, now)
-                elif sqf_capacity is not None and len(gate_fifo) >= sqf_capacity:
-                    drop_reason[j] = "capacity"
-                else:
-                    gate_fifo.append(j)
-                    if gate_at == _INF:
-                        gate_at = gate_open
+    try:
+        while True:
+            if done_at <= gate_at and done_at <= next_arr:
+                if done_at == _INF:
+                    break
+                now = done_at
+                busy = -1
+                done_at = _INF
+                if server_fifo:
+                    start_service(server_fifo.popleft(), now)
+            elif gate_at <= next_arr:
+                now = gate_at
+                release(gate_fifo.popleft(), now)
             else:
-                release(j, now)
+                now = next_arr
+                j = i
+                i += 1
+                next_arr = at[i] if i < n else _INF
+                if gate_filter is not None and not gate_filter.step(now):
+                    drop_reason[j] = "mitigation"
+                    continue
+                if use_gate:
+                    if not gate_fifo and now >= gate_open:
+                        release(j, now)
+                    elif sqf_capacity is not None and len(gate_fifo) >= sqf_capacity:
+                        drop_reason[j] = "capacity"
+                    else:
+                        gate_fifo.append(j)
+                        if gate_at == _INF:
+                            gate_at = gate_open
+                else:
+                    release(j, now)
+    except OverflowError:  # a release (now) or a service end did not fit its column
+        raise ConfigurationError(
+            f"event time {now if now >= _NO_FIT else done_at} ns "
+            "does not fit in 64-bit nanoseconds"
+        ) from None
 
     if gate_fifo or server_fifo or busy >= 0:
         raise InvariantViolation("simulation ended with packets in flight")

@@ -50,6 +50,18 @@ HEAVY_TAIL_SCENARIO = {
 }
 
 
+def eons_scenario(packets):
+    """``packets`` benign packets in one second, each served for 1e9 s (about 32 years)."""
+    return {
+        "normal_sources": [{"kind": "periodic", "rate": float(packets), "duration": 1.0}],
+        "attack": None,
+        "service_no_attack": {"mode": "constant", "mean": 1e9},
+        "service_under_attack": {"mode": "constant", "mean": 1e9},
+        "seed": 1,
+        "horizon": 1.0,
+    }
+
+
 @pytest.fixture
 def tiny_scenario(tmp_path):
     path = tmp_path / "tiny.json"
@@ -243,6 +255,42 @@ class TestSimulate:
             "--out", str(tmp_path / "runs"), "--sqf-d", d_ms,
         ]) == 2
         assert not (tmp_path / "runs").exists()
+
+    def test_event_past_64_bit_ns_is_config_error(self, tmp_path, capsys):
+        # every setting fits in 64-bit ns, but the tenth of 20 services of
+        # 1e9 s ends at 1e19 ns; the engine once read that as "no event"
+        path = tmp_path / "eons.json"
+        path.write_text(json.dumps(eons_scenario(20)))
+        assert main(["scenario", "validate", str(path)]) == 0
+        capsys.readouterr()
+        assert main(["simulate", "--scenario", str(path), "--out", str(tmp_path / "runs")]) == 2
+        assert capsys.readouterr().err == (
+            f"configuration error: scenario {path}, seed 1: event time "
+            "10000000000000000000 ns does not fit in 64-bit nanoseconds\n"
+        )
+        assert not (tmp_path / "runs" / "eons" / "seed0001").exists()
+
+    def test_sample_grid_past_the_cap_is_config_error_within_a_memory_limit(self, tmp_path):
+        # two services of 1e9 s end near 2e18 ns: 2e10 instants at 100 ms,
+        # which once filled memory; the cap exits before building any
+        path = tmp_path / "eons.json"
+        path.write_text(json.dumps(eons_scenario(2)))
+        limit = 1 << 30  # bytes of address space: about 20 times what the run needs
+        script = (
+            "import resource, sys\n"
+            f"resource.setrlimit(resource.RLIMIT_AS, ({limit}, {limit}))\n"
+            "from qdtp.cli import main\n"
+            "sys.exit(main(sys.argv[1:]))\n"
+        )
+        proc = subprocess.run(
+            [sys.executable, "-c", script, "simulate", "--scenario", str(path),
+             "--out", str(tmp_path / "runs")],
+            capture_output=True, text=True,
+        )
+        assert proc.returncode == 2, proc.stderr
+        assert proc.stderr.count("\n") == 1
+        assert "sampling interval of 100 ms takes 20000000001 queue samples" in proc.stderr
+        assert "the smallest interval that fits is 2000002.000003 ms" in proc.stderr
 
     @pytest.mark.parametrize("option, value", [
         ("--seed", "5"), ("--sqf-d", "9"), ("--mitigation", "10,3"),
@@ -597,6 +645,18 @@ class TestAnalyze:
             capsys.readouterr()
             assert main(["analyze", str(seed_dir)]) == 3, column
             assert message in capsys.readouterr().err, column
+
+    def test_cell_longer_than_the_csv_field_limit_is_invariant_error(self, tmp_path, capsys):
+        # 200,000 characters, past csv's 131,072-character field limit: the
+        # csv module's reader raised its own error, a traceback and exit 1
+        reason = "x" * 200_000
+        (tmp_path / "packets.csv").write_text(
+            ",".join(PACKET_FIELDS) + f"\n0,0,0,5,5,5,9,0,{reason}\n"
+        )
+        assert main(["analyze", str(tmp_path)]) == 3
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and "packets.csv: bad packet row" in err
+        assert "dropped flag disagrees with drop_reason" in err
 
     def test_live_stub_recording_is_accepted(self, tmp_path, capsys):
         # a device stub starts each service a few us after the previous one

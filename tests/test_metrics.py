@@ -9,9 +9,10 @@ from hypothesis import strategies as st
 
 from qdtp import metrics
 from qdtp.artifacts import trace_from_records
-from qdtp.errors import ContractViolation, InvariantViolation
+from qdtp.errors import ConfigurationError, ContractViolation, InvariantViolation
 from qdtp.metrics import (
     MAX_HISTOGRAM_BINS,
+    MAX_SAMPLE_POINTS,
     compare_runs,
     fd_bin_edges,
     histogram_counts,
@@ -111,6 +112,17 @@ class TestQueueSeries:
     def test_non_finite_interval_rejected(self, interval):
         with pytest.raises(ContractViolation):
             sample_queues(queue_intervals(make_packets()), interval)
+
+    def test_grid_past_the_cap_names_the_smallest_interval_that_fits(self):
+        last = MAX_SAMPLE_POINTS * MS  # at 1 ms: one instant too many
+        intervals = queue_intervals(make_packets((0, 0, 0, last)))
+        with pytest.raises(ConfigurationError) as err:
+            sample_queues(intervals, 0.001)
+        assert str(err.value) == (
+            f"sampling interval of 1 ms takes {MAX_SAMPLE_POINTS + 1} queue samples up to "
+            f"{last} ns, more than MAX_SAMPLE_POINTS ({MAX_SAMPLE_POINTS}); "
+            "the smallest interval that fits is 1.000002 ms"
+        )
 
     def test_dropped_packets_occupy_nothing(self):
         rec = make_packets(

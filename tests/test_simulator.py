@@ -98,6 +98,23 @@ class TestDirectFeed:
         with pytest.raises(ConfigurationError):
             simulate(constant_scenario(), sampling_interval=interval)
 
+    def test_service_end_past_64_bit_ns_rejected(self):
+        # the second service ends at 1e19 ns, past 2**63 - 1: once "no event"
+        # was 2**62, and the engine popped an empty queue
+        with pytest.raises(ConfigurationError,
+                           match="event time 10000000000000000000 ns does not fit"):
+            simulate_sequences([0.0, 0.0], [5e9, 5e9], sampling_interval=1e9)
+
+    def test_release_past_64_bit_ns_rejected(self):
+        # the gate releases the second packet D = 2**62 ns after the first
+        with pytest.raises(ConfigurationError, match=f"event time {2**63} ns does not fit"):
+            simulate_sequences([0.0, 0.0, 1.0], [0.001] * 3, QdtpConfig(2**62),
+                               sampling_interval=1e9)
+
+    def test_spacing_past_64_bit_ns_rejected(self):
+        with pytest.raises(ConfigurationError, match=f"spacing D of {2**63} ns"):
+            simulate_sequences([0.0], [0.001], QdtpConfig(2**63))
+
 
 class TestGatedFeed:
     def test_burst_released_at_spacing(self):
