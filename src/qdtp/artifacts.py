@@ -13,7 +13,7 @@ import json
 import os
 from contextlib import contextmanager
 from itertools import chain, compress, count, repeat
-from operator import is_not, ne, truth
+from operator import mod, ne, truth
 from pathlib import Path
 from typing import NoReturn, Optional, Sequence
 
@@ -49,26 +49,48 @@ __all__ = [
 ]
 
 
-# one row of packets.csv as csv.writer writes it (no cell needs quoting: ints
-# and the two drop reasons); ABSENT_NS timestamps and None reasons go in as ""
-_PACKET_ROW = "%d,%d,%d,%d,%s,%s,%s,%d,%s\r\n"
+# packets.csv rows as csv.writer writes them (no cell needs quoting: ints and
+# the two drop reasons).  An admitted row has all its timestamps.  A dropped
+# row is its first four cells, three empty timestamps, 1 and its reason; a
+# chunk of mixed rows hands every row all seven numbers, and each "%.0s"
+# prints nothing for one of a dropped row's ABSENT_NS
+_ADMITTED_ROW = "%d,%d,%d,%d,%d,%d,%d,0,\r\n"
+_DROPPED_ROW = "%d,%d,%d,%d,,,,1,{}\r\n"
+_DROPPED_AMONG_ADMITTED_ROW = "%d,%d,%d,%d,%.0s,%.0s,%.0s,1,{}\r\n"
+
+# rows formatted and written at a time
+_WRITE_ROWS = 4096
 
 
 def write_packets_csv(packets: Packets, path) -> None:
-    times = (packets.t_ns, packets.start_ns, packets.end_ns)
-    if packets.drop_reason.count(None) == len(packets):  # nothing dropped: no empty cell
-        dropped, why = repeat(0), repeat("")
-    else:
-        blank = {ABSENT_NS: "", None: ""}.get  # blank(x, x): "" for ABSENT_NS or None
-        times = (map(blank, column, column) for column in times)
-        dropped = map(is_not, packets.drop_reason, repeat(None))
-        why = map(blank, packets.drop_reason, packets.drop_reason)
+    """Write the packet log as packets.csv, a chunk of rows at a time.
+
+    Follows the ``Packets`` contract: an admitted row's timestamps are
+    written as numbers, and a dropped row's as empty cells.
+    """
+    # by drop reason: the format of a chunk of such rows and the columns it
+    # takes, and the format of one such row in a mixed chunk
+    uniform = {None: (_ADMITTED_ROW, 6)}
+    mixed = {None: _ADMITTED_ROW}
+    for why in set(packets.drop_reason) - {None}:
+        cell = why.replace("%", "%%")
+        uniform[why] = (_DROPPED_ROW.format(cell), 3)
+        mixed[why] = _DROPPED_AMONG_ADMITTED_ROW.format(cell)
+    columns = (packets.source, packets.is_attack, packets.a_ns,
+               packets.t_ns, packets.start_ns, packets.end_ns)
     with open(path, "w", newline="", encoding="utf-8") as fh:
         fh.write(",".join(PACKET_FIELDS) + "\r\n")
-        fh.writelines(map(_PACKET_ROW.__mod__, zip(
-            range(len(packets)), packets.source, packets.is_attack, packets.a_ns,
-            *times, dropped, why,
-        )))
+        for lo in range(0, len(packets), _WRITE_ROWS):
+            hi = lo + _WRITE_ROWS
+            chunk = packets.drop_reason[lo:hi]
+            if chunk.count(chunk[0]) == len(chunk):
+                row, width = uniform[chunk[0]]
+                rows = map(row.__mod__,
+                           zip(range(lo, hi), *(column[lo:hi] for column in columns[:width])))
+            else:
+                rows = map(mod, map(mixed.__getitem__, chunk),
+                           zip(range(lo, hi), *(column[lo:hi] for column in columns)))
+            fh.write("".join(rows))
 
 
 @contextmanager

@@ -12,9 +12,10 @@ from __future__ import annotations
 import math
 import random
 from array import array
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
-from itertools import repeat
-from operator import and_, eq, lshift, or_, rshift
+from itertools import accumulate, islice, repeat, takewhile
+from operator import eq
 from typing import Optional, Sequence
 
 from .errors import ConfigurationError, ContractViolation
@@ -167,41 +168,35 @@ class TrafficModel:
     def end(self) -> float:
         return self.start + self.duration
 
-    def generate_ns(self, rng: random.Random) -> list[int]:
-        """Arrival instants in nanoseconds, sorted."""
+    def generate_ns(self, rng: random.Random) -> array:
+        """Arrival instants in nanoseconds, sorted, as an ``array('q')``.
+
+        A periodic source's k-th packet is due at ``start_ns + round(k *
+        period_ns)``; with jitter, one ``rng.randint`` per packet, in order,
+        moves it (clamped to the active window) before the instants are
+        sorted.  A poisson source adds ``rng.expovariate`` gaps to ``start``
+        in seconds until one reaches the end.
+        """
         start_ns = s_to_ns(self.start)
         end_ns = s_to_ns(self.start + self.duration)
-        out: list[int] = []
         if self.kind == "burst":
-            count = round(self.rate * self.duration)
-            return [start_ns] * count
-        if self.kind == "periodic":
-            period_ns = 1e9 / self.rate
-            half_jitter_ns = s_to_ns(self.jitter) // 2
-            k = 0
-            while True:
-                base = start_ns + round(k * period_ns)
-                if base >= end_ns:
-                    break
-                t = base
-                if half_jitter_ns:
-                    t += rng.randint(-half_jitter_ns, half_jitter_ns)
-                    if t < start_ns:
-                        t = start_ns
-                    elif t > end_ns:
-                        t = end_ns
-                out.append(t)
-                k += 1
-            out.sort()
-            return out
-        # poisson
-        t = self.start
-        while True:
-            t += rng.expovariate(self.rate)
-            if t >= self.start + self.duration:
-                break
-            out.append(s_to_ns(t))
-        return out
+            return array("q", [start_ns]) * round(self.rate * self.duration)
+        if self.kind == "poisson":
+            instants = accumulate(map(rng.expovariate, repeat(self.rate)), initial=self.start)
+            return array("q", map(s_to_ns, takewhile(self.end.__gt__, islice(instants, 1, None))))
+        period_ns = 1e9 / self.rate
+        # the instants rise with k, so the k that fall before the end are
+        # 0..count-1; this estimate is at least count, and walks down to it
+        count = int((end_ns - start_ns) / period_ns) + 2
+        while count and start_ns + round((count - 1) * period_ns) >= end_ns:
+            count -= 1
+        bases = map(start_ns.__add__, map(round, map(period_ns.__rmul__, range(count))))
+        half_jitter_ns = s_to_ns(self.jitter) // 2
+        if not half_jitter_ns:
+            return array("q", bases)
+        moves = map(rng.randint, repeat(-half_jitter_ns, count), repeat(half_jitter_ns))
+        return array("q", sorted(min(max(base + move, start_ns), end_ns)
+                                 for base, move in zip(bases, moves)))
 
     @classmethod
     def from_dict(cls, raw: dict) -> "TrafficModel":
@@ -312,34 +307,52 @@ def _child_seeds(scenario: Scenario) -> tuple[list[int], int, int]:
     return source_seeds, attack_seed, service_seed
 
 
+def _merge(low: tuple[array, array], high: tuple[array, array]) -> tuple[array, array]:
+    """Merge two ``(times, source_ids)`` column pairs, each sorted by time.
+
+    On equal times the packets of ``low`` come first.  The loop walks the
+    smaller side and bisects the larger one for each of its packets; the
+    larger side's runs between those points are copied as slices.
+    """
+    if len(low[0]) <= len(high[0]):
+        (few, few_ids), (many, many_ids), place = low, high, bisect_left
+    else:
+        (few, few_ids), (many, many_ids), place = high, low, bisect_right
+    times, source_ids = array("q"), array("i")
+    copied = 0
+    for t, source in zip(few, few_ids):
+        at = place(many, t, copied)
+        times += many[copied:at]
+        source_ids += many_ids[copied:at]
+        times.append(t)
+        source_ids.append(source)
+        copied = at
+    times += many[copied:]
+    source_ids += many_ids[copied:]
+    return times, source_ids
+
+
 def generate_arrivals(scenario: Scenario) -> LabeledArrivals:
     """Generate and merge all sources of a scenario.
 
     Packets are tagged with the index of their source (the attack source,
-    when present, comes last).  The merge is a stable sort on arrival time,
-    so simultaneous packets keep source order.  Attack packets carry the
-    attack flag only when the scenario says labels are available.
+    when present, comes last).  Each source's stream is merged in turn into
+    the streams before it, so the arrivals are sorted by time and
+    simultaneous packets keep source order, the order a stable sort on
+    arrival time gives.  Attack packets carry the attack flag only when the
+    scenario says labels are available.
     """
     source_seeds, attack_seed, _ = _child_seeds(scenario)
-    streams = [
-        src.generate_ns(random.Random(seed))
-        for src, seed in zip(scenario.normal_sources, source_seeds)
-    ]
+    sources = list(zip(scenario.normal_sources, source_seeds))
     if scenario.attack is not None:
-        streams.append(scenario.attack.generate_ns(random.Random(attack_seed)))
-    # One int per packet, (t << bits) | source, sorts by time and then by
-    # source; each stream is already sorted, so the sort merges runs.
-    bits = max(1, (len(streams) - 1).bit_length())
-    keys: list[int] = []
-    for idx, times in enumerate(streams):
-        keys += map(or_, map(lshift, times, repeat(bits)), repeat(idx))
-        times.clear()
-    keys.sort()
-    times_ns = array("q", map(rshift, keys, repeat(bits)))
-    source_ids = array("i", map(and_, keys, repeat((1 << bits) - 1)))
-    del keys
+        sources.append((scenario.attack, attack_seed))
+    merged = (array("q"), array("i"))
+    for idx, (src, seed) in enumerate(sources):
+        times = src.generate_ns(random.Random(seed))
+        merged = _merge(merged, (times, array("i", [idx]) * len(times)))
+    times_ns, source_ids = merged
     if scenario.attack is not None and scenario.attack_labels:
-        is_attack = bytearray(map(eq, source_ids, repeat(len(streams) - 1)))
+        is_attack = bytearray(map(eq, source_ids, repeat(len(sources) - 1)))
     else:
         is_attack = bytearray(len(source_ids))
     return LabeledArrivals(ArrivalSequence(times_ns), source_ids, is_attack)

@@ -79,7 +79,12 @@ class TestPacketsCsv:
         # as the device stub records: t = a, lists, a mixed is_attack column
         Packets([0, 1, 0], [False, True, False], [0, 5, 9], [0, 5, 9],
                 [3, 8, 12], [7, 11, 15], [None, None, None]),
-    ], ids=["empty", "dropped", "stub"])
+        # drop reasons that hold "%", with admitted rows and without
+        Packets([0, 1, 0], [False, True, False], [0, 5, 9], [0, None, None],
+                [3, None, None], [7, None, None], [None, "50%", "%d"]),
+        Packets([0, 1], [False, True], [0, 5], [None, None],
+                [None, None], [None, None], ["%d", "%d"]),
+    ], ids=["empty", "dropped", "stub", "percent_mixed", "percent_only"])
     def test_bytes_match_csv_writer(self, tmp_path, packets):
         def cells(column):  # an absent timestamp is an empty cell
             return ["" if x == ABSENT_NS else x for x in column]

@@ -36,6 +36,11 @@ ARTIFACT_SHA256 = {
         "queues.csv": "e7427df6a621f1cd6b94827941201e3b5af45c25d20b8af213c98191078e5ff7",
         "summary.json": "1c60f538024d42124cc1f81b857789bc3e67f531c78f8cf0656e9cb024560a3c",
     },
+    "fig13_mitigation_60s": {
+        "packets.csv": "f66d8cd2eeb29fcf574c5c992c1924eb4cdb4d165c56581c5076411e2f9cb367",
+        "queues.csv": "ab14bb68650506a79378de43b9ade733df1e01e5bc40f02aaacc3f88685772f4",
+        "summary.json": "6fccc763efc2f2f724a1399c8b4eb066e63df0177256c62f2f7a6b96baca718f",
+    },
     "fig9_with_sqf_10s": {
         "packets.csv": "1af4b131285456e078c4e5317dc152d80e8420f8326cb4951d10b25bf109cd33",
         "queues.csv": "93e88e1e21d98fe8819810256a31b8d1f447c45eb9fe1cbaa924fb5c6016f62e",

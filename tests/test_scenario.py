@@ -3,8 +3,13 @@ import json
 import math
 import random
 import statistics
+import tracemalloc
+from array import array
+from unittest import mock
 
 import pytest
+from hypothesis import given, reject, settings
+from hypothesis import strategies as st
 
 from qdtp.errors import ConfigurationError, ContractViolation
 from qdtp.manifests import resolve_scenario
@@ -17,6 +22,7 @@ from qdtp.scenario import (
     generate_arrivals,
     sample_services,
 )
+from qdtp.timebase import s_to_ns
 
 GAUSS_NO_ATTACK = ServiceModel(mode="gaussian", mean=2.98e-3, variance=5.5e-9)
 GAUSS_DEGRADED = ServiceModel(mode="gaussian", mean=4.82e-3, variance=5.1e-7)
@@ -52,7 +58,7 @@ def tiny_scenario(**overrides):
 class TestTrafficModels:
     def test_periodic_exact_instants(self):
         src = TrafficModel(kind="periodic", rate=5.0, duration=1.0)
-        out = src.generate_ns(random.Random(0))
+        out = src.generate_ns(random.Random(0)).tolist()
         assert out == [0, 200_000_000, 400_000_000, 600_000_000, 800_000_000]
 
     def test_periodic_count_is_rate_times_duration(self):
@@ -64,7 +70,7 @@ class TestTrafficModels:
 
     def test_periodic_jitter_stays_in_window_and_sorted(self):
         src = TrafficModel(kind="periodic", rate=50.0, duration=2.0, start=1.0, jitter=0.1)
-        out = src.generate_ns(random.Random(3))
+        out = src.generate_ns(random.Random(3)).tolist()
         assert all(1_000_000_000 <= t <= 3_000_000_000 for t in out)
         assert out == sorted(out)
         assert len(out) == 100
@@ -80,7 +86,7 @@ class TestTrafficModels:
 
     def test_burst_all_at_start(self):
         src = TrafficModel(kind="burst", rate=50.0, duration=0.2, start=3.0)
-        out = src.generate_ns(random.Random(0))
+        out = src.generate_ns(random.Random(0)).tolist()
         assert out == [3_000_000_000] * 10
 
     def test_bad_models_rejected(self):
@@ -98,6 +104,153 @@ class TestTrafficModels:
             TrafficModel(kind="periodic", rate=1e-10, duration=1.0)
         with pytest.raises(ConfigurationError, match="traffic end"):
             TrafficModel(kind="burst", rate=1.0, start=9e9, duration=3e8)
+
+
+def generate_ns_loop(src, rng):
+    """The per-packet loop ``TrafficModel.generate_ns`` replaced, as a list."""
+    start_ns = s_to_ns(src.start)
+    end_ns = s_to_ns(src.start + src.duration)
+    out = []
+    if src.kind == "burst":
+        return [start_ns] * round(src.rate * src.duration)
+    if src.kind == "periodic":
+        period_ns = 1e9 / src.rate
+        half_jitter_ns = s_to_ns(src.jitter) // 2
+        k = 0
+        while True:
+            base = start_ns + round(k * period_ns)
+            if base >= end_ns:
+                break
+            t = base
+            if half_jitter_ns:
+                t += rng.randint(-half_jitter_ns, half_jitter_ns)
+                if t < start_ns:
+                    t = start_ns
+                elif t > end_ns:
+                    t = end_ns
+            out.append(t)
+            k += 1
+        out.sort()
+        return out
+    t = src.start
+    while True:
+        t += rng.expovariate(src.rate)
+        if t >= src.start + src.duration:
+            break
+        out.append(s_to_ns(t))
+    return out
+
+
+@st.composite
+def traffic_models(draw):
+    """About 0 to 200 packets, with periods from 10 ps, or from 10 us for starts
+    near the 64-bit limit, where one float step of the start is 1.9 us."""
+    start = draw(st.floats(0.0, 100.0) | st.floats(9.2e9, 9.223e9))
+    period = 10.0 ** draw(st.floats(-11.0 if start < 1e9 else -5.0, 1.0))
+    try:
+        return TrafficModel(
+            kind=draw(st.sampled_from(("periodic", "poisson", "burst"))),
+            rate=1 / period,
+            duration=period * draw(st.floats(0.01, 200.0)),
+            start=start,
+            jitter=draw(st.just(0.0) | st.floats(0.0, 10 * period)),
+        )
+    except ConfigurationError:
+        reject()
+
+
+class TestGenerateAgainstLoop:
+    @settings(max_examples=500, deadline=None)
+    @given(src=traffic_models(), seed=st.integers(0, 2**32))
+    def test_same_instants_as_the_loop(self, src, seed):
+        rng, oracle_rng = random.Random(seed), random.Random(seed)
+        out = src.generate_ns(rng)
+        assert out.typecode == "q"
+        assert out.tolist() == generate_ns_loop(src, oracle_rng)
+        assert rng.random() == oracle_rng.random()  # the same draws were taken
+
+    def test_periods_below_one_ns(self):
+        # a 0.3 ns period: packets share nanoseconds, and round(k * 0.3) < 10
+        # for k = 0..31
+        src = TrafficModel(kind="periodic", rate=1e9 / 0.3, duration=1e-8)
+        out = src.generate_ns(random.Random(0))
+        assert out.tolist() == generate_ns_loop(src, None)
+        assert len(out) == 32 and out.count(9) == 3
+
+    def test_start_near_the_64_bit_limit(self):
+        src = TrafficModel(kind="periodic", rate=1000.0, start=9.2233e9, duration=0.05)
+        out = src.generate_ns(random.Random(0))
+        assert out.tolist() == generate_ns_loop(src, None)
+        assert len(out) == 50 and out[-1] < 2**63
+
+
+def keys_sort_merge(streams):
+    """The merge ``generate_arrivals`` replaced: one sort of (t << bits) | source."""
+    bits = max(1, (len(streams) - 1).bit_length())
+    keys = sorted((t << bits) | idx for idx, times in enumerate(streams) for t in times)
+    return [k >> bits for k in keys], [k & ((1 << bits) - 1) for k in keys]
+
+
+def sorted_streams(max_time):
+    """Sorted non-negative instants, empty to long, from a small range (ties)."""
+    return st.lists(st.integers(0, max_time), max_size=60).map(sorted)
+
+
+class TestMergeAgainstKeysSort:
+    @staticmethod
+    def merged(streams, attack):
+        """generate_arrivals of a scenario whose sources yield ``streams``."""
+        # source i is told apart by its rate, i + 1 packets per second
+        sources = [TrafficModel(kind="periodic", rate=i + 1.0, duration=1.0)
+                   for i in range(len(streams))]
+        by_rate = {src.rate: times for src, times in zip(sources, streams)}
+        scenario = tiny_scenario(
+            normal_sources=sources[:-1] if attack else sources,
+            attack=sources[-1] if attack else None,
+            horizon=1.0,
+        )
+        with mock.patch.object(TrafficModel, "generate_ns",
+                               lambda src, rng: array("q", by_rate[src.rate])):
+            return generate_arrivals(scenario)
+
+    @settings(max_examples=500, deadline=None)
+    @given(streams=st.integers(0, 1000).flatmap(
+               lambda top: st.lists(sorted_streams(top), min_size=1, max_size=5)),
+           attack=st.booleans())
+    def test_same_order_as_the_keys_sort(self, streams, attack):
+        lab = self.merged(streams, attack)
+        times, sources = keys_sort_merge(streams)
+        assert lab.arrivals.times_ns.tolist() == times
+        assert lab.source_ids.tolist() == sources
+        flood = len(streams) - 1 if attack else -1
+        assert list(lab.is_attack) == [int(s == flood) for s in sources]
+
+    @pytest.mark.parametrize("streams", [
+        [[0, 5, 5, 9], [5]],  # the later source is the smaller side
+        [[5], [0, 5, 5, 9]],  # the earlier source is the smaller side
+        [[], [3, 3], []],
+    ], ids=["later_smaller", "earlier_smaller", "empty"])
+    def test_ties_keep_source_order(self, streams):
+        lab = self.merged(streams, attack=False)
+        assert (lab.arrivals.times_ns.tolist(), lab.source_ids.tolist()) == keys_sort_merge(streams)
+
+
+class TestGenerateMemory:
+    def test_traced_peak_per_packet_on_the_flood(self):
+        """Arrivals are built as typed columns and merged by slices.
+
+        Two lists of Python ints, the flood and the (t << bits) | source
+        sort keys, peaked at 84.3 B per packet; the columns peak at 24.8 B.
+        """
+        scenario = resolve_scenario("flood_60s")
+        tracemalloc.start()
+        try:
+            lab = generate_arrivals(scenario)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert len(lab) == 401_240
+        assert peak / len(lab) < 32
 
 
 class TestServiceModels:
