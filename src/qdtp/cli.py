@@ -47,8 +47,6 @@ from .manifests import (
     run_manifest,
 )
 from .metrics import (
-    admitted,
-    admitted_ids,
     compare_runs,
     fd_bin_edges,
     histogram_counts,
@@ -201,13 +199,13 @@ def _load_run(run_dir: Path, fallback_interval_ms: float):
 
 
 def _load_sampled(run_dir: Path, fallback_interval_ms: float):
-    """``_load_run`` without the packet log and intervals, as ``compare_runs`` reads it.
+    """``_load_run`` without the packet log, as ``compare_runs`` reads it.
 
     The compare run loads in a forked child, which pipes this slim trace
     back; each process then holds one run's columns at a time.
     """
     trace = _load_run(run_dir, fallback_interval_ms)
-    return dataclasses.replace(trace, packets=Packets(), intervals={})
+    return dataclasses.replace(trace, packets=Packets(), admitted=Packets())
 
 
 def _write_delay_histogram(trace, path) -> None:
@@ -215,9 +213,8 @@ def _write_delay_histogram(trace, path) -> None:
 
     ``baseline``: benign and arrived before the attack; ``under_attack``: attack-labelled.
     """
-    p = trace.packets
-    ids = admitted_ids(p)
-    a, t, end, attack = (admitted(c, ids) for c in (p.a_ns, p.t_ns, p.end_ns, p.is_attack))
+    kept = trace.admitted
+    a, t, end, attack = kept.a_ns, kept.t_ns, kept.end_ns, kept.is_attack
     if not t:
         return
     sojourns_ms = [(e - x) / 1e6 for x, e in zip(t, end)]

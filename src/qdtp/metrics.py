@@ -5,12 +5,12 @@ A packet log is a ``simulator.Packets``: per-packet columns (``a_ns``,
 engine filled them or ``artifacts.read_packets_csv`` read them back.
 Nothing here validates a log: ``simulator.check_records`` does, first.
 
-Occupancy flows one way: columns -> :func:`queue_intervals` (kept as
-``TraceSeries.intervals``) -> sampling, exact peak, drain time and the
-occupancy integral (one sweep per queue, in the child process that
-:func:`run_summary` forks), none of which walks the columns again.  The
-intervals are the columns themselves when nothing was dropped, and never
-need a sort: ``check_records`` orders them.
+Every occupancy and delay figure reads the admitted packets, which the
+trace selects once (``TraceSeries.admitted``, the log itself when nothing
+was dropped).  :func:`queue_intervals` names the columns that bound each
+queue; sampling, exact peak, drain time and the occupancy integral (one
+sweep per queue, in the child process that :func:`run_summary` forks)
+read them in place.  They never need a sort: ``check_records`` orders them.
 """
 from __future__ import annotations
 
@@ -132,23 +132,17 @@ def admitted(column, ids: Optional[array]):
     return kept
 
 
-def queue_intervals(packets) -> dict[str, tuple[array, array]]:
-    """Both queues' sorted (entries, exits): :func:`admitted` of three columns.
+def queue_intervals(admitted) -> dict[str, tuple[array, array]]:
+    """Each queue's sorted (entries, exits): columns of the admitted packets.
 
     The shaping gate holds a packet on ``[a, t)``; the device holds it on
     ``[t, service_end)`` -- a packet in service still occupies the device.
-    Dropped packets occupy nothing.  The gate's exits are the device's
-    entries, so the two share one column.  Nothing is sorted: the log must
-    pass ``simulator.check_records``, which orders the admitted ``a``, ``t``
-    and ``end``.  The engine's trace, FIFO by construction, gets its
-    intervals before ``verify_trace`` checks it, and no run is written
-    unless that passes.
+    The gate's exits are the device's entries, so the two share one column.
+    ``admitted`` holds only admitted packets (``TraceSeries.admitted``), whose
+    ``a``, ``t`` and ``end`` are each sorted once the log passes
+    ``simulator.check_records``.
     """
-    ids = admitted_ids(packets)
-    arrivals, releases, ends = (
-        admitted(column, ids) for column in (packets.a_ns, packets.t_ns, packets.end_ns)
-    )
-    return {"sqf": (arrivals, releases), "server": (releases, ends)}
+    return {"sqf": (admitted.a_ns, admitted.t_ns), "server": (admitted.t_ns, admitted.end_ns)}
 
 
 def occupancy_counts(
@@ -198,22 +192,21 @@ MAX_SAMPLE_POINTS = 1_000_000
 
 
 def sample_queues(
-    intervals: dict, interval: float
+    admitted, interval: float
 ) -> tuple[tuple[int, ...], tuple[int, ...], tuple[int, ...]]:
     """Sample both queues' occupancy every ``interval`` seconds from zero.
 
-    ``intervals`` is what :func:`queue_intervals` returns.  Returns
-    ``(grid_ns, sqf_counts, server_counts)``.  The grid extends one step
-    past the last exit from either queue, so both series return to zero.
-    An empty packet log yields the single grid instant 0.  A grid of more
-    than MAX_SAMPLE_POINTS instants raises ConfigurationError naming the
-    smallest interval that fits.
+    ``admitted`` holds only admitted packets, as :func:`queue_intervals`
+    reads them.  Returns ``(grid_ns, sqf_counts, server_counts)``.  The grid
+    extends one step past the last service end, the last exit from either
+    queue, so both series return to zero.  An empty packet log yields the
+    single grid instant 0.  A grid of more than MAX_SAMPLE_POINTS instants
+    raises ConfigurationError naming the smallest interval that fits.
     """
     interval_ns = s_to_ns(interval) if math.isfinite(interval) else 0
     if interval_ns <= 0:
         raise ContractViolation("sampling interval must be positive")
-    sqf, server = intervals["sqf"], intervals["server"]
-    last = max(sqf[1][-1] if sqf[1] else 0, server[1][-1] if server[1] else 0)
+    last = admitted.end_ns[-1] if len(admitted) else 0
     points = -(-last // interval_ns) + 1
     if points > MAX_SAMPLE_POINTS:
         fits_ns = -(-last // (MAX_SAMPLE_POINTS - 1))
@@ -223,10 +216,11 @@ def sample_queues(
             f"the smallest interval that fits is {fits_ns / 1e6!r} ms"
         )
     grid = [k * interval_ns for k in range(points)]
+    intervals = queue_intervals(admitted)
     return (
         tuple(grid),
-        tuple(occupancy_counts(*sqf, grid)),
-        tuple(occupancy_counts(*server, grid)),
+        tuple(occupancy_counts(*intervals["sqf"], grid)),
+        tuple(occupancy_counts(*intervals["server"], grid)),
     )
 
 
@@ -257,9 +251,10 @@ def drain_time(trace, queue: str = "server") -> float:
     attack, it is the last benign exit (see ROADMAP.md, item 6).  Zero when
     there is no attack or no exit falls after the attack's end.
     """
-    if queue not in trace.intervals:
+    intervals = queue_intervals(trace.admitted)
+    if queue not in intervals:
         raise ContractViolation(f"unknown queue {queue!r}")
-    exits = trace.intervals[queue][1]
+    exits = intervals[queue][1]
     if trace.attack_window_ns is None or not exits:
         return 0.0
     overrun = exits[-1] - trace.attack_window_ns[1]
@@ -364,20 +359,10 @@ def _seconds(later, earlier, rows=None):
     return map(truediv, map(sub, later, earlier), repeat(1e9))
 
 
-def _admitted_columns(packets) -> tuple:
-    """The admitted packets' ``a``, ``t``, start, end and attack flag columns."""
-    ids = admitted_ids(packets)
-    return tuple(
-        admitted(column, ids)
-        for column in (packets.a_ns, packets.t_ns, packets.start_ns, packets.end_ns,
-                       packets.is_attack)
-    )
-
-
-def _whole_run_summary(trace, columns) -> dict:
+def _whole_run_summary(trace) -> dict:
     """``run_summary``'s packet counts, config, whole-run samples and spacing advisor."""
-    p = trace.packets
-    a, t, start, end, _ = columns
+    p, kept = trace.packets, trace.admitted
+    a, t, start, end = kept.a_ns, kept.t_ns, kept.start_ns, kept.end_ns
     drops = Counter(p.drop_reason)
     completed = drops.pop(None, 0)
     services = _maybe_summary_ms(_seconds(end, start))
@@ -420,11 +405,12 @@ def _whole_run_summary(trace, columns) -> dict:
     return summary
 
 
-def _queues_and_attack_summary(trace, columns) -> dict:
+def _queues_and_attack_summary(trace) -> dict:
     """``run_summary``'s ``queues`` (one sweep per queue) and ``attack`` sections."""
-    a, t, start, end, attack = columns
+    kept = trace.admitted
+    a, t, start, end, attack = kept.a_ns, kept.t_ns, kept.start_ns, kept.end_ns, kept.is_attack
     queues = {}
-    for which, pair in trace.intervals.items():
+    for which, pair in queue_intervals(kept).items():
         law = littles_law_check(*pair)
         queues[which] = {
             "peak": law["peak"],
@@ -458,12 +444,11 @@ def run_summary(trace) -> dict:
     Each sample lives only while its own statistics are computed.  The
     summary uses two cores: a forked child computes the ``queues`` and
     ``attack`` sections while this process computes the rest, both from
-    the admitted columns selected once, before the fork.
+    ``trace.admitted``.
     """
-    columns = _admitted_columns(trace.packets)
     with Forked("summarizing the queues and the attack window",
-                _queues_and_attack_summary, trace, columns) as half:
-        summary = _whole_run_summary(trace, columns)
+                _queues_and_attack_summary, trace) as half:
+        summary = _whole_run_summary(trace)
         summary.update(half.result())
     return summary
 

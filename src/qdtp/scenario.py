@@ -163,6 +163,14 @@ class TrafficModel:
         _fits_ns("traffic", "period", 1 / self.rate)
         _fits_ns("traffic", "end", self.end)
         _fits_ns("traffic", "jitter", self.jitter)
+        # a poisson source adds its gaps to a float time: a mean gap of half
+        # a float step or less leaves the time in place, and the source never ends
+        step = math.ulp(self.end)
+        if self.kind == "poisson" and 1 / self.rate <= step / 2:
+            raise ConfigurationError(
+                f"poisson rate {self.rate!r}/s has a mean gap of at most half the float "
+                f"step {step!r} s at its end of {self.end!r} s, so its arrivals never reach the end"
+            )
 
     @property
     def end(self) -> float:

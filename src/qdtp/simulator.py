@@ -118,10 +118,9 @@ class TraceSeries:
     sqf_counts: tuple[int, ...]
     server_counts: tuple[int, ...]
     packets: Packets
-    # metrics.queue_intervals(packets): each queue's (entries, exits), sorted
-    # since the log passes check_records (the engine's, FIFO by construction,
-    # builds them before verify_trace checks it)
-    intervals: dict[str, tuple[array, array]]
+    # the admitted packets' rows, selected once; ``packets`` itself when
+    # nothing was dropped
+    admitted: Packets
     d_ns: Optional[int] = None
     mitigation: Optional[tuple[int, int]] = None
     attack_window_ns: Optional[tuple[int, int]] = None
@@ -134,10 +133,16 @@ class TraceSeries:
 
 def _trace(packets: Packets, sampling_interval: float, **rest) -> TraceSeries:
     """``packets`` as a TraceSeries; ``rest`` holds its other fields."""
-    intervals = metrics.queue_intervals(packets)
-    grid, sqf_counts, server_counts = metrics.sample_queues(intervals, sampling_interval)
+    ids = metrics.admitted_ids(packets)
+    kept = packets if ids is None else Packets(
+        *(metrics.admitted(column, ids) for column in (
+            packets.source, packets.is_attack, packets.a_ns,
+            packets.t_ns, packets.start_ns, packets.end_ns)),
+        [None] * len(ids),
+    )
+    grid, sqf_counts, server_counts = metrics.sample_queues(kept, sampling_interval)
     return TraceSeries(
-        sampling_interval, grid, sqf_counts, server_counts, packets, intervals, **rest
+        sampling_interval, grid, sqf_counts, server_counts, packets, kept, **rest
     )
 
 
@@ -340,14 +345,13 @@ def simulate_sequences(
     )
 
 
-def _match(
-    name: str, expected: Iterable[int], recorded: Iterable[int], ids: Iterable[int]
-) -> None:
+def _match(name: str, expected: Iterable[int], recorded: Iterable[int], packets) -> None:
     """Raise naming the first packet where a recursion and the trace differ."""
-    for pid, want, got in zip(ids, expected, recorded):
+    for k, (want, got) in enumerate(zip(expected, recorded)):
         if want != got:
+            ids = metrics.admitted_ids(packets)
             raise InvariantViolation(
-                f"{name} disagrees with the trace at packet {pid}: "
+                f"{name} disagrees with the trace at packet {k if ids is None else ids[k]}: "
                 f"expected {want} ns, recorded {got} ns"
             )
 
@@ -405,30 +409,27 @@ def check_records(packets: Packets) -> None:
 def verify_trace(trace: TraceSeries) -> None:
     """Cross-check a finished run against the closed-form recursions.
 
-    The packet log must pass :func:`check_records`.  The admitted packets'
-    releases are replayed from their arrivals by the loop behind
+    The packet log must pass :func:`check_records`.  The admitted packets
+    (``trace.admitted``, selected from the log when the trace was built) have
+    their releases replayed from their arrivals by the loop behind
     ``qdtp_schedule`` (without a gate, ``t`` must equal ``a``), and their
     device waits from the recorded ``t`` and services by the loop behind
     ``server_waits`` (``lindley_waits`` without a gate).  Both must agree with
     the trace to the nanosecond, pair by pair as they stream; a mismatch
     names the recursion, the first diverging packet id and both values.
     """
-    p = trace.packets
-    check_records(p)
-    kept = metrics.admitted_ids(p)
-    ids = range(len(p)) if kept is None else kept  # to name a diverging packet
-    a, t, start, end = (
-        metrics.admitted(column, kept) for column in (p.a_ns, p.t_ns, p.start_ns, p.end_ns)
-    )
+    check_records(trace.packets)
+    kept = trace.admitted
+    a, t, start, end = kept.a_ns, kept.t_ns, kept.start_ns, kept.end_ns
 
     # what ServiceSequence checks, without its tuple; check_records ordered the arrivals
     if min(map(sub, end, start), default=1) <= 0:
         raise ContractViolation("service durations must be positive")
     if trace.d_ns is not None:
-        _match("qdtp_schedule", _paced(a, QdtpConfig(trace.d_ns).d_ns), t, ids)
+        _match("qdtp_schedule", _paced(a, trace.d_ns), t, trace.packets)
         name = "server_waits"
     else:
         if any(map(ne, t, a)):
             raise InvariantViolation("no gate configured yet t differs from a")
         name = "lindley_waits"
-    _match(name, _lindley(t, map(sub, end, start)), map(sub, start, t), ids)
+    _match(name, _lindley(t, map(sub, end, start)), map(sub, start, t), trace.packets)

@@ -9,8 +9,7 @@ def summary_in_process(trace) -> dict:
     child process, where ``tracemalloc`` sees nothing; this computes both
     halves here, one after the other.
     """
-    columns = metrics._admitted_columns(trace.packets)
     return {
-        **metrics._whole_run_summary(trace, columns),
-        **metrics._queues_and_attack_summary(trace, columns),
+        **metrics._whole_run_summary(trace),
+        **metrics._queues_and_attack_summary(trace),
     }

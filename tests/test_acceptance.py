@@ -24,7 +24,7 @@ from test_forwarder import quiet_timing
 from qdtp.errors import QdtpError
 from qdtp.forwarder import ForwarderConfig, UdpForwarder, make_payload
 from qdtp.manifests import bundled_manifest_names, load_manifest, resolve_scenario
-from qdtp.metrics import drain_time, littles_law_check
+from qdtp.metrics import drain_time, littles_law_check, queue_intervals
 from qdtp.recursions import (
     ArrivalSequence,
     QdtpConfig,
@@ -42,7 +42,7 @@ PROPERTY_CASES = 500
 def _occupancy_at(trace, which, instant_ns):
     from bisect import bisect_right
 
-    entries, exits = trace.intervals[which]
+    entries, exits = queue_intervals(trace.admitted)[which]
     return bisect_right(entries, instant_ns) - bisect_right(sorted(exits), instant_ns)
 
 
@@ -59,8 +59,8 @@ def _reduce(name, manifest, trace, verify_error):
         d_ms=manifest.sqf_d_ms,
         mitigation=manifest.mitigation,
         sampled_server_max=max(trace.server_counts, default=0),
-        server_peak=littles_law_check(*trace.intervals["server"])["peak"],
-        sqf_peak=littles_law_check(*trace.intervals["sqf"])["peak"],
+        server_peak=littles_law_check(*queue_intervals(trace.admitted)["server"])["peak"],
+        sqf_peak=littles_law_check(*queue_intervals(trace.admitted)["sqf"])["peak"],
         backlog_at_attack_end=(
             _occupancy_at(trace, "server", window[1]) if window else 0
         ),
@@ -380,7 +380,7 @@ def _prop_littles_law(data, d):
         QdtpConfig(d),
     )
     for queue in ("sqf", "server"):
-        assert littles_law_check(*trace.intervals[queue])["ok"]
+        assert littles_law_check(*queue_intervals(trace.admitted)[queue])["ok"]
 
 
 def test_criterion_8_property_suites():

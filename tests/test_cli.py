@@ -1,6 +1,8 @@
 """Exit codes and artifact plumbing of the qdtp command."""
+import contextlib
 import csv
 import errno
+import io
 import json
 import os
 import signal
@@ -11,6 +13,8 @@ import time
 from collections import Counter
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from qdtp import artifacts, cli, manifests, metrics
 from qdtp.artifacts import (
@@ -24,6 +28,7 @@ from qdtp.cli import build_parser, main
 from qdtp.errors import ContractViolation, InvariantViolation
 from qdtp.forwarder import ForwarderConfig
 from qdtp.recursions import QdtpConfig
+from qdtp.scenario import SERVICE_MODES
 from qdtp.simulator import simulate_sequences, verify_trace
 
 TINY_SCENARIO = {
@@ -60,6 +65,30 @@ def eons_scenario(packets):
         "seed": 1,
         "horizon": 1.0,
     }
+
+
+# a poisson source whose mean gap, 0.1 us, is below half a float step of its
+# start (1.9 us): its float time never moves, and it would never end
+STALLED_POISSON_SCENARIO = {
+    "normal_sources": [{"kind": "poisson", "rate": 1e7, "start": 9.2e9, "duration": 1.0}],
+    "attack": None,
+    "service_no_attack": {"mode": "constant", "mean": 0.001},
+    "service_under_attack": {"mode": "constant", "mean": 0.001},
+    "seed": 1,
+    "horizon": 9.2e9 + 1.0,
+}
+
+
+def run_limited(argv, limit=1 << 30, timeout=120):
+    """``main(argv)`` in a subprocess whose address space is capped at ``limit`` bytes."""
+    script = (
+        "import resource, sys\n"
+        f"resource.setrlimit(resource.RLIMIT_AS, ({limit}, {limit}))\n"
+        "from qdtp.cli import main\n"
+        "sys.exit(main(sys.argv[1:]))\n"
+    )
+    return subprocess.run([sys.executable, "-c", script, *argv],
+                          capture_output=True, text=True, timeout=timeout)
 
 
 @pytest.fixture
@@ -122,6 +151,16 @@ class TestScenarioValidate:
         bad = tmp_path / "bad.json"
         bad.write_text(json.dumps(dict(TINY_SCENARIO, horizon=-1.0)))
         assert main(["scenario", "validate", str(bad)]) == 2
+
+    def test_poisson_source_that_cannot_end_is_config_error(self, tmp_path, capsys):
+        path = tmp_path / "stalled.json"
+        path.write_text(json.dumps(STALLED_POISSON_SCENARIO))
+        assert main(["scenario", "validate", str(path)]) == 2
+        assert capsys.readouterr().err == (
+            "configuration error: poisson rate 10000000.0/s has a mean gap of at most half "
+            "the float step 1.9073486328125e-06 s at its end of 9200000001.0 s, so its "
+            "arrivals never reach the end\n"
+        )
 
     def test_missing_file_is_config_error(self, tmp_path):
         # as `simulate --scenario nope.json`: neither a bundled name nor a file
@@ -275,22 +314,22 @@ class TestSimulate:
         # which once filled memory; the cap exits before building any
         path = tmp_path / "eons.json"
         path.write_text(json.dumps(eons_scenario(2)))
-        limit = 1 << 30  # bytes of address space: about 20 times what the run needs
-        script = (
-            "import resource, sys\n"
-            f"resource.setrlimit(resource.RLIMIT_AS, ({limit}, {limit}))\n"
-            "from qdtp.cli import main\n"
-            "sys.exit(main(sys.argv[1:]))\n"
-        )
-        proc = subprocess.run(
-            [sys.executable, "-c", script, "simulate", "--scenario", str(path),
-             "--out", str(tmp_path / "runs")],
-            capture_output=True, text=True,
-        )
+        # 1 GiB of address space: about 20 times what the run needs
+        proc = run_limited(["simulate", "--scenario", str(path), "--out", str(tmp_path / "runs")])
         assert proc.returncode == 2, proc.stderr
         assert proc.stderr.count("\n") == 1
         assert "sampling interval of 100 ms takes 20000000001 queue samples" in proc.stderr
         assert "the smallest interval that fits is 2000002.000003 ms" in proc.stderr
+
+    def test_poisson_source_that_cannot_end_exits_within_a_memory_limit(self, tmp_path):
+        # its arrival column once grew until memory ran out
+        path = tmp_path / "stalled.json"
+        path.write_text(json.dumps(STALLED_POISSON_SCENARIO))
+        proc = run_limited(["simulate", "--scenario", str(path), "--out", str(tmp_path / "runs")])
+        assert proc.returncode == 2, proc.stderr
+        assert proc.stderr.count("\n") == 1
+        assert "poisson rate 10000000.0/s" in proc.stderr
+        assert not (tmp_path / "runs").exists()
 
     @pytest.mark.parametrize("option, value", [
         ("--seed", "5"), ("--sqf-d", "9"), ("--mitigation", "10,3"),
@@ -395,7 +434,7 @@ class TestSimulateChild:
             trace.packets.start_ns[0] += 1  # a wait the recursions do not give
             return trace
 
-        def sleeping_half(trace, columns):
+        def sleeping_half(trace):
             (tmp_path / "pid.tmp").write_text(str(os.getpid()))
             os.replace(tmp_path / "pid.tmp", where)
             time.sleep(60)
@@ -459,7 +498,7 @@ class TestSummaryHalves:
         argv = self.argv(tmp_path, tiny_scenario, command)
         where = tmp_path / "pid.txt"
 
-        def failing(trace, columns):
+        def failing(trace):
             where.write_text(str(os.getpid()))
             raise ContractViolation("cannot summarize an empty sample")
 
@@ -484,10 +523,10 @@ class TestSummaryHalves:
         argv = self.argv(tmp_path, tiny_scenario, command)
         parent, half = os.getpid(), metrics._queues_and_attack_summary
 
-        def dying_in_the_child(trace, columns):
+        def dying_in_the_child(trace):
             if os.getpid() != parent:
                 os.kill(os.getpid(), signal.SIGKILL)
-            return half(trace, columns)
+            return half(trace)
 
         monkeypatch.setattr(metrics, "_queues_and_attack_summary", dying_in_the_child)
         capsys.readouterr()
@@ -520,19 +559,19 @@ class TestAnalyze:
         assert "server queue peaks" in capsys.readouterr().out
         assert (a / "figure_comparison.csv").is_file()
 
-    def test_compare_builds_intervals_once_per_run(self, tmp_path, tiny_scenario,
+    def test_compare_selects_admitted_once_per_run(self, tmp_path, tiny_scenario,
                                                    monkeypatch):
         a = run_tiny(tmp_path, tiny_scenario)
         b = run_ungated(tmp_path, tiny_scenario)
         calls = tmp_path / "calls.txt"  # the compare run loads in a child process
-        original = metrics.queue_intervals
+        original = metrics.admitted_ids
 
-        def counting(*args):
+        def counting(packets):
             with open(calls, "a") as fh:
-                fh.write(f"{len(args[0])}\n")
-            return original(*args)
+                fh.write(f"{len(packets)}\n")
+            return original(packets)
 
-        monkeypatch.setattr(metrics, "queue_intervals", counting)
+        monkeypatch.setattr(metrics, "admitted_ids", counting)
         assert main(["analyze", str(a), "--compare", str(b)]) == 0
         assert calls.read_text().split() == ["60", "60"]
 
@@ -878,6 +917,70 @@ class TestStub:
         monkeypatch.setattr(cli, "run_server_stub", started)
         assert main(["stub", "--listen", "127.0.0.1:0", option, value]) == 2
         assert "must be a finite number" in capsys.readouterr().err
+
+
+def log_uniform(lo, hi):
+    """Floats from 10**lo to 10**hi, each decade as likely."""
+    return st.floats(lo, hi).map(lambda e: 10.0**e)
+
+
+@st.composite
+def source_bodies(draw):
+    """A traffic source of about 300 packets at most, starting anywhere up to past 2**63 ns."""
+    rate = draw(log_uniform(-3, 12))
+    return {
+        "kind": draw(st.sampled_from(("periodic", "poisson", "burst"))),
+        "rate": rate,
+        "duration": draw(st.integers(1, 300)) / rate,
+        "start": draw(st.floats(0.0, 100.0) | log_uniform(2, 10)),
+        "jitter": draw(st.just(0.0) | st.floats(0.0, 10 / rate)),
+    }
+
+
+@st.composite
+def service_bodies(draw):
+    return {
+        "mode": draw(st.sampled_from(SERVICE_MODES)),
+        "mean": draw(log_uniform(-9, 10)),
+        "variance": draw(st.just(0.0) | log_uniform(-20, 20)),
+        "outlier_probability": draw(st.floats(0.0, 1.0)),
+        "outlier_scale": draw(log_uniform(0, 12)),
+    }
+
+
+@st.composite
+def scenario_bodies(draw):
+    """Scenario JSON with extreme but finite values, some past what the package accepts."""
+    sources = draw(st.lists(source_bodies(), min_size=1, max_size=3))
+    attack = draw(st.none() | source_bodies())
+    ends = [src["start"] + src["duration"] for src in sources + [attack] if src]
+    return {
+        "normal_sources": sources,
+        "attack": attack,
+        "service_no_attack": draw(service_bodies()),
+        "service_under_attack": draw(service_bodies()),
+        "seed": draw(st.integers(0, 2**32)),
+        "horizon": max(ends),
+        "congestion_threshold": draw(st.integers(1, 200)),
+    }
+
+
+class TestEntryPointProperty:
+    @settings(max_examples=60, deadline=None)
+    @given(body=scenario_bodies(), d_ms=st.none() | log_uniform(-7, 6))
+    def test_validate_then_simulate_exits_with_a_code(self, tmp_path_factory, body, d_ms):
+        # every case runs or is refused with one line on stderr, never a traceback
+        case = tmp_path_factory.mktemp("case")
+        path = case / "scenario.json"
+        path.write_text(json.dumps(body))
+        simulate = ["simulate", "--scenario", str(path), "--out", str(case / "runs")]
+        if d_ms is not None:
+            simulate += ["--sqf-d", repr(d_ms)]
+        err = io.StringIO()
+        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+            codes = [main(["scenario", "validate", str(path)]), main(simulate)]
+        assert set(codes) <= {0, 2, 3}, err.getvalue()
+        assert err.getvalue().count("\n") == sum(map(bool, codes)), err.getvalue()
 
 
 class TestEntryPoint:

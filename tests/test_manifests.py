@@ -31,6 +31,16 @@ EXPECTED_MANIFESTS = {
 # sha256 of each artifact of seed 1 of a bundled manifest.  These files are
 # a stable interface: a change here must be a deliberate schema change.
 ARTIFACT_SHA256 = {
+    "fig3_no_sqf": {
+        "packets.csv": "dce6210fab4d7432dc88ab0d8358e72cfd31e7d717a2ca88c564cfe94e784052",
+        "queues.csv": "e1f8b01f7cb1ca3cdbe374662f242ad4d0bdf863205aed78e552192cd86a7577",
+        "summary.json": "a1104c482570833aebeb60015965b1e9c779f7ec1757fc9df19e13c55d3ff9f0",
+    },
+    "fig7_with_sqf": {
+        "packets.csv": "ec8f140f6f443d22f9231d4f552302aba49fc3d887b08d0a3ee3fb793ba71159",
+        "queues.csv": "ccb2bdfddc7422e06b34dfe80b06186f2ff7046a3b9a17ad5ea1abc19ea42f21",
+        "summary.json": "33b981920bd3cf8ab9212f8747c2fbe1a35e69f5facb70f78f5813a2f2ffb819",
+    },
     "fig12_mitigation": {
         "packets.csv": "2ec3eec83dee949243ba27586b02119579e25cdbd1f334b079cf3266319343f5",
         "queues.csv": "e7427df6a621f1cd6b94827941201e3b5af45c25d20b8af213c98191078e5ff7",
@@ -132,7 +142,8 @@ def digests(seed_dir):
 
 
 class TestArtifactBytes:
-    # one gated + mitigated run, one gated flood admitted whole, one ungated run
+    # mitigated runs, whose admitted rows are a copy, and gated and ungated
+    # runs that drop nothing, whose admitted rows are the log itself
     @pytest.mark.parametrize("name", sorted(ARTIFACT_SHA256))
     def test_bundled_run_is_byte_stable(self, tmp_path, name):
         seed_dir = run_manifest(load_manifest(name), base_dir=tmp_path)[0]
@@ -204,15 +215,15 @@ class TestRunManifest:
         # burst arrivals are seed-independent but both runs completed
         assert [len(read_packets_csv(d / "packets.csv")) for d in dirs] == [100, 100]
 
-    def test_intervals_built_once_per_seed(self, tmp_path, monkeypatch):
+    def test_admitted_selected_once_per_seed(self, tmp_path, monkeypatch):
         calls = []
-        original = metrics.queue_intervals
+        original = metrics.admitted_ids
 
-        def counting(*args):
-            calls.append(len(args[0]))
-            return original(*args)
+        def counting(packets):
+            calls.append(len(packets))
+            return original(packets)
 
-        monkeypatch.setattr(metrics, "queue_intervals", counting)
+        monkeypatch.setattr(metrics, "admitted_ids", counting)
         run_manifest(tiny_manifest(tmp_path, seeds=(3, 5)), base_dir=tmp_path)
         assert calls == [100, 100]
 

@@ -90,34 +90,33 @@ class TestSummarize:
 class TestQueueSeries:
     def test_single_packet_example(self):
         rec = make_packets((0, 0, 0, 3 * MS))
-        grid, sqf, server = sample_queues(queue_intervals(rec), 0.001)
+        grid, sqf, server = sample_queues(rec, 0.001)
         assert server == (1, 1, 1, 0)
         assert sqf == (0, 0, 0, 0)
         assert grid == (0, MS, 2 * MS, 3 * MS)
 
     def test_empty_records(self):
-        assert sample_queues(queue_intervals(make_packets()), 0.001) == ((0,), (0,), (0,))
+        assert sample_queues(make_packets(), 0.001) == ((0,), (0,), (0,))
 
     def test_inconsistent_timestamps_rejected(self):
-        # queue_intervals validates nothing; the row is rejected on the way in
+        # sample_queues validates nothing; the row is rejected on the way in
         rec = make_packets((5 * MS, 5 * MS, 5 * MS, 3 * MS))
         with pytest.raises(InvariantViolation, match="packet 0: packet timestamps out of order"):
             trace_from_records(rec, 0.001)
 
     def test_nonpositive_interval_rejected(self):
         with pytest.raises(ContractViolation):
-            sample_queues(queue_intervals(make_packets()), 0.0)
+            sample_queues(make_packets(), 0.0)
 
     @pytest.mark.parametrize("interval", [float("nan"), float("inf")])
     def test_non_finite_interval_rejected(self, interval):
         with pytest.raises(ContractViolation):
-            sample_queues(queue_intervals(make_packets()), interval)
+            sample_queues(make_packets(), interval)
 
     def test_grid_past_the_cap_names_the_smallest_interval_that_fits(self):
         last = MAX_SAMPLE_POINTS * MS  # at 1 ms: one instant too many
-        intervals = queue_intervals(make_packets((0, 0, 0, last)))
         with pytest.raises(ConfigurationError) as err:
-            sample_queues(intervals, 0.001)
+            sample_queues(make_packets((0, 0, 0, last)), 0.001)
         assert str(err.value) == (
             f"sampling interval of 1 ms takes {MAX_SAMPLE_POINTS + 1} queue samples up to "
             f"{last} ns, more than MAX_SAMPLE_POINTS ({MAX_SAMPLE_POINTS}); "
@@ -129,9 +128,10 @@ class TestQueueSeries:
             (0, 0, 0, 3 * MS),
             (0, ABSENT_NS, ABSENT_NS, ABSENT_NS, "mitigation"),
         )
-        _, sqf, server = sample_queues(queue_intervals(rec), 0.001)
-        assert max(server) == 1
-        assert max(sqf) == 0
+        trace = trace_from_records(rec, 0.001)
+        assert len(trace.admitted) == 1
+        assert max(trace.server_counts) == 1
+        assert max(trace.sqf_counts) == 0
 
     def test_peak_occupancy_exact_vs_sampled(self):
         # two overlapping stays: exact peak 2, coarse sampling can miss it
@@ -142,7 +142,7 @@ class TestQueueSeries:
         entries = sorted([0, MS])
         exits = sorted([3 * MS, 5 * MS])
         assert littles_law_check(entries, exits)["peak"] == 2
-        _, _, server = sample_queues(queue_intervals(rec), 0.004)
+        _, _, server = sample_queues(rec, 0.004)
         assert max(server) <= 2
 
     @given(st.lists(st.tuples(st.integers(0, 1000), st.integers(0, 1000)), max_size=30))
@@ -165,7 +165,7 @@ class TestLittlesLaw:
             QdtpConfig.from_seconds(0.003),
         )
         for which in ("sqf", "server"):
-            out = littles_law_check(*trace.intervals[which])
+            out = littles_law_check(*queue_intervals(trace.admitted)[which])
             assert out["ok"]
             assert out["occupancy_integral_ns"] == out["sojourn_sum_ns"]
             # the exact peak bounds what the sampling grid saw

@@ -16,7 +16,7 @@ from hypothesis import strategies as st
 from qdtp.artifacts import trace_from_records
 from qdtp.errors import ConfigurationError, ContractViolation, InvariantViolation
 from qdtp.manifests import resolve_scenario
-from qdtp.metrics import drain_time
+from qdtp.metrics import drain_time, queue_intervals
 from qdtp.mitigation import MitigationPolicy
 from qdtp.recursions import (
     ArrivalSequence,
@@ -210,9 +210,12 @@ class TestVerifyTrace:
         )
         assert admitted_ids(trace) == list(range(10)) + [12, 13]
         verify_trace(trace)
+        # the trace selects its admitted rows when it is built: rebuild it
+        # from the doctored log
         trace.packets.t_ns[13] -= 1
+        doctored = trace_from_records(trace.packets, d_ns=trace.d_ns)
         with pytest.raises(InvariantViolation) as err:
-            verify_trace(trace)
+            verify_trace(doctored)
         assert str(err.value) == (
             "qdtp_schedule disagrees with the trace at packet 13: "
             "expected 1003000000 ns, recorded 1002999999 ns"
@@ -360,10 +363,29 @@ class TestTypedColumns:
         trace = simulate(constant_scenario(), QdtpConfig.from_seconds(0.004))
         if route == "trace_from_records":
             trace = trace_from_records(trace.packets, trace.sampling_interval)
-        p, intervals = trace.packets, trace.intervals
+        p = trace.packets
+        assert trace.admitted is p
+        intervals = queue_intervals(trace.admitted)
         assert intervals["sqf"][0] is p.a_ns
         assert intervals["sqf"][1] is intervals["server"][0] is p.t_ns
         assert intervals["server"][1] is p.end_ns
+
+    @pytest.mark.parametrize("route", ["simulate", "trace_from_records"])
+    def test_admitted_holds_the_admitted_rows_in_typed_columns(self, route):
+        trace = simulate_sequences(
+            [0.0] * 12 + [1.0], [0.001] * 13, QdtpConfig.from_seconds(0.003), (10, 3)
+        )
+        if route == "trace_from_records":
+            trace = trace_from_records(trace.packets, trace.sampling_interval)
+        p, kept = trace.packets, trace.admitted
+        ids = [pid for pid, why in enumerate(p.drop_reason) if why is None]
+        assert ids == list(range(10)) + [12]
+        assert kept.drop_reason == [None] * len(ids)
+        for name in ("source", "is_attack", "a_ns", "t_ns", "start_ns", "end_ns"):
+            column, selected = getattr(p, name), getattr(kept, name)
+            assert type(selected) is type(column)
+            assert getattr(selected, "typecode", None) == getattr(column, "typecode", None)
+            assert list(selected) == [column[pid] for pid in ids]
 
     def test_dropped_timestamps_are_the_sentinel(self):
         trace = simulate_sequences(
