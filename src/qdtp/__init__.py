@@ -45,8 +45,6 @@ from .recursions import (
     ArrivalSequence,
     ForwardSchedule,
     QdtpConfig,
-    ServiceSequence,
-    WaitSequence,
     lindley_waits,
     qdtp_schedule,
     server_waits,
@@ -56,7 +54,6 @@ from .scenario import (
     ServiceModel,
     TrafficModel,
     generate_arrivals,
-    sample_services,
 )
 from .simulator import (
     ABSENT_NS,
@@ -87,13 +84,11 @@ __all__ = [
     "RunComparison",
     "Scenario",
     "ServiceModel",
-    "ServiceSequence",
     "SummaryStats",
     "TraceSeries",
     "TrafficModel",
     "UdpForwarder",
     "UdpServerStub",
-    "WaitSequence",
     "bundled_manifest_names",
     "bundled_scenario_names",
     "compare_runs",
@@ -105,7 +100,6 @@ __all__ = [
     "resolve_scenario",
     "run_manifest",
     "run_summary",
-    "sample_services",
     "server_waits",
     "simulate",
     "simulate_sequences",

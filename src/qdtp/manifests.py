@@ -19,7 +19,6 @@ from typing import Optional
 from .artifacts import _read_json, write_run_dir
 from .errors import ConfigurationError
 from .mitigation import MitigationPolicy
-from .recursions import QdtpConfig
 from .scenario import Scenario
 from .simulator import _check_interval, simulate
 from .timebase import NS_PER_MS
@@ -84,10 +83,11 @@ class ExperimentManifest:
         _check_interval(self.sampling_interval_ms / 1000.0)
 
     @property
-    def qdtp_config(self) -> Optional[QdtpConfig]:
+    def d_ns(self) -> Optional[int]:
+        """The gate's spacing D in nanoseconds, or None without a gate."""
         if self.sqf_d_ms is None:
             return None
-        return QdtpConfig(d_ns=round(self.sqf_d_ms * NS_PER_MS))
+        return round(self.sqf_d_ms * NS_PER_MS)
 
     def to_dict(self) -> dict:
         return {
@@ -187,7 +187,7 @@ def run_manifest(manifest: ExperimentManifest, base_dir=".") -> list[Path]:
         try:
             trace = simulate(
                 dataclasses.replace(scenario, seed=seed),
-                manifest.qdtp_config,
+                manifest.d_ns,
                 manifest.mitigation,
                 sampling_interval=manifest.sampling_interval_ms / 1000.0,
             )

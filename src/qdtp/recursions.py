@@ -21,27 +21,24 @@ Lindley recursion on different inputs and share one loop, ``_lindley``;
 ``qdtp_schedule`` runs its own, ``_paced``.  Both are generators, so
 ``simulator.verify_trace`` can replay a trace without materialising it.
 
-All sequences carry integer nanoseconds.  Constructors accept floats in
-seconds and convert once.  Computations on the integer values are exact,
-which is what makes the "two independent routes agree bit-for-bit" checks
-meaningful.
+All times are integer nanoseconds; seconds are converted where they enter
+the package (CLI, manifest, scenario, forwarder), never here.  The
+computations are therefore exact, which is what makes the "two independent
+routes agree bit-for-bit" checks meaningful.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import pairwise, repeat, starmap
 from operator import gt, sub
-from typing import Iterable, Iterator, Sequence, Union
+from typing import Iterable, Iterator, Sequence
 
 from .errors import ContractViolation
-from .timebase import s_to_ns
 
 __all__ = [
     "ArrivalSequence",
-    "ServiceSequence",
     "QdtpConfig",
     "ForwardSchedule",
-    "WaitSequence",
     "lindley_waits",
     "qdtp_schedule",
     "qdtp_delays_ns",
@@ -66,30 +63,8 @@ class ArrivalSequence:
         if any(starmap(gt, pairwise(t))):
             raise ContractViolation("arrival instants must be non-decreasing")
 
-    @classmethod
-    def from_seconds(cls, times: Iterable[float]) -> "ArrivalSequence":
-        return cls(tuple(s_to_ns(x) for x in times))
-
     def __len__(self) -> int:
         return len(self.times_ns)
-
-
-@dataclass(frozen=True)
-class ServiceSequence:
-    """Per-packet processing durations, strictly positive."""
-
-    durations_ns: tuple[int, ...]
-
-    def __post_init__(self) -> None:
-        if any(d <= 0 for d in self.durations_ns):
-            raise ContractViolation("service durations must be positive")
-
-    @classmethod
-    def from_seconds(cls, durations: Iterable[float]) -> "ServiceSequence":
-        return cls(tuple(s_to_ns(x) for x in durations))
-
-    def __len__(self) -> int:
-        return len(self.durations_ns)
 
 
 @dataclass(frozen=True)
@@ -102,55 +77,17 @@ class QdtpConfig:
         if self.d_ns <= 0:
             raise ContractViolation("spacing D must be positive")
 
-    @classmethod
-    def from_seconds(cls, d: float) -> "QdtpConfig":
-        return cls(s_to_ns(d))
-
 
 @dataclass(frozen=True)
 class ForwardSchedule:
     """Forwarding instants produced by the pacing gate, plus the per-packet
-    delays the gate imposed and the spacing it was built with."""
+    delays the gate imposed."""
 
     times_ns: tuple[int, ...]
     delays_ns: tuple[int, ...]
-    d_ns: int
 
     def __len__(self) -> int:
         return len(self.times_ns)
-
-
-@dataclass(frozen=True)
-class WaitSequence:
-    """Non-negative per-packet waiting times; the first packet never waits."""
-
-    waits_ns: tuple[int, ...]
-
-    def __len__(self) -> int:
-        return len(self.waits_ns)
-
-
-ArrivalsLike = Union[ArrivalSequence, Sequence[float]]
-ServicesLike = Union[ServiceSequence, Sequence[float]]
-ConfigLike = Union[QdtpConfig, float]
-
-
-def _as_arrivals(arrivals: ArrivalsLike) -> ArrivalSequence:
-    if isinstance(arrivals, ArrivalSequence):
-        return arrivals
-    return ArrivalSequence.from_seconds(arrivals)
-
-
-def _as_services(services: ServicesLike) -> ServiceSequence:
-    if isinstance(services, ServiceSequence):
-        return services
-    return ServiceSequence.from_seconds(services)
-
-
-def _as_config(cfg: ConfigLike) -> QdtpConfig:
-    if isinstance(cfg, QdtpConfig):
-        return cfg
-    return QdtpConfig.from_seconds(float(cfg))
 
 
 def _lindley(times_ns: Iterable[int], services_ns: Iterable[int]) -> Iterator[int]:
@@ -183,7 +120,7 @@ def _paced(arrivals_ns: Iterable[int], d_ns: int) -> Iterator[int]:
         yield t
 
 
-def lindley_waits(arrivals: ArrivalsLike, services: ServicesLike) -> WaitSequence:
+def lindley_waits(arrivals: ArrivalSequence, services_ns: Sequence[int]) -> list[int]:
     """Waiting times of a FIFO single-server queue fed directly.
 
     Classic Lindley recursion: ``L[0] = 0`` and
@@ -192,28 +129,24 @@ def lindley_waits(arrivals: ArrivalsLike, services: ServicesLike) -> WaitSequenc
     successor wait strictly longer -- this is the mechanism by which a
     flood of closely spaced packets snowballs the backlog.
 
-    Empty inputs yield an empty sequence.
+    Empty inputs yield an empty list.
     """
-    a = _as_arrivals(arrivals)
-    t = _as_services(services)
-    if len(a) != len(t):
+    if len(arrivals) != len(services_ns):
         raise ContractViolation("need one service duration per arrival")
-    return WaitSequence(tuple(_lindley(a.times_ns, t.durations_ns)))
+    return list(_lindley(arrivals.times_ns, services_ns))
 
 
-def qdtp_schedule(arrivals: ArrivalsLike, cfg: ConfigLike) -> ForwardSchedule:
+def qdtp_schedule(arrivals: ArrivalSequence, cfg: QdtpConfig) -> ForwardSchedule:
     """Forwarding instants of the pacing gate.
 
     ``t[0] = a[0]``; afterwards each packet leaves as soon as it may:
     ``t[n+1] = max(t[n] + D, a[n+1])``.
     """
-    a = _as_arrivals(arrivals)
-    c = _as_config(cfg)
-    times = tuple(_paced(a.times_ns, c.d_ns))
-    return ForwardSchedule(times, tuple(map(sub, times, a.times_ns)), c.d_ns)
+    times = tuple(_paced(arrivals.times_ns, cfg.d_ns))
+    return ForwardSchedule(times, tuple(map(sub, times, arrivals.times_ns)))
 
 
-def qdtp_delays_ns(arrivals: ArrivalsLike, cfg: ConfigLike) -> list[int]:
+def qdtp_delays_ns(arrivals: ArrivalSequence, cfg: QdtpConfig) -> list[int]:
     """Gate queueing delays in nanoseconds, via the standalone recursion.
 
     ``q[0] = 0``, ``q[n+1] = max(q[n] + D - (a[n+1] - a[n]), 0)``: the
@@ -222,12 +155,10 @@ def qdtp_delays_ns(arrivals: ArrivalsLike, cfg: ConfigLike) -> list[int]:
     that the two routes agree.  ``verify_trace`` need not replay it: a ``t``
     that matches the schedule gives ``q = t - a`` by induction.
     """
-    a = _as_arrivals(arrivals)
-    c = _as_config(cfg)
-    return list(_lindley(a.times_ns, repeat(c.d_ns)))
+    return list(_lindley(arrivals.times_ns, repeat(cfg.d_ns)))
 
 
-def server_waits(schedule: ForwardSchedule, services: ServicesLike) -> WaitSequence:
+def server_waits(schedule: ForwardSchedule, services_ns: Sequence[int]) -> list[int]:
     """Waiting times of a FIFO server fed by the paced stream.
 
     Same Lindley mechanics as :func:`lindley_waits`, but the inter-arrival
@@ -236,8 +167,6 @@ def server_waits(schedule: ForwardSchedule, services: ServicesLike) -> WaitSeque
     grow on packets whose processing exceeds D -- and never grows at all if
     D exceeds every processing time (Result 1).
     """
-    t = _as_services(services)
-    if len(schedule) != len(t):
+    if len(schedule) != len(services_ns):
         raise ContractViolation("need one service duration per scheduled packet")
-    return WaitSequence(tuple(_lindley(schedule.times_ns, t.durations_ns)))
-
+    return list(_lindley(schedule.times_ns, services_ns))

@@ -16,20 +16,20 @@ from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from itertools import accumulate, islice, repeat, takewhile
 from operator import eq
-from typing import Optional, Sequence
+from typing import Optional
 
-from .errors import ConfigurationError, ContractViolation
-from .recursions import ArrivalSequence, ServiceSequence
+from .errors import ConfigurationError
+from .recursions import ArrivalSequence
 from .timebase import NS_PER_S, s_to_ns
 
 __all__ = [
+    "MAX_PACKETS",
     "ServiceModel",
     "TrafficModel",
     "Scenario",
     "LabeledArrivals",
     "ServiceSampler",
     "generate_arrivals",
-    "sample_services",
 ]
 
 SERVICE_MODES = ("constant", "gaussian", "gaussian_with_outliers")
@@ -38,6 +38,10 @@ TRAFFIC_KINDS = ("periodic", "poisson", "burst")
 # Sampled processing times are clamped to at least one microsecond; a
 # gaussian tail can otherwise produce zero or negative durations.
 MIN_SERVICE_NS = 1_000
+
+# The most packets a scenario may ask for, summed over its sources as
+# rate * duration: 25 times the 401,240 of the bundled 60 s flood.
+MAX_PACKETS = 10_000_000
 
 
 def _is_finite_number(value) -> bool:
@@ -243,10 +247,19 @@ class Scenario:
         _fits_ns("scenario", "horizon", self.horizon)
         if self.congestion_threshold < 1:
             raise ConfigurationError("congestion threshold must be at least 1")
-        for src in self._all_sources():
+        expected = 0.0
+        for i, src in enumerate(self._all_sources()):
             if src.end > self.horizon + 1e-12:
                 raise ConfigurationError(
                     f"source active until {src.end} s exceeds horizon {self.horizon} s"
+                )
+            count = src.rate * src.duration
+            expected += count
+            if expected > MAX_PACKETS:
+                name = f"normal source {i}" if i < len(self.normal_sources) else "attack source"
+                raise ConfigurationError(
+                    f"{name} asks for {count:.6g} packets (rate * duration), bringing the "
+                    f"scenario to {expected:.6g}, more than the {MAX_PACKETS} allowed"
                 )
 
     def _all_sources(self) -> list[TrafficModel]:
@@ -388,15 +401,3 @@ class ServiceSampler:
         model = self._degraded if congested else self._normal
         return model.draw_ns(u, g)
 
-
-def sample_services(scenario: Scenario, labels: Sequence[bool]) -> ServiceSequence:
-    """Service durations for a sequence of congestion labels.
-
-    ``labels[i]`` says whether packet ``i`` met a congested device; the
-    matching model is sampled for it.  Feeding back the flags recorded by a
-    simulation run reproduces the run's exact durations.
-    """
-    if len(labels) == 0:
-        raise ContractViolation("need at least one label")
-    sampler = ServiceSampler(scenario)
-    return ServiceSequence(tuple(sampler.draw_ns(bool(x)) for x in labels))

@@ -22,7 +22,7 @@ from __future__ import annotations
 import math
 from array import array
 from collections import deque
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, fields
 from itertools import compress, count, islice
 from operator import gt, ne, sub
 from typing import Callable, Iterable, Optional, Sequence
@@ -31,11 +31,7 @@ from . import metrics
 from .errors import ConfigurationError, ContractViolation, InvariantViolation
 from .mitigation import MitigationGate, MitigationPolicy
 from .recursions import (
-    ConfigLike,
-    QdtpConfig,
-    _as_arrivals,
-    _as_config,
-    _as_services,
+    ArrivalSequence,
     _lindley,
     _paced,
     qdtp_schedule,  # unused here; bench/selftest.py reaches it through this module
@@ -125,10 +121,6 @@ class TraceSeries:
     mitigation: Optional[tuple[int, int]] = None
     attack_window_ns: Optional[tuple[int, int]] = None
     seed: Optional[int] = None
-    # congestion flag (0 or 1) at each service start, in service order;
-    # feeding these back through scenario.sample_services reproduces the
-    # drawn durations
-    service_regime: bytearray = field(default_factory=bytearray)
 
 
 def _trace(packets: Packets, sampling_interval: float, **rest) -> TraceSeries:
@@ -155,7 +147,7 @@ def _check_interval(seconds: float) -> None:
 def _engine(
     labeled: LabeledArrivals,
     service_source: Callable[[int, bool], int],
-    cfg: Optional[ConfigLike],
+    d_ns: Optional[int],
     mitigation,
     *,
     sampling_interval: float,
@@ -165,13 +157,15 @@ def _engine(
     sqf_capacity: Optional[int],
 ) -> TraceSeries:
     _check_interval(sampling_interval)
-    if mitigation is not None and cfg is None:
+    use_gate = d_ns is not None
+    if mitigation is not None and not use_gate:
         raise ConfigurationError("mitigation is defined in units of D; configure the gate")
-    if sqf_capacity is not None and cfg is None:
+    if sqf_capacity is not None and not use_gate:
         raise ConfigurationError("gate capacity without a gate")
+    if use_gate and d_ns < 1:
+        raise ConfigurationError(f"spacing D of {d_ns} ns is below 1 ns")
 
-    use_gate = cfg is not None
-    d = _as_config(cfg).d_ns if use_gate else 0
+    d = d_ns if use_gate else 0
     at = labeled.arrivals.times_ns
     n = len(at)
     if d >= _NO_FIT or n and at[-1] >= _NO_FIT:
@@ -187,7 +181,6 @@ def _engine(
     ss_out = array("q", [ABSENT_NS]) * n
     se_out = array("q", [ABSENT_NS]) * n
     drop_reason: list[Optional[str]] = [None] * n
-    regime = bytearray()
 
     gate_fifo: deque[int] = deque()
     gate_open = 0  # earliest instant the next release may happen
@@ -199,10 +192,8 @@ def _engine(
     def start_service(j: int, now: int) -> None:
         nonlocal busy, done_at
         ss_out[j] = now
-        congested = len(server_fifo) + 1 > congestion_threshold
-        regime.append(congested)
         busy = j
-        done_at = now + service_source(j, congested)
+        done_at = now + service_source(j, len(server_fifo) + 1 > congestion_threshold)
         se_out[j] = done_at  # stored now, so an end past the columns fails at once
 
     def release(j: int, now: int) -> None:  # through the gate (if any) into the device
@@ -264,7 +255,7 @@ def _engine(
     return _trace(
         packets,
         sampling_interval,
-        d_ns=d if use_gate else None,
+        d_ns=d_ns,
         mitigation=(
             (gate_filter.policy.n_threshold, gate_filter.policy.k_factor)
             if gate_filter is not None
@@ -272,13 +263,12 @@ def _engine(
         ),
         attack_window_ns=attack_window_ns,
         seed=seed,
-        service_regime=regime,
     )
 
 
 def simulate(
     s: Scenario,
-    cfg: Optional[QdtpConfig] = None,
+    d_ns: Optional[int] = None,
     mitigation=None,
     *,
     sampling_interval: float = 0.1,
@@ -286,7 +276,7 @@ def simulate(
 ) -> TraceSeries:
     """Run one scenario to completion (all generated packets resolved).
 
-    ``cfg=None`` models the unprotected device: traffic hits it directly.
+    ``d_ns=None`` models the unprotected device: traffic hits it directly.
     ``mitigation`` may be a MitigationPolicy or an (N, K) pair and requires
     a gate.  The run always continues past the scenario horizon until every
     queue drains, so traces are complete by construction.
@@ -296,7 +286,7 @@ def simulate(
     return _engine(
         labeled,
         lambda _j, congested: sampler.draw_ns(congested),
-        cfg,
+        d_ns,
         mitigation,
         sampling_interval=sampling_interval,
         congestion_threshold=s.congestion_threshold,
@@ -307,35 +297,35 @@ def simulate(
 
 
 def simulate_sequences(
-    arrivals,
-    services,
-    cfg: Optional[QdtpConfig] = None,
+    arrivals_ns: Sequence[int],
+    services_ns: Sequence[int],
+    d_ns: Optional[int] = None,
     mitigation=None,
     *,
     sampling_interval: float = 0.1,
     congestion_threshold: int = 100,
     sqf_capacity: Optional[int] = None,
 ) -> TraceSeries:
-    """Run the engine on explicit arrival/service sequences.
+    """Run the engine on explicit arrival/service sequences, in nanoseconds.
 
-    ``services[i]`` belongs to packet ``i`` whether or not earlier packets
-    are dropped; drops simply leave their duration unused.  Handy for
-    pinning the simulator against hand-computed examples.
+    ``services_ns[i]`` belongs to packet ``i`` whether or not earlier
+    packets are dropped; drops simply leave their duration unused.  Handy
+    for pinning the simulator against hand-computed examples.
     """
-    a = _as_arrivals(arrivals)
-    svc = _as_services(services)
-    if len(a) != len(svc):
+    a = ArrivalSequence(arrivals_ns)
+    if len(a) != len(services_ns):
         raise ContractViolation("need one service duration per arrival")
+    if min(services_ns, default=1) <= 0:
+        raise ContractViolation("service durations must be positive")
     labeled = LabeledArrivals(
         arrivals=a,
         source_ids=array("i", [0]) * len(a),
         is_attack=bytearray(len(a)),
     )
-    dur = svc.durations_ns
     return _engine(
         labeled,
-        lambda j, _congested: dur[j],
-        cfg,
+        lambda j, _congested: services_ns[j],
+        d_ns,
         mitigation,
         sampling_interval=sampling_interval,
         congestion_threshold=congestion_threshold,
@@ -422,7 +412,7 @@ def verify_trace(trace: TraceSeries) -> None:
     kept = trace.admitted
     a, t, start, end = kept.a_ns, kept.t_ns, kept.start_ns, kept.end_ns
 
-    # what ServiceSequence checks, without its tuple; check_records ordered the arrivals
+    # simulate_sequences' check on services; check_records ordered the arrivals
     if min(map(sub, end, start), default=1) <= 0:
         raise ContractViolation("service durations must be positive")
     if trace.d_ns is not None:

@@ -28,7 +28,6 @@ from qdtp.metrics import drain_time, littles_law_check, queue_intervals
 from qdtp.recursions import (
     ArrivalSequence,
     QdtpConfig,
-    ServiceSequence,
     lindley_waits,
     qdtp_delays_ns,
     qdtp_schedule,
@@ -88,7 +87,7 @@ def figures():
         scenario = resolve_scenario(manifest.scenario)
         trace = simulate(
             dataclasses.replace(scenario, seed=manifest.seeds[0]),
-            manifest.qdtp_config,
+            manifest.d_ns,
             manifest.mitigation,
             sampling_interval=manifest.sampling_interval_ms / 1000.0,
         )
@@ -125,13 +124,11 @@ def test_criterion_1_result1_zero_waits():
             arrivals = sorted(rng.randint(0, n * d) for _ in range(n))
         services = [rng.randint(1, d - 1) for _ in range(n)]  # max T < D
 
-        a = ArrivalSequence(tuple(arrivals))
-        svc = ServiceSequence(tuple(services))
-        cfg = QdtpConfig(d_ns=d)
-        via_recursion = server_waits(qdtp_schedule(a, cfg), svc).waits_ns
-        trace = simulate_sequences(a, svc, cfg)
+        schedule = qdtp_schedule(ArrivalSequence(tuple(arrivals)), QdtpConfig(d))
+        via_recursion = server_waits(schedule, services)
+        trace = simulate_sequences(arrivals, services, d)
         p = trace.packets
-        via_simulator = tuple(s - t for t, s in zip(p.t_ns, p.start_ns))
+        via_simulator = [s - t for t, s in zip(p.t_ns, p.start_ns)]
         assert via_recursion == via_simulator
         assert not any(via_recursion)
     elapsed = time.perf_counter() - started
@@ -299,9 +296,7 @@ def test_criterion_7_live_pacing():
 @given(data=arrivals_with_services(min_size=2, max_size=30))
 def _prop_lindley_growth(data):
     times, durs = data
-    waits = lindley_waits(
-        ArrivalSequence(tuple(times)), ServiceSequence(tuple(durs))
-    ).waits_ns
+    waits = lindley_waits(ArrivalSequence(tuple(times)), durs)
     for i in range(len(times) - 1):
         if durs[i] > times[i + 1] - times[i]:
             assert waits[i + 1] > waits[i]
@@ -340,10 +335,7 @@ def _prop_identity_at_small_d(times, d):
 @given(data=arrivals_with_services(max_size=30), d=spacing_ns)
 def _prop_fcfs_order(data, d):
     times, durs = data
-    trace = simulate_sequences(
-        ArrivalSequence(tuple(times)), ServiceSequence(tuple(durs)),
-        QdtpConfig(d),
-    )
+    trace = simulate_sequences(times, durs, d)
     starts = list(trace.packets.start_ns)
     assert starts == sorted(starts)
     exits = list(trace.packets.end_ns)
@@ -355,10 +347,7 @@ def _prop_fcfs_order(data, d):
        n=spacing_ns.map(lambda v: v % 5 + 1), cap=spacing_ns.map(lambda v: v % 8))
 def _prop_conservation(data, d, n, cap):
     times, durs = data
-    trace = simulate_sequences(
-        ArrivalSequence(tuple(times)), ServiceSequence(tuple(durs)),
-        QdtpConfig(d), (n, 2), sqf_capacity=cap or None,
-    )
+    trace = simulate_sequences(times, durs, d, (n, 2), sqf_capacity=cap or None)
     p = trace.packets
     completed = sum(1 for why in p.drop_reason if why is None)
     dropped = sum(1 for why in p.drop_reason if why is not None)
@@ -373,14 +362,22 @@ def _prop_conservation(data, d, n, cap):
 
 @settings(max_examples=PROPERTY_CASES, deadline=None)
 @given(data=arrivals_with_services(max_size=30), d=spacing_ns)
-def _prop_littles_law(data, d):
+def _prop_pacing_cost_bound(data, d):
+    # with every service at most D, the gate delay q never falls below the
+    # wait w the same packets would have had at the device with no gate,
+    # and exceeds it by at most the pacing slack D - s accumulated over the
+    # packets since the gate last emptied
     times, durs = data
-    trace = simulate_sequences(
-        ArrivalSequence(tuple(times)), ServiceSequence(tuple(durs)),
-        QdtpConfig(d),
-    )
-    for queue in ("sqf", "server"):
-        assert littles_law_check(*queue_intervals(trace.admitted)[queue])["ok"]
+    durs = [min(s, d) for s in durs]
+    a = ArrivalSequence(tuple(times))
+    q = qdtp_schedule(a, QdtpConfig(d)).delays_ns
+    w = lindley_waits(a, durs)
+    slack = 0
+    for qn, wn, s in zip(q, w, durs):
+        if qn == 0:
+            slack = 0
+        assert 0 <= qn - wn <= slack
+        slack += d - s
 
 
 def test_criterion_8_property_suites():
@@ -390,7 +387,7 @@ def test_criterion_8_property_suites():
         ("identity at small D", _prop_identity_at_small_d),
         ("FCFS order", _prop_fcfs_order),
         ("conservation", _prop_conservation),
-        ("Little's law", _prop_littles_law),
+        ("pacing cost bound", _prop_pacing_cost_bound),
     ]
     started = time.perf_counter()
     for _, prop in suites:

@@ -24,7 +24,6 @@ from qdtp.artifacts import (
 from qdtp.errors import ContractViolation, InvariantViolation
 from qdtp.metrics import run_summary
 from qdtp.mitigation import MitigationPolicy
-from qdtp.recursions import ArrivalSequence, QdtpConfig, ServiceSequence
 from qdtp.simulator import ABSENT_NS, Packets, simulate_sequences
 
 
@@ -35,9 +34,9 @@ def columns(packets):
 
 def sample_trace():
     return simulate_sequences(
-        [0.0, 0.0, 0.0005, 0.001, 0.3],
-        [0.002, 0.003, 0.001, 0.002, 0.001],
-        QdtpConfig.from_seconds(0.003),
+        [0, 0, 500_000, 1_000_000, 300_000_000],
+        [2_000_000, 3_000_000, 1_000_000, 2_000_000, 1_000_000],
+        3_000_000,
         MitigationPolicy(3, 2),
         sampling_interval=0.001,
     )
@@ -222,8 +221,7 @@ def logs_with_drops(draw) -> Packets:
     """A simulated log behind a gate, with mitigation or capacity drops, and mixed sources."""
     times, durations = draw(own.arrivals_with_services(min_size=0, max_size=12))
     trace = simulate_sequences(
-        ArrivalSequence(times), ServiceSequence(tuple(durations)),
-        QdtpConfig(draw(own.spacing_ns)),
+        times, durations, draw(own.spacing_ns),
         draw(st.none() | st.tuples(st.integers(1, 3), st.integers(1, 3))),
         sqf_capacity=draw(st.integers(0, 1) | st.none()),
     )

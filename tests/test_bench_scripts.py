@@ -3,7 +3,8 @@
 ``bench/`` imports the package directly, so deleting or renaming a name it
 uses breaks the benchmark without failing any unit test of the package.
 These tests run two of the benchmark's own self-tests and one live
-forwarder child, the way the benchmark runs them.
+forwarder child, the way the benchmark runs them, and make the one call of
+the live benchmark that only runs inside a live attempt.
 """
 import json
 import os
@@ -13,6 +14,7 @@ from dataclasses import fields
 from pathlib import Path
 
 from qdtp.forwarder import ForwarderStats
+from qdtp.recursions import ArrivalSequence, QdtpConfig, qdtp_schedule
 
 ROOT = Path(__file__).resolve().parent.parent
 
@@ -31,6 +33,12 @@ def test_bench_selftests_reach_the_api():
         cwd=ROOT, env=bench_env(), capture_output=True, text=True, timeout=120,
     )
     assert proc.returncode == 0, proc.stderr
+
+
+def test_live_bench_schedule_call_returns_a_tuple():
+    # bench/live.py calls the schedule this way and compares its times with a
+    # tuple of the forwarder's planned departures: a list would never be equal
+    assert qdtp_schedule(ArrivalSequence((0, 0, 5)), QdtpConfig(3)).times_ns == (0, 3, 6)
 
 
 def test_forwarder_child_reports_stats(tmp_path):

@@ -27,8 +27,7 @@ from qdtp.artifacts import (
 from qdtp.cli import build_parser, main
 from qdtp.errors import ContractViolation, InvariantViolation
 from qdtp.forwarder import ForwarderConfig
-from qdtp.recursions import QdtpConfig
-from qdtp.scenario import SERVICE_MODES
+from qdtp.scenario import MAX_PACKETS, SERVICE_MODES
 from qdtp.simulator import simulate_sequences, verify_trace
 
 TINY_SCENARIO = {
@@ -161,6 +160,32 @@ class TestScenarioValidate:
             "the float step 1.9073486328125e-06 s at its end of 9200000001.0 s, so its "
             "arrivals never reach the end\n"
         )
+
+    @pytest.mark.parametrize("benign, attack, message", [
+        # a periodic source of rate 1e12 over 1e5 s: 1e17 packets
+        ({"rate": 1e12, "duration": 1e5}, None,
+         "normal source 0 asks for 1e+17 packets (rate * duration), bringing the "
+         "scenario to 1e+17, more than the 10000000 allowed"),
+        ({"rate": 6e6, "duration": 1.0}, {"rate": 5e6, "duration": 1.0},
+         "attack source asks for 5e+06 packets (rate * duration), bringing the "
+         "scenario to 1.1e+07, more than the 10000000 allowed"),
+        ({"rate": MAX_PACKETS / 2, "duration": 2.0}, None, None),
+    ], ids=["one_source", "sum_of_sources", "at_the_cap"])
+    def test_packets_asked_for_are_bounded(self, tmp_path, capsys, benign, attack, message):
+        path = tmp_path / "many.json"
+        path.write_text(json.dumps(dict(
+            TINY_SCENARIO, horizon=benign["duration"],
+            normal_sources=[dict(benign, kind="periodic")],
+            attack=attack and dict(attack, kind="periodic"),
+        )))
+        if message is None:  # validation generates nothing
+            assert main(["scenario", "validate", str(path)]) == 0
+            return
+        for argv in (["scenario", "validate", str(path)],
+                     ["simulate", "--scenario", str(path), "--out", str(tmp_path / "runs")]):
+            assert main(argv) == 2, argv
+            assert capsys.readouterr().err == f"configuration error: {message}\n"
+        assert not (tmp_path / "runs").exists()
 
     def test_missing_file_is_config_error(self, tmp_path):
         # as `simulate --scenario nope.json`: neither a bundled name nor a file
@@ -726,7 +751,7 @@ class TestAnalyze:
 
     def test_arrivals_out_of_order_are_invariant_error(self, tmp_path, capsys):
         # the gate forwarded packet 1 after packet 0, yet it arrived first
-        trace = simulate_sequences([0.001, 0.002], [0.001] * 2, QdtpConfig.from_seconds(0.003))
+        trace = simulate_sequences([1_000_000, 2_000_000], [1_000_000] * 2, 3_000_000)
         trace.packets.a_ns[1] = 500_000
         write_packets_csv(trace.packets, tmp_path / "packets.csv")
         assert main(["analyze", str(tmp_path)]) == 3

@@ -31,7 +31,7 @@ from qdtp.forwarder import (
     sleep_until_ns,
     try_realtime_priority,
 )
-from qdtp.recursions import lindley_waits, qdtp_schedule
+from qdtp.recursions import ArrivalSequence, QdtpConfig, lindley_waits, qdtp_schedule
 from qdtp.scenario import ServiceModel
 
 LOOP = "127.0.0.1"
@@ -270,7 +270,7 @@ class TestBurstPacing:
             # replay of receive stamps through the offline schedule must
             # reproduce the pacer's planned instants exactly
             sched = qdtp_schedule(
-                [r / 1e9 for r, _, _ in log], fwd.cfg.d_ns / 1e9
+                ArrivalSequence(tuple(r for r, _, _ in log)), QdtpConfig(fwd.cfg.d_ns)
             )
             assert sched.times_ns == tuple(p for _, p, _ in log)
             for _, planned_ns, actual_ns in log:
@@ -443,11 +443,10 @@ class TestServerStub:
                 assert stub.wait_for_processed(50, timeout=5.0)
             p = stub.snapshot_records()
             oracle = lindley_waits(
-                [a / 1e9 for a in p.a_ns],
-                [(e - s) / 1e9 for s, e in zip(p.start_ns, p.end_ns)],
+                ArrivalSequence(p.a_ns), [e - s for s, e in zip(p.start_ns, p.end_ns)]
             )
             waits = [s - t for t, s in zip(p.t_ns, p.start_ns)]
-            for pid, (wait, expect) in enumerate(zip(waits, oracle.waits_ns)):
+            for pid, (wait, expect) in enumerate(zip(waits, oracle)):
                 # measured wait tracks the recursion; slack accumulates one
                 # scheduling quantum per position at worst
                 assert abs(wait - expect) <= (pid + 1) * TOL_NS

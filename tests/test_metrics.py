@@ -23,7 +23,6 @@ from qdtp.metrics import (
     sample_queues,
     summarize,
 )
-from qdtp.recursions import QdtpConfig
 from qdtp.scenario import Scenario, ServiceModel, TrafficModel
 from qdtp.simulator import ABSENT_NS, Packets, simulate, simulate_sequences
 
@@ -160,9 +159,9 @@ class TestQueueSeries:
 class TestLittlesLaw:
     def test_exact_identity_on_simulated_run(self):
         trace = simulate_sequences(
-            [0.0, 0.0005, 0.001, 0.0015, 0.1],
-            [0.003, 0.002, 0.004, 0.001, 0.002],
-            QdtpConfig.from_seconds(0.003),
+            [0, MS // 2, MS, 3 * MS // 2, 100 * MS],
+            [3 * MS, 2 * MS, 4 * MS, MS, 2 * MS],
+            3 * MS,
         )
         for which in ("sqf", "server"):
             out = littles_law_check(*queue_intervals(trace.admitted)[which])
@@ -210,29 +209,29 @@ class TestHistograms:
 class TestCompareRuns:
     def _trace(self, services):
         return simulate_sequences(
-            [0.0, 0.001, 0.002], services, QdtpConfig.from_seconds(0.003),
+            [0, MS, 2 * MS], services, 3 * MS,
             sampling_interval=0.001,
         )
 
     def test_identical_runs_all_ratios_one(self):
-        a = self._trace([0.002] * 3)
-        b = self._trace([0.002] * 3)
+        a = self._trace([2 * MS] * 3)
+        b = self._trace([2 * MS] * 3)
         cmp = compare_runs(a, b)
         assert set(cmp.ratios("sqf")) == {1.0}
         assert set(cmp.ratios("server")) == {1.0}
 
     def test_grid_mismatch_rejected(self):
-        a = self._trace([0.002] * 3)
+        a = self._trace([2 * MS] * 3)
         b = simulate_sequences(
-            [0.0, 0.001, 0.002], [0.002] * 3, QdtpConfig.from_seconds(0.003),
+            [0, MS, 2 * MS], [2 * MS] * 3, 3 * MS,
             sampling_interval=0.002,
         )
         with pytest.raises(ContractViolation):
             compare_runs(a, b)
 
     def test_shorter_run_zero_padded(self):
-        a = self._trace([0.005] * 3)  # runs longer
-        b = self._trace([0.001] * 3)
+        a = self._trace([5 * MS] * 3)  # runs longer
+        b = self._trace([MS] * 3)
         cmp = compare_runs(a, b)
         assert len(cmp.times_ns) == max(len(a.times_ns), len(b.times_ns))
         assert cmp.server_b[-1] == 0
@@ -262,7 +261,7 @@ class TestRunSummary:
 
     def test_one_occupancy_sweep_per_queue(self, tmp_path, monkeypatch):
         trace = simulate_sequences(
-            [0.0, 0.0, 0.0], [0.004] * 3, QdtpConfig.from_seconds(0.003)
+            [0, 0, 0], [4 * MS] * 3, 3 * MS
         )
         # the sweeps run in run_summary's child process: count through a file
         calls = tmp_path / "calls.txt"
@@ -281,7 +280,7 @@ class TestRunSummary:
         assert out["queues"]["server"]["peak"] == 2
 
     def test_summary_without_attack(self):
-        trace = simulate_sequences([0.0, 0.01], [0.003, 0.003])
+        trace = simulate_sequences([0, 10 * MS], [3 * MS, 3 * MS])
         out = run_summary(trace)
         assert out["attack"] is None
         assert out["service_ms"]["mean_ms"] == pytest.approx(3.0)
@@ -298,8 +297,8 @@ class TestRunSummary:
         )
         if run == "no_attack":
             scenario = dataclasses.replace(scenario, attack=None)
-        cfg = None if run == "ungated" else QdtpConfig.from_seconds(0.003)
-        trace = simulate(scenario, cfg, (10, 3) if run == "mitigated" else None)
+        d_ns = None if run == "ungated" else 3 * MS
+        trace = simulate(scenario, d_ns, (10, 3) if run == "mitigated" else None)
         summary = run_summary(trace)
         assert summary == summary_in_process(trace)
         assert (summary["attack"] is None) == (run == "no_attack")

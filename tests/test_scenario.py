@@ -11,7 +11,7 @@ import pytest
 from hypothesis import given, reject, settings
 from hypothesis import strategies as st
 
-from qdtp.errors import ConfigurationError, ContractViolation
+from qdtp.errors import ConfigurationError
 from qdtp.manifests import resolve_scenario
 from qdtp.scenario import (
     MIN_SERVICE_NS,
@@ -20,7 +20,6 @@ from qdtp.scenario import (
     ServiceSampler,
     TrafficModel,
     generate_arrivals,
-    sample_services,
 )
 from qdtp.timebase import s_to_ns
 
@@ -391,6 +390,12 @@ class TestScenario:
             resolve_scenario(str(path))
 
 
+def sample_services(scenario, labels):
+    """Durations a fresh sampler draws for a sequence of congestion flags."""
+    sampler = ServiceSampler(scenario)
+    return tuple(sampler.draw_ns(bool(x)) for x in labels)
+
+
 class TestServiceSampling:
     def test_replay_from_labels_is_exact(self):
         s = tiny_scenario()
@@ -398,7 +403,7 @@ class TestServiceSampling:
         flags = [i % 3 == 0 for i in range(500)]
         live = [sampler.draw_ns(f) for f in flags]
         replay = sample_services(s, flags)
-        assert tuple(live) == replay.durations_ns
+        assert tuple(live) == replay
 
     def test_two_draw_alignment_across_models(self):
         # runs that differ only in congestion flags share the variate
@@ -406,17 +411,13 @@ class TestServiceSampling:
         s = tiny_scenario()
         all_normal = sample_services(s, [False] * 50)
         mixed = sample_services(s, [False] * 25 + [True] * 25)
-        assert mixed.durations_ns[:25] == all_normal.durations_ns[:25]
+        assert mixed[:25] == all_normal[:25]
 
     def test_moments_per_regime(self):
         s = tiny_scenario()
         n = 50_000
-        normal = [d / 1e9 for d in sample_services(s, [False] * n).durations_ns]
-        degraded = [d / 1e9 for d in sample_services(s, [True] * n).durations_ns]
+        normal = [d / 1e9 for d in sample_services(s, [False] * n)]
+        degraded = [d / 1e9 for d in sample_services(s, [True] * n)]
         assert statistics.fmean(normal) == pytest.approx(2.98e-3, rel=0.02)
         assert statistics.fmean(degraded) == pytest.approx(4.82e-3, rel=0.02)
         assert statistics.pvariance(degraded) == pytest.approx(5.1e-7, rel=0.1)
-
-    def test_empty_labels_rejected(self):
-        with pytest.raises(ContractViolation):
-            sample_services(tiny_scenario(), [])

@@ -7,6 +7,7 @@ closed-form recursions applied to the same inputs.
 import dataclasses
 import tracemalloc
 from array import array
+from bisect import bisect_left
 from operator import sub
 
 import pytest
@@ -21,13 +22,12 @@ from qdtp.mitigation import MitigationPolicy
 from qdtp.recursions import (
     ArrivalSequence,
     QdtpConfig,
-    ServiceSequence,
     lindley_waits,
     qdtp_delays_ns,
     qdtp_schedule,
     server_waits,
 )
-from qdtp.scenario import Scenario, ServiceModel, TrafficModel, sample_services
+from qdtp.scenario import Scenario, ServiceModel, ServiceSampler, TrafficModel
 from qdtp.simulator import (
     ABSENT_NS,
     Packets,
@@ -58,6 +58,17 @@ def service_times_of(trace):
     return tuple(p.end_ns[i] - p.start_ns[i] for i in admitted_ids(trace))
 
 
+def congestion_flags(trace, threshold):
+    """Each admitted packet's congestion flag, read from the recorded columns.
+
+    When packet j starts service at ``start_j``, the device holds the
+    packets released before that instant that have not started yet, j
+    among them; the engine calls that congested above ``threshold``.
+    """
+    t, start = trace.admitted.t_ns, trace.admitted.start_ns
+    return [bisect_left(t, x) - bisect_left(start, x) > threshold for x in start]
+
+
 def constant_scenario(**overrides):
     base = dict(
         normal_sources=(TrafficModel(kind="periodic", rate=2.0, duration=5.0),),
@@ -73,20 +84,20 @@ def constant_scenario(**overrides):
 
 class TestDirectFeed:
     def test_matches_lindley_example(self):
-        trace = simulate_sequences([0.0, 0.001, 0.002, 0.003], [0.003] * 4)
+        trace = simulate_sequences([0, MS, 2 * MS, 3 * MS], [3 * MS] * 4)
         waits = server_waits_of(trace)
         assert waits == (0, 2 * MS, 4 * MS, 6 * MS)
-        oracle = lindley_waits([0.0, 0.001, 0.002, 0.003], [0.003] * 4)
-        assert waits == oracle.waits_ns
+        oracle = lindley_waits(ArrivalSequence((0, MS, 2 * MS, 3 * MS)), [3 * MS] * 4)
+        assert list(waits) == oracle
 
     def test_no_gate_means_t_equals_a(self):
-        trace = simulate_sequences([0.0, 0.005, 0.007], [0.001] * 3)
+        trace = simulate_sequences([0, 5 * MS, 7 * MS], [MS] * 3)
         assert list(trace.packets.t_ns) == list(trace.packets.a_ns)
         assert trace.d_ns is None
 
     def test_mitigation_requires_gate(self):
         with pytest.raises(ConfigurationError):
-            simulate_sequences([0.0], [0.001], None, (10, 3))
+            simulate_sequences([0], [MS], None, (10, 3))
 
     def test_interval_rounding_to_zero_ns_rejected(self):
         # 0.1 ns rounds to a 0 ns grid step: a bad setting, found up front
@@ -103,22 +114,26 @@ class TestDirectFeed:
         # was 2**62, and the engine popped an empty queue
         with pytest.raises(ConfigurationError,
                            match="event time 10000000000000000000 ns does not fit"):
-            simulate_sequences([0.0, 0.0], [5e9, 5e9], sampling_interval=1e9)
+            simulate_sequences([0, 0], [5 * 10**18] * 2, sampling_interval=1e9)
 
     def test_release_past_64_bit_ns_rejected(self):
         # the gate releases the second packet D = 2**62 ns after the first
         with pytest.raises(ConfigurationError, match=f"event time {2**63} ns does not fit"):
-            simulate_sequences([0.0, 0.0, 1.0], [0.001] * 3, QdtpConfig(2**62),
-                               sampling_interval=1e9)
+            simulate_sequences([0, 0, 10**9], [MS] * 3, 2**62, sampling_interval=1e9)
 
     def test_spacing_past_64_bit_ns_rejected(self):
         with pytest.raises(ConfigurationError, match=f"spacing D of {2**63} ns"):
-            simulate_sequences([0.0], [0.001], QdtpConfig(2**63))
+            simulate_sequences([0], [MS], 2**63)
+
+    @pytest.mark.parametrize("d_ns", [0, -MS])
+    def test_spacing_below_1_ns_rejected(self, d_ns):
+        with pytest.raises(ConfigurationError, match=f"spacing D of {d_ns} ns is below 1 ns"):
+            simulate_sequences([0], [MS], d_ns)
 
 
 class TestGatedFeed:
     def test_burst_released_at_spacing(self):
-        trace = simulate_sequences([0.0] * 4, [0.001] * 4, QdtpConfig.from_seconds(0.003))
+        trace = simulate_sequences([0] * 4, [MS] * 4, 3 * MS)
         assert tuple(trace.packets.t_ns) == (0, 3 * MS, 6 * MS, 9 * MS)
         assert server_waits_of(trace) == (0, 0, 0, 0)
         assert tuple(trace.packets.end_ns) == (
@@ -129,19 +144,19 @@ class TestGatedFeed:
         )
 
     def test_slow_service_waits_match_recursion(self):
-        a = [0.0, 0.0, 0.0]
-        svc = [0.005, 0.005, 0.005]
-        trace = simulate_sequences(a, svc, QdtpConfig.from_seconds(0.003))
-        sched = qdtp_schedule(a, 0.003)
+        a = [0, 0, 0]
+        svc = [5 * MS, 5 * MS, 5 * MS]
+        trace = simulate_sequences(a, svc, 3 * MS)
+        sched = qdtp_schedule(ArrivalSequence(tuple(a)), QdtpConfig(3 * MS))
         oracle = server_waits(sched, svc)
-        assert server_waits_of(trace) == oracle.waits_ns
-        assert oracle.waits_ns == (0, 2 * MS, 4 * MS)
+        assert list(server_waits_of(trace)) == oracle
+        assert oracle == [0, 2 * MS, 4 * MS]
 
     def test_gate_capacity_drops(self):
         trace = simulate_sequences(
-            [0.0] * 10,
-            [0.001] * 10,
-            QdtpConfig.from_seconds(0.003),
+            [0] * 10,
+            [MS] * 10,
+            3 * MS,
             sqf_capacity=4,
         )
         dropped = [why for why in trace.packets.drop_reason if why is not None]
@@ -151,9 +166,9 @@ class TestGatedFeed:
 
     def test_mitigation_drops_recorded(self):
         trace = simulate_sequences(
-            [0.0] * 12,
-            [0.001] * 12,
-            QdtpConfig.from_seconds(0.003),
+            [0] * 12,
+            [MS] * 12,
+            3 * MS,
             MitigationPolicy(10, 3),
         )
         admitted = admitted_ids(trace)
@@ -165,7 +180,7 @@ class TestGatedFeed:
 
     def test_tuple_mitigation_accepted(self):
         trace = simulate_sequences(
-            [0.0] * 12, [0.001] * 12, QdtpConfig.from_seconds(0.003), (10, 3)
+            [0] * 12, [MS] * 12, 3 * MS, (10, 3)
         )
         assert trace.mitigation == (10, 3)
         assert len(admitted_ids(trace)) == 10
@@ -174,7 +189,7 @@ class TestGatedFeed:
 class TestVerifyTrace:
     def test_dropped_packet_with_gate_timestamp_rejected(self):
         trace = simulate_sequences(
-            [0.0] * 10, [0.001] * 10, QdtpConfig.from_seconds(0.003), sqf_capacity=4
+            [0] * 10, [MS] * 10, 3 * MS, sqf_capacity=4
         )
         doctored = trace.packets.drop_reason.index("capacity")
         trace.packets.t_ns[doctored] = trace.packets.a_ns[doctored]
@@ -182,7 +197,7 @@ class TestVerifyTrace:
             verify_trace(trace)
 
     def test_admitted_packet_with_drop_reason_rejected(self):
-        trace = simulate_sequences([0.0, 0.0], [0.001] * 2, QdtpConfig.from_seconds(0.003))
+        trace = simulate_sequences([0, 0], [MS] * 2, 3 * MS)
         # a reason on a packet with timestamps makes it a dropped packet
         # that still reached the gate and the device
         trace.packets.drop_reason[1] = "capacity"
@@ -193,7 +208,7 @@ class TestVerifyTrace:
 
     def test_divergence_names_recursion_packet_and_values(self):
         # gate releases at 0, 1, 2 ms; packet 1 waits for packet 0 until 3 ms
-        trace = simulate_sequences([0.0] * 3, [0.003] * 3, QdtpConfig.from_seconds(0.001))
+        trace = simulate_sequences([0] * 3, [3 * MS] * 3, MS)
         verify_trace(trace)
         trace.packets.end_ns[0] = 2_500_000
         with pytest.raises(InvariantViolation) as err:
@@ -206,7 +221,7 @@ class TestVerifyTrace:
     def test_divergence_on_mitigated_trace_names_log_index(self):
         # packets 10 and 11 are dropped, so packet 13 is the 12th admitted
         trace = simulate_sequences(
-            [0.0] * 12 + [1.0, 1.0], [0.001] * 14, QdtpConfig.from_seconds(0.003), (10, 3)
+            [0] * 12 + [10**9, 10**9], [MS] * 14, 3 * MS, (10, 3)
         )
         assert admitted_ids(trace) == list(range(10)) + [12, 13]
         verify_trace(trace)
@@ -222,15 +237,14 @@ class TestVerifyTrace:
         )
 
     @pytest.mark.parametrize("d, recursion, expected_wait", [
-        (0.001, "server_waits", 4 * MS),
+        (MS, "server_waits", 4 * MS),
         (None, "lindley_waits", 6 * MS),
-    ])
+    ], ids=["gated", "ungated"])
     def test_idle_device_caught_by_device_replay(self, d, recursion, expected_wait):
         # three packets at 0 of 3 ms each: the device serves them back to
         # back until 9 ms; the last one then starts 1 ms late, so the device
         # idles while it waits, with FIFO order kept and no overlap
-        cfg = None if d is None else QdtpConfig.from_seconds(d)
-        trace = simulate_sequences([0.0] * 3, [0.003] * 3, cfg)
+        trace = simulate_sequences([0] * 3, [3 * MS] * 3, d)
         verify_trace(trace)
         p = trace.packets
         assert (p.start_ns[2], p.end_ns[2]) == (6 * MS, 9 * MS)
@@ -245,14 +259,13 @@ class TestVerifyTrace:
         )
 
     @pytest.mark.parametrize("arrivals, d, column, index, value, error, message", [
-        ([0.0], None, "end_ns", 0, 0, ContractViolation, "durations must be positive"),
-        ([0.0, 0.01], None, "a_ns", 1, 9 * MS, InvariantViolation, "t differs from a"),
+        ([0], None, "end_ns", 0, 0, ContractViolation, "durations must be positive"),
+        ([0, 10 * MS], None, "a_ns", 1, 9 * MS, InvariantViolation, "t differs from a"),
     ], ids=["zero_service", "ungated_t_not_a"])
     def test_replay_inputs_checked(self, arrivals, d, column, index, value, error, message):
         # each doctored log passes check_records, which asks neither for a
         # positive service nor for t == a
-        cfg = None if d is None else QdtpConfig.from_seconds(d)
-        trace = simulate_sequences(arrivals, [0.001] * len(arrivals), cfg)
+        trace = simulate_sequences(arrivals, [MS] * len(arrivals), d)
         getattr(trace.packets, column)[index] = value
         check_records(trace.packets)
         with pytest.raises(error, match=message):
@@ -308,7 +321,7 @@ class TestStreamingSelfChecks:
 
     @pytest.fixture(scope="class")
     def flood(self):
-        trace = simulate(self.scenario(), QdtpConfig.from_seconds(0.003))
+        trace = simulate(self.scenario(), 3 * MS)
         assert len(trace.packets) >= 50_000
         assert not any(trace.packets.drop_reason)  # the gate admits the whole flood
         return trace
@@ -337,7 +350,7 @@ class TestStreamingSelfChecks:
         """
         tracemalloc.start()
         try:
-            trace = simulate(self.scenario(), QdtpConfig.from_seconds(0.003))
+            trace = simulate(self.scenario(), 3 * MS)
             verify_trace(trace)
             summary_in_process(trace)
             peak = tracemalloc.get_traced_memory()[1]
@@ -348,7 +361,7 @@ class TestStreamingSelfChecks:
 
 class TestTypedColumns:
     def test_simulate_returns_typed_columns(self):
-        trace = simulate(constant_scenario(), QdtpConfig.from_seconds(0.004))
+        trace = simulate(constant_scenario(), 4 * MS)
         p = trace.packets
         for column in (p.a_ns, p.t_ns, p.start_ns, p.end_ns):
             assert isinstance(column, array) and column.typecode == "q"
@@ -356,11 +369,10 @@ class TestTypedColumns:
         assert isinstance(p.source, array) and p.source.typecode == "i"
         assert type(p.is_attack) is bytearray
         assert type(p.drop_reason) is list
-        assert type(trace.service_regime) is bytearray
 
     @pytest.mark.parametrize("route", ["simulate", "trace_from_records"])
     def test_intervals_are_the_columns_when_nothing_is_dropped(self, route):
-        trace = simulate(constant_scenario(), QdtpConfig.from_seconds(0.004))
+        trace = simulate(constant_scenario(), 4 * MS)
         if route == "trace_from_records":
             trace = trace_from_records(trace.packets, trace.sampling_interval)
         p = trace.packets
@@ -373,7 +385,7 @@ class TestTypedColumns:
     @pytest.mark.parametrize("route", ["simulate", "trace_from_records"])
     def test_admitted_holds_the_admitted_rows_in_typed_columns(self, route):
         trace = simulate_sequences(
-            [0.0] * 12 + [1.0], [0.001] * 13, QdtpConfig.from_seconds(0.003), (10, 3)
+            [0] * 12 + [10**9], [MS] * 13, 3 * MS, (10, 3)
         )
         if route == "trace_from_records":
             trace = trace_from_records(trace.packets, trace.sampling_interval)
@@ -389,7 +401,7 @@ class TestTypedColumns:
 
     def test_dropped_timestamps_are_the_sentinel(self):
         trace = simulate_sequences(
-            [0.0] * 6, [0.001] * 6, QdtpConfig.from_seconds(0.003), sqf_capacity=2
+            [0] * 6, [MS] * 6, 3 * MS, sqf_capacity=2
         )
         p = trace.packets
         for why, t, start, end in zip(p.drop_reason, p.t_ns, p.start_ns, p.end_ns):
@@ -415,7 +427,7 @@ class TestTypedColumns:
 class TestScenarioRuns:
     def test_constant_scenario_result1(self):
         # D = 4 ms > T = 3 ms: no server waits at all
-        trace = simulate(constant_scenario(), QdtpConfig.from_seconds(0.004))
+        trace = simulate(constant_scenario(), 4 * MS)
         assert not any(server_waits_of(trace))
         assert max(trace.server_counts) <= 1
         verify_trace(trace)
@@ -431,7 +443,8 @@ class TestScenarioRuns:
         services = set(service_times_of(trace))
         # both models show up: 3 ms before congestion, 10 ms inside it
         assert services == {3 * MS, 10 * MS}
-        assert any(trace.service_regime) and not all(trace.service_regime)
+        flags = congestion_flags(trace, s.congestion_threshold)
+        assert any(flags) and not all(flags)
         verify_trace(trace)
 
     def test_replaying_regime_flags_reproduces_services(self):
@@ -445,13 +458,15 @@ class TestScenarioRuns:
             congestion_threshold=20,
         )
         trace = simulate(s)
-        replay = sample_services(s, trace.service_regime)
-        recorded = service_times_of(trace)
-        assert replay.durations_ns == recorded
+        flags = congestion_flags(trace, s.congestion_threshold)
+        assert any(flags) and not all(flags)
+        sampler = ServiceSampler(s)
+        replay = tuple(sampler.draw_ns(congested) for congested in flags)
+        assert replay == service_times_of(trace)
 
     def test_same_seed_same_trace(self):
-        a = simulate(constant_scenario(), QdtpConfig.from_seconds(0.004))
-        b = simulate(constant_scenario(), QdtpConfig.from_seconds(0.004))
+        a = simulate(constant_scenario(), 4 * MS)
+        b = simulate(constant_scenario(), 4 * MS)
         assert a.packets == b.packets
         assert a.sqf_counts == b.sqf_counts
 
@@ -459,7 +474,7 @@ class TestScenarioRuns:
         s = constant_scenario(
             attack=TrafficModel(kind="poisson", rate=300.0, start=1.0, duration=2.0),
         )
-        trace = simulate(s, QdtpConfig.from_seconds(0.004))
+        trace = simulate(s, 4 * MS)
         for g, sqf_c, srv_c in zip(trace.times_ns, trace.sqf_counts, trace.server_counts):
             p = trace.packets
             sqf = sum(
@@ -513,7 +528,7 @@ class TestDrainTime:
             attack=TrafficModel(kind="periodic", rate=500.0, start=1.0, duration=1.0),
             horizon=5.0,
         )
-        trace = simulate(s, QdtpConfig.from_seconds(0.004))
+        trace = simulate(s, 4 * MS)
         _, attack_end = s.attack_window_ns
         last_release = max(trace.packets.t_ns[i] for i in admitted_ids(trace))
         assert last_release > attack_end
@@ -530,11 +545,7 @@ class TestEngineProperties:
     @settings(deadline=None)
     def test_oracle_equivalence_gated(self, arr_svc, d):
         times, durs = arr_svc
-        trace = simulate_sequences(
-            ArrivalSequence(tuple(times)),
-            ServiceSequence(tuple(durs)),
-            QdtpConfig(d),
-        )
+        trace = simulate_sequences(times, durs, d)
         verify_trace(trace)
         # why verify_trace need not replay the gate delays: once t matches
         # the schedule, they follow from it
@@ -547,9 +558,7 @@ class TestEngineProperties:
     @settings(deadline=None)
     def test_oracle_equivalence_direct(self, arr_svc):
         times, durs = arr_svc
-        trace = simulate_sequences(
-            ArrivalSequence(tuple(times)), ServiceSequence(tuple(durs))
-        )
+        trace = simulate_sequences(times, durs)
         verify_trace(trace)
 
     @given(
@@ -561,12 +570,7 @@ class TestEngineProperties:
     @settings(deadline=None)
     def test_oracle_equivalence_with_mitigation(self, arr_svc, d, n, k):
         times, durs = arr_svc
-        trace = simulate_sequences(
-            ArrivalSequence(tuple(times)),
-            ServiceSequence(tuple(durs)),
-            QdtpConfig(d),
-            MitigationPolicy(n, k),
-        )
+        trace = simulate_sequences(times, durs, d, MitigationPolicy(n, k))
         verify_trace(trace)
         dropped = [why for why in trace.packets.drop_reason if why is not None]
         assert len(admitted_ids(trace)) + len(dropped) == len(times)
