@@ -11,17 +11,25 @@ was dropped).  :func:`queue_intervals` names the columns that bound each
 queue; sampling, exact peak, drain time and the occupancy integral (one
 sweep per queue, in the child process that :func:`run_summary` forks)
 read them in place.  They never need a sort: ``check_records`` orders them.
+
+No sample is held as a list of floats.  :func:`summarize` sorts a sample in
+runs of ``SORT_RUN`` values into one ``array('d')`` and reads its
+percentiles as exact order statistics across the runs; its mean and
+variance are ``math.fsum`` sums, exact in any order.  So the numbers are
+those of one sorted list, bit for bit.  :func:`histogram_counts` bins with
+a C-level ``bisect_right`` per value.
 """
 from __future__ import annotations
 
 import math
 import statistics
+import struct
 from array import array
-from bisect import bisect_right
+from bisect import bisect_left, bisect_right
 from collections import Counter
 from dataclasses import dataclass
-from itertools import chain, compress, islice, repeat
-from operator import sub, truediv
+from itertools import compress, islice, repeat
+from operator import not_, sub, truediv
 from typing import Iterable, Optional, Sequence
 
 from .errors import ConfigurationError, ContractViolation
@@ -31,6 +39,7 @@ from .timebase import ns_to_s, s_to_ns
 __all__ = [
     "SummaryStats",
     "RunComparison",
+    "SORT_RUN",
     "summarize",
     "admitted_ids",
     "admitted",
@@ -77,36 +86,103 @@ class SummaryStats:
         }
 
 
-def _nearest_rank(sorted_values: Sequence[float], p: float) -> float:
-    idx = math.ceil(p * len(sorted_values)) - 1
-    if idx < 0:
-        idx = 0
-    return sorted_values[idx]
+# summarize sorts its sample in runs of this many values, into one
+# array('d'), and reads each order statistic across the runs; the only
+# per-value Python objects alive at once are one run's
+SORT_RUN = 4096
+
+_DOUBLE, _BITS = struct.Struct("<d"), struct.Struct("<Q")
+_SIGN, _ALL = 1 << 63, (1 << 64) - 1
+
+
+def _key(x: float) -> int:
+    """An int that orders as the non-NaN double ``x`` does (-0.0 just below 0.0)."""
+    bits = _BITS.unpack(_DOUBLE.pack(x))[0]
+    return bits ^ _ALL if bits & _SIGN else bits | _SIGN
+
+
+def _from_key(key: int) -> float:
+    return _DOUBLE.unpack(_BITS.pack(key ^ _SIGN if key & _SIGN else key ^ _ALL))[0]
+
+
+_KEY_RANGE = (_key(-math.inf), _key(math.inf))
+
+
+def _sorted_runs(values: Iterable[float]) -> array:
+    """``values`` in one array('d'), each run of SORT_RUN values sorted."""
+    data, values = array("d"), iter(values)
+    while run := sorted(islice(values, SORT_RUN)):
+        data.extend(run)
+    return data
+
+
+def _order_statistic(runs: array, rank: int) -> float:
+    """The value a stable sort of the whole sample puts at ``rank`` (0-based).
+
+    Bisects over the doubles' bit patterns for the smallest value with more
+    than ``rank`` values at or below it, counting with one ``bisect_right``
+    per run; each run's search narrows to the window the earlier steps left.
+    Then it takes the occurrence of that value the stable sort would put
+    there, so even the sign of a zero is the one the sample holds there.
+    """
+    n = len(runs)
+    lows = range(0, n, SORT_RUN)
+    highs = [min(lo + SORT_RUN, n) for lo in lows]
+    before = sum(lows)  # bisect gives positions in the array, not in the run
+    lo, hi = _KEY_RANGE
+    while lo < hi:
+        mid = (lo + hi) // 2
+        ends = list(map(bisect_right, repeat(runs), repeat(_from_key(mid)), lows, highs))
+        if sum(ends) - before > rank:
+            hi, highs = mid, ends
+        else:
+            lo, lows = mid + 1, ends
+    # highs are now where each run's values above x start
+    x = _from_key(lo)
+    firsts = list(map(bisect_left, repeat(runs), repeat(x), lows, highs))
+    nth = rank + before - sum(firsts)
+    for first, end in zip(firsts, highs):
+        if nth < end - first:
+            break
+        nth -= end - first
+    return runs[first + nth]
+
+
+def _nearest_rank(runs: array, p: float) -> float:
+    return _order_statistic(runs, max(math.ceil(p * len(runs)) - 1, 0))
 
 
 def summarize(values: Iterable[float]) -> SummaryStats:
     """Summary statistics; population variance, nearest-rank percentiles."""
-    data = sorted(values)
-    if not data:
+    return _summary(_sorted_runs(values))
+
+
+def _summary(runs: array) -> SummaryStats:
+    """``summarize`` of a sample already sorted in runs (``_sorted_runs``)."""
+    if not runs:
         raise ContractViolation("cannot summarize an empty sample")
-    mean = statistics.fmean(data)
-    if data[0] == data[-1]:
+    # fsum is exact, so neither sum depends on the order of the values
+    mean = statistics.fmean(runs)
+    if math.isnan(mean):
+        raise ContractViolation("cannot summarize a sample holding NaN")
+    minimum, maximum = _order_statistic(runs, 0), _order_statistic(runs, len(runs) - 1)
+    if minimum == maximum:
         variance = 0.0  # constant sample; avoids float-summation dust
     else:
-        # keep (x - mean) ** 2: it calls libm pow, and d * d differs from
-        # pow(d, 2) in the last bit for some d, which would change
+        # pow(x - mean, 2), not d * d: it calls libm pow, and d * d differs
+        # from pow(d, 2) in the last bit for some d, which would change
         # summary.json (see CHANGES.md for the measured share)
-        variance = math.fsum((x - mean) ** 2 for x in data) / len(data)
+        variance = math.fsum(map(pow, map(sub, runs, repeat(mean)), repeat(2))) / len(runs)
     return SummaryStats(
-        count=len(data),
+        count=len(runs),
         mean=mean,
         variance=variance,
-        minimum=data[0],
-        maximum=data[-1],
-        p50=_nearest_rank(data, 0.50),
-        p95=_nearest_rank(data, 0.95),
-        p99=_nearest_rank(data, 0.99),
-        p999=_nearest_rank(data, 0.999),
+        minimum=minimum,
+        maximum=maximum,
+        p50=_nearest_rank(runs, 0.50),
+        p95=_nearest_rank(runs, 0.95),
+        p99=_nearest_rank(runs, 0.99),
+        p999=_nearest_rank(runs, 0.999),
     )
 
 
@@ -309,12 +385,12 @@ def fd_bin_edges(
     bins would outnumber the cap, there are MAX_HISTOGRAM_BINS bins instead,
     their edges log-spaced from the lowest value to the highest.
     """
-    ref = sorted(reference)
+    ref = _sorted_runs(reference)
     if not ref:
         raise ContractViolation("cannot bin an empty sample")
     iqr = _nearest_rank(ref, 0.75) - _nearest_rank(ref, 0.25)
     width = 2.0 * iqr / len(ref) ** (1.0 / 3.0)
-    lo, hi = ref[0], ref[-1]
+    lo, hi = _order_statistic(ref, 0), _order_statistic(ref, len(ref) - 1)
     if cover:
         lo = min(lo, min(cover))
         hi = max(hi, max(cover))
@@ -335,21 +411,17 @@ def histogram_counts(values: Iterable[float], edges: Sequence[float]) -> list[in
     """Counts per bin; the top edge is inclusive, out-of-range is clipped."""
     if len(edges) < 2:
         raise ContractViolation("need at least one bin")
-    counts = [0] * (len(edges) - 1)
-    for v in values:
-        idx = bisect_right(edges, v) - 1
-        if idx < 0:
-            idx = 0
-        elif idx >= len(counts):
-            idx = len(counts) - 1
-        counts[idx] += 1
+    # bisect_right is 0 below the lowest edge and len(edges) from the top one up
+    found = Counter(map(bisect_right, repeat(edges), values))
+    counts = [found[k] for k in range(1, len(edges))]
+    counts[0] += found[0]
+    counts[-1] += found[len(edges)]
     return counts
 
 
 def _maybe_summary_ms(values: Iterable[float]) -> Optional[dict]:
-    values = iter(values)
-    first = next(values, None)
-    return None if first is None else summarize(chain((first,), values)).to_ms_dict()
+    runs = _sorted_runs(values)
+    return _summary(runs).to_ms_dict() if runs else None
 
 
 def _seconds(later, earlier, rows=None):
@@ -405,6 +477,16 @@ def _whole_run_summary(trace) -> dict:
     return summary
 
 
+def _benign_before(is_attack, a_ns, start_ns: int) -> bytearray:
+    """Selectors of the benign packets that arrived before ``start_ns``.
+
+    ``a_ns`` is sorted, so those packets are among the first
+    ``bisect_left(a_ns, start_ns)``; the selectors stop there, and
+    ``itertools.compress`` stops with them.
+    """
+    return bytearray(map(not_, is_attack[:bisect_left(a_ns, start_ns)]))
+
+
 def _queues_and_attack_summary(trace) -> dict:
     """``run_summary``'s ``queues`` (one sweep per queue) and ``attack`` sections."""
     kept = trace.admitted
@@ -421,7 +503,7 @@ def _queues_and_attack_summary(trace) -> dict:
     if trace.attack_window_ns is None:
         return {"queues": queues, "attack": None}
     start_ns, end_ns = trace.attack_window_ns
-    baseline = [not atk and x < start_ns for atk, x in zip(attack, a)]
+    baseline = _benign_before(attack, a, start_ns)
     return {
         "queues": queues,
         "attack": {

@@ -21,7 +21,6 @@ from __future__ import annotations
 
 import math
 from array import array
-from collections import deque
 from dataclasses import dataclass, fields
 from itertools import compress, count, islice
 from operator import gt, ne, sub
@@ -182,10 +181,15 @@ def _engine(
     se_out = array("q", [ABSENT_NS]) * n
     drop_reason: list[Optional[str]] = [None] * n
 
-    gate_fifo: deque[int] = deque()
+    # Admitted packets pass both queues in id order, so a queue is the
+    # admitted ids from its head on, and a pop is a C-level scan of
+    # drop_reason for the next None.  The gate's head follows the last
+    # release; the device's is the packet after the one that just finished.
+    next_admitted = drop_reason.index
+    gate_head = gate_len = 0
     gate_open = 0  # earliest instant the next release may happen
-    gate_at = _INF  # pending release event
-    server_fifo: deque[int] = deque()
+    gate_at = _INF  # pending release event; _INF exactly while the gate is empty
+    server_len = 0
     busy = -1  # packet index in service, -1 when idle
     done_at = _INF
 
@@ -193,16 +197,14 @@ def _engine(
         nonlocal busy, done_at
         ss_out[j] = now
         busy = j
-        done_at = now + service_source(j, len(server_fifo) + 1 > congestion_threshold)
+        done_at = now + service_source(j, server_len + 1 > congestion_threshold)
         se_out[j] = done_at  # stored now, so an end past the columns fails at once
 
-    def release(j: int, now: int) -> None:  # through the gate (if any) into the device
-        nonlocal gate_open, gate_at
+    def admit(j: int, now: int) -> None:  # into the device, past the gate (if any)
+        nonlocal server_len
         t_out[j] = now
-        gate_open = now + d
-        gate_at = gate_open if gate_fifo else _INF
         if busy >= 0:
-            server_fifo.append(j)
+            server_len += 1
         else:
             start_service(j, now)
 
@@ -214,13 +216,18 @@ def _engine(
                 if done_at == _INF:
                     break
                 now = done_at
-                busy = -1
-                done_at = _INF
-                if server_fifo:
-                    start_service(server_fifo.popleft(), now)
+                finished, busy, done_at = busy, -1, _INF
+                if server_len:
+                    server_len -= 1
+                    start_service(next_admitted(None, finished + 1), now)
             elif gate_at <= next_arr:
                 now = gate_at
-                release(gate_fifo.popleft(), now)
+                j = next_admitted(None, gate_head)
+                gate_head = j + 1
+                gate_len -= 1
+                gate_open = now + d
+                gate_at = gate_open if gate_len else _INF
+                admit(j, now)
             else:
                 now = next_arr
                 j = i
@@ -229,24 +236,25 @@ def _engine(
                 if gate_filter is not None and not gate_filter.step(now):
                     drop_reason[j] = "mitigation"
                     continue
-                if use_gate:
-                    if not gate_fifo and now >= gate_open:
-                        release(j, now)
-                    elif sqf_capacity is not None and len(gate_fifo) >= sqf_capacity:
-                        drop_reason[j] = "capacity"
-                    else:
-                        gate_fifo.append(j)
-                        if gate_at == _INF:
-                            gate_at = gate_open
+                if not use_gate:
+                    admit(j, now)
+                elif not gate_len and now >= gate_open:
+                    gate_head = i
+                    gate_open = now + d
+                    admit(j, now)
+                elif sqf_capacity is not None and gate_len >= sqf_capacity:
+                    drop_reason[j] = "capacity"
                 else:
-                    release(j, now)
+                    gate_len += 1
+                    if gate_at == _INF:
+                        gate_at = gate_open
     except OverflowError:  # a release (now) or a service end did not fit its column
         raise ConfigurationError(
             f"event time {now if now >= _NO_FIT else done_at} ns "
             "does not fit in 64-bit nanoseconds"
         ) from None
 
-    if gate_fifo or server_fifo or busy >= 0:
+    if gate_len or server_len or busy >= 0:
         raise InvariantViolation("simulation ended with packets in flight")
 
     packets = Packets(

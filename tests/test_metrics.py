@@ -1,7 +1,12 @@
 """Tests for summary statistics, queue sampling and run comparison."""
 import dataclasses
+import json
 import math
 import random
+import statistics
+from array import array
+from bisect import bisect_right
+from itertools import compress
 
 import pytest
 from hypothesis import given, settings
@@ -84,6 +89,81 @@ class TestSummarize:
         d = summarize([0.002, 0.004]).to_ms_dict()
         assert d["mean_ms"] == pytest.approx(3.0)
         assert d["variance_ms2"] == pytest.approx(1.0)
+
+
+def summarize_sorted(values):
+    """The ``summarize`` that sorted the whole sample as one list of floats."""
+    data = sorted(values)
+    if not data:
+        raise ContractViolation("cannot summarize an empty sample")
+    mean = statistics.fmean(data)
+    if data[0] == data[-1]:
+        variance = 0.0
+    else:
+        variance = math.fsum((x - mean) ** 2 for x in data) / len(data)
+
+    def nearest_rank(p):
+        return data[max(math.ceil(p * len(data)) - 1, 0)]
+
+    return metrics.SummaryStats(
+        count=len(data), mean=mean, variance=variance, minimum=data[0], maximum=data[-1],
+        p50=nearest_rank(0.50), p95=nearest_rank(0.95), p99=nearest_rank(0.99),
+        p999=nearest_rank(0.999),
+    )
+
+
+RUN = metrics.SORT_RUN
+
+
+@st.composite
+def samples(draw, values):
+    """A sample at a size around the run length, drawn from a few ``values``.
+
+    The values repeat, so a sample holds ties, and may be all one value.
+    Sorted either way, a value sits in some runs and not in others.
+    """
+    size = draw(st.sampled_from([1, 2, 3, 1000, RUN - 1, RUN, RUN + 1, 2 * RUN + 1]))
+    pool = draw(st.lists(values, min_size=1, max_size=12))
+    rng = random.Random(draw(st.integers(0, 2**32)))
+    sample = [rng.choice(pool) for _ in range(size)]
+    order = draw(st.sampled_from(["as drawn", "ascending", "descending"]))
+    return sample if order == "as drawn" else sorted(sample, reverse=order == "descending")
+
+
+# what run_summary passes: differences of nanosecond times, in seconds,
+# up to the 64-bit limit (9.2e9 s), zeros included
+delays_s = st.integers(0, 2**63 - 1).map(lambda ns: ns / 1e9) | st.just(0.0)
+
+
+class TestSummarizeAgainstSortedList:
+    @given(samples(delays_s | st.floats(0.0, 9.2e9)))
+    @settings(deadline=None, max_examples=200)
+    def test_same_summary_as_one_sorted_list(self, sample):
+        got, want = summarize(iter(sample)), summarize_sorted(sample)
+        assert got.to_ms_dict() == want.to_ms_dict()
+        assert json.dumps(got.to_ms_dict()) == json.dumps(want.to_ms_dict())
+
+    @given(samples(st.floats(-1e100, 1e100) | st.sampled_from([0.0, -0.0])))
+    @settings(deadline=None, max_examples=100)
+    def test_signed_values_and_both_zeros(self, sample):
+        # the stable sort's own element is reported, so even a zero's sign matches
+        got, want = summarize(sample), summarize_sorted(sample)
+        assert json.dumps(got.to_ms_dict()) == json.dumps(want.to_ms_dict())
+
+    def test_nan_rejected(self):
+        with pytest.raises(ContractViolation, match="NaN"):
+            summarize([1.0, math.nan])
+
+
+class TestBenignBefore:
+    @given(st.lists(st.tuples(st.integers(0, 50), st.booleans()), max_size=40),
+           st.integers(-1, 52))
+    def test_selects_what_the_per_packet_test_selects(self, rows, start):
+        a = array("q", sorted(x for x, _ in rows))
+        attack = bytearray(atk for _, atk in rows)
+        values = list(range(len(rows)))
+        want = [v for v, atk, x in zip(values, attack, a) if not atk and x < start]
+        assert list(compress(values, metrics._benign_before(attack, a, start))) == want
 
 
 class TestQueueSeries:
@@ -199,6 +279,16 @@ class TestHistograms:
         edges = fd_bin_edges(ref)
         counts = histogram_counts(ref, edges)
         assert sum(counts) == 100
+
+    @given(st.lists(st.floats(-10.0, 110.0), max_size=60),
+           st.lists(st.floats(0.0, 100.0), min_size=2, max_size=8, unique=True))
+    @settings(deadline=None)
+    def test_counts_match_the_per_value_loop(self, values, edges):
+        edges.sort()
+        want = [0] * (len(edges) - 1)
+        for v in values:  # the loop histogram_counts replaced
+            want[min(max(bisect_right(edges, v) - 1, 0), len(want) - 1)] += 1
+        assert histogram_counts(values, edges) == want
 
     def test_degenerate_constant_sample(self):
         edges = fd_bin_edges([3.0, 3.0, 3.0])

@@ -8,6 +8,7 @@ import dataclasses
 import tracemalloc
 from array import array
 from bisect import bisect_left
+from collections import deque
 from operator import sub
 
 import pytest
@@ -18,7 +19,7 @@ from qdtp.artifacts import trace_from_records
 from qdtp.errors import ConfigurationError, ContractViolation, InvariantViolation
 from qdtp.manifests import resolve_scenario
 from qdtp.metrics import drain_time, queue_intervals
-from qdtp.mitigation import MitigationPolicy
+from qdtp.mitigation import MitigationGate, MitigationPolicy
 from qdtp.recursions import (
     ArrivalSequence,
     QdtpConfig,
@@ -27,10 +28,17 @@ from qdtp.recursions import (
     qdtp_schedule,
     server_waits,
 )
-from qdtp.scenario import Scenario, ServiceModel, ServiceSampler, TrafficModel
+from qdtp.scenario import (
+    LabeledArrivals,
+    Scenario,
+    ServiceModel,
+    ServiceSampler,
+    TrafficModel,
+)
 from qdtp.simulator import (
     ABSENT_NS,
     Packets,
+    _engine,
     check_records,
     simulate,
     simulate_sequences,
@@ -306,12 +314,12 @@ class TestCheckRecords:
 
 
 class TestStreamingSelfChecks:
-    """verify_trace and run_summary stream the packet columns.
+    """simulate, verify_trace and run_summary hold no per-packet Python objects.
 
-    A copy of one column costs at least 8 B per packet and a float sample
-    32 B.  A peak under 120 B per packet leaves room for the admitted ids,
-    a few masks and the one sample being summarised, not for copies of
-    the log.
+    A copy of one column costs 8 B per packet, and a Python int or float in
+    a list or deque at least 32 B.  So the bounds below leave room for the
+    columns and the one sample being summarised, but not for a list, or a
+    queue of ids, that grows with the packets.
     """
 
     @staticmethod
@@ -326,27 +334,47 @@ class TestStreamingSelfChecks:
         assert not any(trace.packets.drop_reason)  # the gate admits the whole flood
         return trace
 
-    # run_summary forks for half its work, so both halves run here instead
-    @pytest.mark.parametrize("check", [
-        verify_trace, pytest.param(summary_in_process, id="run_summary"),
+    def test_simulate_peak_per_packet(self):
+        """The engine's queues are head indices into the log, not deques of ids.
+
+        simulate of this flood peaked at 84.3 B per packet under tracemalloc
+        while the gate's deque held up to 49,644 ids; with head indices it
+        peaks at 49.0 B: the columns and the arrivals.
+        """
+        tracemalloc.start()
+        try:
+            trace = simulate(self.scenario(), 3 * MS)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak / len(trace.packets) < 60
+
+    # run_summary forks for half its work, so both halves run here instead.
+    # verify_trace streams the recursions beside the columns; the summary
+    # peaked at 45.0 B per packet while it sorted each sample as one list of
+    # floats, and at 13.8 B sorting it in runs into an array('d')
+    @pytest.mark.parametrize("check, bound", [
+        pytest.param(verify_trace, 8, id="verify_trace"),
+        pytest.param(summary_in_process, 20, id="run_summary"),
     ])
-    def test_traced_peak_per_packet(self, flood, check):
+    def test_traced_peak_per_packet(self, flood, check, bound):
         tracemalloc.start()
         try:
             check(flood)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak / len(flood.packets) < 120
+        assert peak / len(flood.packets) < bound
 
     def test_whole_run_peak_per_packet(self):
         """The log is typed columns, not lists of Python ints, end to end.
 
         simulate + verify_trace + run_summary of this flood peaked at 266 B
         per packet under tracemalloc when the columns were lists and tuples
-        of Python ints and generate sorted (t, source, flag) tuples; with
-        typed columns it peaks at 118 B.  Both halves of the summary run in
-        this process, where tracemalloc sees them.
+        of Python ints and generate sorted (t, source, flag) tuples; at 93.3 B
+        with typed columns, a deque of ids in the engine and a list per
+        summarised sample; and at 62.0 B without those.  Both halves of the
+        summary run in this process, where tracemalloc sees them.
         """
         tracemalloc.start()
         try:
@@ -356,7 +384,7 @@ class TestStreamingSelfChecks:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak / len(trace.packets) < 160
+        assert peak / len(trace.packets) < 75
 
 
 class TestTypedColumns:
@@ -574,3 +602,128 @@ class TestEngineProperties:
         verify_trace(trace)
         dropped = [why for why in trace.packets.drop_reason if why is not None]
         assert len(admitted_ids(trace)) + len(dropped) == len(times)
+
+
+_NO_EVENT = 1 << 64
+
+
+def deque_engine(at, service_source, d_ns, gate_filter, congestion_threshold, sqf_capacity):
+    """The engine loop before its queues became head indices: explicit FIFOs of ids.
+
+    Returns the ``t``, ``start`` and ``end`` columns as lists and
+    ``drop_reason``; ``service_source(j, congested)`` is asked in service order.
+    """
+    use_gate = d_ns is not None
+    d = d_ns if use_gate else 0
+    n = len(at)
+    t_out, ss_out, se_out = [ABSENT_NS] * n, [ABSENT_NS] * n, [ABSENT_NS] * n
+    drop_reason = [None] * n
+    gate_fifo, server_fifo = deque(), deque()
+    gate_open, gate_at, busy, done_at = 0, _NO_EVENT, -1, _NO_EVENT
+
+    def start_service(j, now):
+        nonlocal busy, done_at
+        ss_out[j] = now
+        busy = j
+        done_at = now + service_source(j, len(server_fifo) + 1 > congestion_threshold)
+        se_out[j] = done_at
+
+    def release(j, now):
+        nonlocal gate_open, gate_at
+        t_out[j] = now
+        gate_open = now + d
+        gate_at = gate_open if gate_fifo else _NO_EVENT
+        if busy >= 0:
+            server_fifo.append(j)
+        else:
+            start_service(j, now)
+
+    i = 0
+    next_arr = at[0] if n else _NO_EVENT
+    while True:
+        if done_at <= gate_at and done_at <= next_arr:
+            if done_at == _NO_EVENT:
+                break
+            now, busy, done_at = done_at, -1, _NO_EVENT
+            if server_fifo:
+                start_service(server_fifo.popleft(), now)
+        elif gate_at <= next_arr:
+            release(gate_fifo.popleft(), gate_at)
+        else:
+            now, j = next_arr, i
+            i += 1
+            next_arr = at[i] if i < n else _NO_EVENT
+            if gate_filter is not None and not gate_filter.step(now):
+                drop_reason[j] = "mitigation"
+                continue
+            if use_gate:
+                if not gate_fifo and now >= gate_open:
+                    release(j, now)
+                elif sqf_capacity is not None and len(gate_fifo) >= sqf_capacity:
+                    drop_reason[j] = "capacity"
+                else:
+                    gate_fifo.append(j)
+                    if gate_at == _NO_EVENT:
+                        gate_at = gate_open
+            else:
+                release(j, now)
+    return t_out, ss_out, se_out, drop_reason
+
+
+@st.composite
+def engine_inputs(draw):
+    """Arrivals with many ties, services, and a gate with capacity and (N, K) or none."""
+    gaps = draw(st.lists(st.one_of(st.just(0), st.integers(0, 10 * MS)), min_size=1,
+                         max_size=40))
+    arrivals = [sum(gaps[:k]) for k in range(len(gaps))]
+    services = draw(own.service_durations_ns(len(arrivals)))
+    d_ns = draw(st.none() | own.spacing_ns)
+    mitigation = capacity = None  # both need a gate
+    if d_ns is not None:
+        mitigation = draw(st.none() | st.tuples(st.integers(1, 5), st.integers(1, 3)))
+        capacity = draw(st.none() | st.integers(1, 5))
+    threshold = draw(st.integers(0, 4))
+    return arrivals, services, d_ns, mitigation, capacity, threshold
+
+
+class TestEngineAgainstDequeLoop:
+    @given(engine_inputs())
+    @settings(deadline=None, max_examples=300)
+    def test_same_log_as_the_deque_loop(self, inputs):
+        arrivals, services, d_ns, mitigation, capacity, threshold = inputs
+        asked = {"engine": [], "deque": []}
+
+        def service_source(route):
+            # a congested service takes three times as long, so a wrong flag
+            # moves every later timestamp
+            def draw(j, congested):
+                asked[route].append((j, congested))
+                return services[j] * 3 if congested else services[j]
+            return draw
+
+        labeled = LabeledArrivals(ArrivalSequence(arrivals), array("i", [0]) * len(arrivals),
+                                  bytearray(len(arrivals)))
+        trace = _engine(labeled, service_source("engine"), d_ns, mitigation,
+                        sampling_interval=0.1, congestion_threshold=threshold,
+                        attack_window_ns=None, seed=None, sqf_capacity=capacity)
+        gate = None if mitigation is None else MitigationGate(MitigationPolicy(*mitigation), d_ns)
+        t, start, end, reasons = deque_engine(
+            arrivals, service_source("deque"), d_ns, gate, threshold, capacity)
+        p = trace.packets
+        assert p.t_ns.tolist() == t
+        assert p.start_ns.tolist() == start
+        assert p.end_ns.tolist() == end
+        assert p.drop_reason == reasons
+        assert asked["engine"] == asked["deque"]
+
+    def test_mitigated_flood_drops_most_and_matches(self):
+        # a burst of 300 at one instant behind (N, K) = (2, 1): the engine's
+        # head scan skips long runs of dropped ids
+        arrivals, services = [0] * 300 + [10**9], [MS] * 301
+        trace = simulate_sequences(arrivals, services, 3 * MS, (2, 1))
+        gate = MitigationGate(MitigationPolicy(2, 1), 3 * MS)
+        t, start, end, reasons = deque_engine(
+            arrivals, lambda j, _c: services[j], 3 * MS, gate, 100, None)
+        assert trace.packets.drop_reason == reasons
+        assert reasons.count("mitigation") > 250
+        assert trace.packets.end_ns.tolist() == end
