@@ -41,7 +41,6 @@ from .simulator import Packets
 
 __all__ = [
     "DEFAULT_TOLERANCE_US",
-    "SPIN_WINDOW_NS",
     "PAYLOAD_SIZE",
     "ForwarderConfig",
     "ForwarderStats",
@@ -58,13 +57,6 @@ __all__ = [
 # Declared scheduling tolerance: commodity OS timers overshoot; anything
 # within epsilon of the planned instant counts as on time.
 DEFAULT_TOLERANCE_US = 500
-# Sleep until this close to the target, then spin on the clock.  The window
-# only has to cover the OS timer's wake-up latency: measured over 3,000
-# 60 us sleeps on a 2-vCPU VM, a SCHED_FIFO thread overshoots by 7-8 us at
-# p50 and 14-15 us at p99, so 20 us keeps realtime departures on plan.  A
-# timeshare thread (50 us default timer slack) overshoots more than the
-# window and so just sleeps, without burning a core.
-SPIN_WINDOW_NS = 20_000
 # Interpreter thread-switch interval while pacing is active.  The default
 # 5 ms lets the ingress thread hold the GIL long enough to push a departure
 # several tolerances late; a sub-tolerance slice keeps handoff latency well
@@ -79,19 +71,19 @@ _PAYLOAD_MAGIC = b"QD"
 def sleep_until_ns(target_ns: int) -> int:
     """Sleep until the monotonic clock reaches target; returns actual time.
 
-    OS sleep until ``SPIN_WINDOW_NS`` before the target, then busy-wait the
-    rest.  The spin absorbs only the timer's wake-up latency, so a
-    realtime thread departs within a few microseconds of plan while using
-    the CPU for a small fraction of each wait; never returns early.
+    Sleeps for the whole remaining time and re-checks the clock, so it
+    never returns early and never busy-waits.  A SCHED_FIFO thread has no
+    timer slack: in the live benchmark (D = 100 us, 2-vCPU VM) its
+    departures leave about 10 us after plan at p50 and 26 us at p99, far
+    inside DEFAULT_TOLERANCE_US.  A timeshare thread adds the default
+    50 us slack.
     """
     while True:
         now = time.monotonic_ns()
         remaining = target_ns - now
         if remaining <= 0:
             return now
-        if remaining > SPIN_WINDOW_NS:
-            time.sleep((remaining - SPIN_WINDOW_NS) / 1e9)
-        # else: spin through the final window
+        time.sleep(remaining / 1e9)
 
 
 def try_realtime_priority(priority: int = 10) -> bool:
