@@ -57,6 +57,7 @@ from .scenario import (
 )
 from .simulator import (
     ABSENT_NS,
+    DROP_REASONS,
     Packets,
     TraceSeries,
     simulate,
@@ -68,6 +69,7 @@ __version__ = "0.1.0"
 
 __all__ = [
     "ABSENT_NS",
+    "DROP_REASONS",
     "ArrivalSequence",
     "ConfigurationError",
     "ContractViolation",

@@ -4,7 +4,12 @@ Schemas are stable interfaces. packets.csv carries integer-nanosecond
 timestamps; empty cells mean "not applicable" (dropped packets), which
 ``simulator.Packets`` holds as ``ABSENT_NS``.  Its
 ``id`` and ``dropped`` columns are derived: ``id`` is the row index and
-``dropped`` is 1 exactly when ``drop_reason`` is set.
+``dropped`` is 1 exactly when ``drop_reason`` is set.  A ``drop_reason``
+cell is empty or one of the names in ``DROP_REASONS``, which ``Packets``
+holds as that name's index in the table (0 for an empty cell); the writer
+formats rows from the codes and the reader turns cells back into them.
+queues.csv is written from the trace's ``array('q')`` series, and the
+comparison CSV streams its ratio column.
 """
 from __future__ import annotations
 
@@ -20,7 +25,15 @@ from typing import NoReturn, Optional, Sequence
 from . import metrics
 from .errors import ContractViolation, InvariantViolation
 from .forked import Forked
-from .simulator import ABSENT_NS, Packets, TraceSeries, _trace, check_records, verify_trace
+from .simulator import (
+    ABSENT_NS,
+    DROP_REASONS,
+    Packets,
+    TraceSeries,
+    _trace,
+    check_records,
+    verify_trace,
+)
 
 PACKET_FIELDS = [
     "id",
@@ -50,13 +63,19 @@ __all__ = [
 
 
 # packets.csv rows as csv.writer writes them (no cell needs quoting: ints and
-# the two drop reasons).  An admitted row has all its timestamps.  A dropped
-# row is its first four cells, three empty timestamps, 1 and its reason; a
-# chunk of mixed rows hands every row all seven numbers, and each "%.0s"
-# prints nothing for one of a dropped row's ABSENT_NS
+# the names in DROP_REASONS).  An admitted row has all its timestamps.  A
+# dropped row is its first four cells, three empty timestamps, 1 and its
+# reason; a chunk of mixed rows hands every row all seven numbers, and each
+# "%.0s" prints nothing for one of a dropped row's ABSENT_NS.  Indexed by
+# drop reason code: the format of a chunk of such rows and the columns it
+# takes, and the format of one such row in a mixed chunk
 _ADMITTED_ROW = "%d,%d,%d,%d,%d,%d,%d,0,\r\n"
-_DROPPED_ROW = "%d,%d,%d,%d,,,,1,{}\r\n"
-_DROPPED_AMONG_ADMITTED_ROW = "%d,%d,%d,%d,%.0s,%.0s,%.0s,1,{}\r\n"
+_UNIFORM_ROWS = [(_ADMITTED_ROW, 6)] + [
+    (f"%d,%d,%d,%d,,,,1,{why}\r\n", 3) for why in DROP_REASONS[1:]
+]
+_MIXED_ROWS = [_ADMITTED_ROW] + [
+    f"%d,%d,%d,%d,%.0s,%.0s,%.0s,1,{why}\r\n" for why in DROP_REASONS[1:]
+]
 
 # rows formatted and written at a time
 _WRITE_ROWS = 4096
@@ -68,14 +87,6 @@ def write_packets_csv(packets: Packets, path) -> None:
     Follows the ``Packets`` contract: an admitted row's timestamps are
     written as numbers, and a dropped row's as empty cells.
     """
-    # by drop reason: the format of a chunk of such rows and the columns it
-    # takes, and the format of one such row in a mixed chunk
-    uniform = {None: (_ADMITTED_ROW, 6)}
-    mixed = {None: _ADMITTED_ROW}
-    for why in set(packets.drop_reason) - {None}:
-        cell = why.replace("%", "%%")
-        uniform[why] = (_DROPPED_ROW.format(cell), 3)
-        mixed[why] = _DROPPED_AMONG_ADMITTED_ROW.format(cell)
     columns = (packets.source, packets.is_attack, packets.a_ns,
                packets.t_ns, packets.start_ns, packets.end_ns)
     with open(path, "w", newline="", encoding="utf-8") as fh:
@@ -84,11 +95,11 @@ def write_packets_csv(packets: Packets, path) -> None:
             hi = lo + _WRITE_ROWS
             chunk = packets.drop_reason[lo:hi]
             if chunk.count(chunk[0]) == len(chunk):
-                row, width = uniform[chunk[0]]
+                row, width = _UNIFORM_ROWS[chunk[0]]
                 rows = map(row.__mod__,
                            zip(range(lo, hi), *(column[lo:hi] for column in columns[:width])))
             else:
-                rows = map(mod, map(mixed.__getitem__, chunk),
+                rows = map(mod, map(_MIXED_ROWS.__getitem__, chunk),
                            zip(range(lo, hi), *(column[lo:hi] for column in columns)))
             fh.write("".join(rows))
 
@@ -109,7 +120,8 @@ def _open_utf8(path):
 _BLOCK_CHARS = 1 << 15
 
 _ABSENT_CELL = {"": str(ABSENT_NS)}.get  # _ABSENT_CELL(cell, cell): "" reads as ABSENT_NS
-_NO_REASON = {"": None}.get  # _NO_REASON(cell, cell): "" reads as None
+# a drop_reason cell's code: "" is 0, each name its index in DROP_REASONS
+_REASON_CODES = {why or "": code for code, why in enumerate(DROP_REASONS)}
 
 
 def read_packets_csv(path) -> Packets:
@@ -119,10 +131,11 @@ def read_packets_csv(path) -> Packets:
     may lack its line end.  Rejects, with ContractViolation, bytes that are
     not UTF-8, a header other than PACKET_FIELDS, a malformed row, an
     ``id`` that is not the row index, a ``dropped`` flag that disagrees with
-    ``drop_reason``, and a number too large for its column (64-bit
-    timestamps, 32-bit sources).  A dropped row with a gate/device
-    timestamp raises InvariantViolation.  No cell is ever quoted, so a
-    ``"`` is rejected, and so is a carriage return that does not end a line.
+    ``drop_reason``, a ``drop_reason`` outside ``DROP_REASONS``, and a
+    number too large for its column (64-bit timestamps, 32-bit sources).  A
+    dropped row with a gate/device timestamp raises InvariantViolation.  No
+    cell is ever quoted, so a ``"`` is rejected, and so is a carriage return
+    that does not end a line.
 
     The file is read a block of lines at a time, and each block's checks
     and conversions run on whole columns; only a block that fails them is
@@ -163,22 +176,24 @@ def _add_rows(packets: Packets, lines: list[str], first: int) -> None:
         raise ValueError("an id is not its row index")
     n = len(lines)
     if why.count("") == n and dropped.count("0") == n:  # nothing dropped
-        reasons = repeat(None, n)
+        codes = bytes(n)
     else:
         flagged = list(map(truth, why))
         if list(map(truth, map(int, dropped))) != flagged:
             raise ValueError("a dropped flag disagrees with drop_reason")
+        if not _REASON_CODES.keys() >= set(why):
+            raise ValueError("a drop_reason is outside DROP_REASONS")
         # check_records' test, made on the cells: a cell of -1 would read
         # back as ABSENT_NS and pass it there
         if any(chain.from_iterable(compress(column, flagged) for column in (t, start, end))):
             raise ValueError("a dropped row has gate/device timestamps")
-        reasons = map(_NO_REASON, why, why)
+        codes = bytes(map(_REASON_CODES.__getitem__, why))
     packets.source.extend(map(int, source))
     packets.is_attack.extend(map(truth, map(int, attack)))
     packets.a_ns.extend(map(int, a))
     for column, cells in ((packets.t_ns, t), (packets.start_ns, start), (packets.end_ns, end)):
         column.extend(map(int, map(_ABSENT_CELL, cells, cells) if "" in cells else cells))
-    packets.drop_reason.extend(reasons)
+    packets.drop_reason.extend(codes)
 
 
 def _reject_rows(path, lines: list[str], first: int, exc: Exception) -> NoReturn:
@@ -200,6 +215,9 @@ def _reject_rows(path, lines: list[str], first: int, exc: Exception) -> NoReturn
                 raise ValueError(f"id {pid} is not the row index {index}")
             if bool(int(dropped)) != bool(why):
                 raise ValueError("dropped flag disagrees with drop_reason")
+            if why not in _REASON_CODES:
+                raise ValueError(f"drop_reason {why!r} of row {index} is not one of "
+                                 f"{DROP_REASONS[1:]}")
             if why and (t or start or end):
                 raise InvariantViolation(
                     f"packet {index}: dropped yet has gate/device timestamps"
@@ -218,8 +236,7 @@ def write_queues_csv(trace: TraceSeries, path) -> None:
     with open(path, "w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh)
         writer.writerow(["time_ns", "sqf_len", "server_len"])
-        for t, q, s in zip(trace.times_ns, trace.sqf_counts, trace.server_counts):
-            writer.writerow([t, q, s])
+        writer.writerows(zip(trace.times_ns, trace.sqf_counts, trace.server_counts))
 
 
 def read_queues_csv(path) -> tuple[list[int], list[int], list[int]]:
@@ -261,23 +278,19 @@ def read_summary_json(path) -> dict:
 
 
 def write_comparison_csv(comparison: metrics.RunComparison, path) -> None:
-    ratios = comparison.ratios("server")
     with open(path, "w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh)
         writer.writerow(
             ["time_ns", "sqf_a", "server_a", "sqf_b", "server_b", "server_ratio_a_over_b"]
         )
-        for i, t in enumerate(comparison.times_ns):
-            writer.writerow(
-                [
-                    t,
-                    comparison.sqf_a[i],
-                    comparison.server_a[i],
-                    comparison.sqf_b[i],
-                    comparison.server_b[i],
-                    f"{ratios[i]:.6g}",
-                ]
-            )
+        writer.writerows(zip(
+            comparison.times_ns,
+            comparison.sqf_a,
+            comparison.server_a,
+            comparison.sqf_b,
+            comparison.server_b,
+            map("{:.6g}".format, comparison.ratios("server")),
+        ))
 
 
 def write_histogram_csv(edges: Sequence[float], columns: dict, path) -> None:

@@ -499,7 +499,7 @@ class UdpServerStub:
                 p.t_ns.append(recv_ns - base)
                 p.start_ns.append(start_ns - base)
                 p.end_ns.append(end_ns - base)
-                p.drop_reason.append(None)
+                p.drop_reason.append(0)
 
     def snapshot_records(self) -> Packets:
         """A copy of the packet columns, consistent under the lock."""

@@ -4,6 +4,9 @@ A packet log is a ``simulator.Packets``: per-packet columns (``a_ns``,
 ``t_ns``, ``start_ns``, ``end_ns``, ``drop_reason``, ...), whether the
 engine filled them or ``artifacts.read_packets_csv`` read them back.
 Nothing here validates a log: ``simulator.check_records`` does, first.
+The queue series (:func:`sample_queues`, :func:`compare_runs`) are
+``array('q')`` columns too, so no per-packet or per-sample value is a
+Python object of its own.
 
 Every occupancy and delay figure reads the admitted packets, which the
 trace selects once (``TraceSeries.admitted``, the log itself when nothing
@@ -30,11 +33,11 @@ from collections import Counter
 from dataclasses import dataclass
 from itertools import compress, islice, repeat
 from operator import not_, sub, truediv
-from typing import Iterable, Optional, Sequence
+from typing import Iterable, Iterator, Optional, Sequence
 
 from .errors import ConfigurationError, ContractViolation
 from .forked import Forked
-from .timebase import ns_to_s, s_to_ns
+from .timebase import DROP_REASONS, ns_to_s, s_to_ns
 
 __all__ = [
     "SummaryStats",
@@ -187,11 +190,15 @@ def _summary(runs: array) -> SummaryStats:
 
 
 def admitted_ids(packets) -> Optional[array]:
-    """Ids of the packets whose ``drop_reason`` is None; None when none was dropped."""
+    """Ids of the packets whose ``drop_reason`` code is 0, in an array('q').
+
+    None when none was dropped.  Both the count and the selection read the
+    bytearray of codes at C level.
+    """
     reasons = packets.drop_reason
-    if reasons.count(None) == len(reasons):
+    if reasons.count(0) == len(reasons):
         return None
-    return array("q", [pid for pid, why in enumerate(reasons) if why is None])
+    return array("q", compress(range(len(reasons)), map(not_, reasons)))
 
 
 def admitted(column, ids: Optional[array]):
@@ -223,15 +230,14 @@ def queue_intervals(admitted) -> dict[str, tuple[array, array]]:
 
 def occupancy_counts(
     entries: Sequence[int], exits: Sequence[int], grid_ns: Sequence[int]
-) -> list[int]:
-    """Occupancy at each grid instant: entries so far minus exits so far.
+) -> array:
+    """Occupancy at each grid instant, in an array('q'): entries so far minus exits so far.
 
     ``entries`` and ``exits`` must be sorted.  An exit at exactly the grid
     instant has already left (intervals are half-open on the right).
     """
-    return [
-        bisect_right(entries, g) - bisect_right(exits, g) for g in grid_ns
-    ]
+    return array("q", map(sub, map(bisect_right, repeat(entries), grid_ns),
+                          map(bisect_right, repeat(exits), grid_ns)))
 
 
 def _sweep(entries: Sequence[int], exits: Sequence[int]) -> tuple[int, int]:
@@ -267,17 +273,17 @@ def _sweep(entries: Sequence[int], exits: Sequence[int]) -> tuple[int, int]:
 MAX_SAMPLE_POINTS = 1_000_000
 
 
-def sample_queues(
-    admitted, interval: float
-) -> tuple[tuple[int, ...], tuple[int, ...], tuple[int, ...]]:
+def sample_queues(admitted, interval: float) -> tuple[array, array, array]:
     """Sample both queues' occupancy every ``interval`` seconds from zero.
 
     ``admitted`` holds only admitted packets, as :func:`queue_intervals`
-    reads them.  Returns ``(grid_ns, sqf_counts, server_counts)``.  The grid
-    extends one step past the last service end, the last exit from either
-    queue, so both series return to zero.  An empty packet log yields the
-    single grid instant 0.  A grid of more than MAX_SAMPLE_POINTS instants
-    raises ConfigurationError naming the smallest interval that fits.
+    reads them.  Returns ``(grid_ns, sqf_counts, server_counts)``, three
+    ``array('q')`` columns.  The grid extends one step past the last service
+    end, the last exit from either queue, so both series return to zero.  An
+    empty packet log yields the single grid instant 0.  A grid of more than
+    MAX_SAMPLE_POINTS instants raises ConfigurationError naming the smallest
+    interval that fits, and so does a grid whose last instant does not fit
+    in 64-bit nanoseconds.
     """
     interval_ns = s_to_ns(interval) if math.isfinite(interval) else 0
     if interval_ns <= 0:
@@ -291,12 +297,17 @@ def sample_queues(
             f"up to {last} ns, more than MAX_SAMPLE_POINTS ({MAX_SAMPLE_POINTS}); "
             f"the smallest interval that fits is {fits_ns / 1e6!r} ms"
         )
-    grid = [k * interval_ns for k in range(points)]
+    if (points - 1) * interval_ns >> 63:
+        raise ConfigurationError(
+            f"sampling interval of {interval * 1e3:.15g} ms puts the last of {points} "
+            "queue samples past 64-bit nanoseconds"
+        )
+    grid = array("q", range(0, points * interval_ns, interval_ns))
     intervals = queue_intervals(admitted)
     return (
-        tuple(grid),
-        tuple(occupancy_counts(*intervals["sqf"], grid)),
-        tuple(occupancy_counts(*intervals["server"], grid)),
+        grid,
+        occupancy_counts(*intervals["sqf"], grid),
+        occupancy_counts(*intervals["server"], grid),
     )
 
 
@@ -337,28 +348,31 @@ def drain_time(trace, queue: str = "server") -> float:
     return ns_to_s(overrun) if overrun > 0 else 0.0
 
 
+def _ratio(x: int, y: int) -> float:
+    if y == 0:
+        return 1.0 if x == 0 else math.inf
+    return x / y
+
+
 @dataclass(frozen=True)
 class RunComparison:
-    """Pointwise queue-length comparison of two runs on a shared grid."""
+    """Pointwise queue-length comparison of two runs on a shared grid.
+
+    The grid and the four series are ``array('q')`` columns of one length.
+    """
 
     interval: float
-    times_ns: tuple[int, ...]
-    sqf_a: tuple[int, ...]
-    sqf_b: tuple[int, ...]
-    server_a: tuple[int, ...]
-    server_b: tuple[int, ...]
+    times_ns: array
+    sqf_a: array
+    sqf_b: array
+    server_a: array
+    server_b: array
 
-    def ratios(self, queue: str) -> list[float]:
-        """Per-sample a/b ratio; 1 when both empty, inf when only b is."""
-        xs = self.sqf_a if queue == "sqf" else self.server_a
-        ys = self.sqf_b if queue == "sqf" else self.server_b
-        out = []
-        for x, y in zip(xs, ys):
-            if y == 0:
-                out.append(1.0 if x == 0 else math.inf)
-            else:
-                out.append(x / y)
-        return out
+    def ratios(self, queue: str) -> Iterator[float]:
+        """Per-sample a/b ratio, streamed; 1 when both empty, inf when only b is."""
+        if queue == "sqf":
+            return map(_ratio, self.sqf_a, self.sqf_b)
+        return map(_ratio, self.server_a, self.server_b)
 
     @property
     def peak_server_a(self) -> int:
@@ -435,15 +449,14 @@ def _whole_run_summary(trace) -> dict:
     """``run_summary``'s packet counts, config, whole-run samples and spacing advisor."""
     p, kept = trace.packets, trace.admitted
     a, t, start, end = kept.a_ns, kept.t_ns, kept.start_ns, kept.end_ns
-    drops = Counter(p.drop_reason)
-    completed = drops.pop(None, 0)
+    completed, *dropped = map(p.drop_reason.count, range(len(DROP_REASONS)))
     services = _maybe_summary_ms(_seconds(end, start))
     summary = {
         "packets": {
             "total": len(p),
             "completed": completed,
-            "dropped": sum(drops.values()),
-            "drop_reasons": dict(drops),
+            "dropped": sum(dropped),
+            "drop_reasons": {why: k for why, k in zip(DROP_REASONS[1:], dropped) if k},
         },
         "config": {
             "d_ms": trace.d_ns / 1e6 if trace.d_ns is not None else None,
@@ -535,12 +548,12 @@ def run_summary(trace) -> dict:
     return summary
 
 
-def _pad(counts: Sequence[int], n: int) -> tuple[int, ...]:
-    return tuple(counts) + (0,) * (n - len(counts))
+def _pad(counts: Sequence[int], n: int) -> array:
+    return array("q", counts) + array("q", [0]) * (n - len(counts))
 
 
 def compare_runs(a, b) -> RunComparison:
-    """Line up two traces' queue series on one grid.
+    """Line up two traces' queue series on one grid, as ``array('q')`` columns.
 
     Both traces must have been sampled with the same interval; the shorter
     series are zero-padded, since a drained queue simply stays empty.
@@ -551,7 +564,7 @@ def compare_runs(a, b) -> RunComparison:
     interval_ns = s_to_ns(a.sampling_interval)
     return RunComparison(
         interval=a.sampling_interval,
-        times_ns=tuple(k * interval_ns for k in range(n)),
+        times_ns=array("q", range(0, n * interval_ns, interval_ns)),
         sqf_a=_pad(a.sqf_counts, n),
         sqf_b=_pad(b.sqf_counts, n),
         server_a=_pad(a.server_counts, n),

@@ -36,10 +36,11 @@ from .recursions import (
     qdtp_schedule,  # unused here; bench/selftest.py reaches it through this module
 )
 from .scenario import LabeledArrivals, Scenario, ServiceSampler, generate_arrivals
-from .timebase import ABSENT_NS, s_to_ns
+from .timebase import ABSENT_NS, DROP_REASONS, s_to_ns
 
 __all__ = [
     "ABSENT_NS",
+    "DROP_REASONS",
     "Packets",
     "TraceSeries",
     "simulate",
@@ -55,6 +56,8 @@ __all__ = [
 _NO_FIT = 1 << 63
 _INF = 1 << 64
 
+_MITIGATION, _CAPACITY = map(DROP_REASONS.index, ("mitigation", "capacity"))
+
 
 def _is_array(column, typecode: str) -> bool:
     return isinstance(column, array) and column.typecode == typecode
@@ -66,12 +69,14 @@ class Packets:
 
     Timestamps are nanoseconds in ``array('q')`` columns, ``source`` is an
     ``array('i')``, ``is_attack`` a ``bytearray`` of 0/1 and ``drop_reason``
-    a list.  A packet is dropped exactly when its ``drop_reason`` is not
-    None, and then its ``t_ns``, ``start_ns`` and ``end_ns`` hold
-    ``ABSENT_NS``.  Without a gate, ``t_ns`` equals ``a_ns``.  Columns given
-    as other sequences are converted once, here, with None in those three
-    columns read as ``ABSENT_NS``; the CSV reader and the device stub then
-    append to the arrays.
+    a ``bytearray`` of indices into ``DROP_REASONS``.  A packet is dropped
+    exactly when its code is not 0 (None), and then its ``t_ns``,
+    ``start_ns`` and ``end_ns`` hold ``ABSENT_NS``.  Without a gate,
+    ``t_ns`` equals ``a_ns``.  Columns given as other sequences are
+    converted once, here: None in those three timestamp columns reads as
+    ``ABSENT_NS``, and ``drop_reason`` given as names is coded, a name
+    outside ``DROP_REASONS`` raising ContractViolation.  The CSV reader and
+    the device stub then append to the arrays.
     """
 
     source: Sequence[int] = ()
@@ -80,7 +85,7 @@ class Packets:
     t_ns: Sequence[Optional[int]] = ()
     start_ns: Sequence[Optional[int]] = ()
     end_ns: Sequence[Optional[int]] = ()
-    drop_reason: Sequence[Optional[str]] = ()
+    drop_reason: Sequence[Optional[str]] = ()  # a bytearray of codes once built
 
     def __post_init__(self) -> None:
         if not _is_array(self.source, "i"):
@@ -94,8 +99,14 @@ class Packets:
             if not _is_array(column, "q"):
                 column = [ABSENT_NS if x is None else x for x in column]
                 setattr(self, name, array("q", column))
-        if not isinstance(self.drop_reason, list):
-            self.drop_reason = list(self.drop_reason)
+        if not isinstance(self.drop_reason, bytearray):
+            unknown = set(self.drop_reason).difference(DROP_REASONS)
+            if unknown:
+                raise ContractViolation(
+                    f"unknown drop reason {', '.join(sorted(map(repr, unknown)))}; "
+                    f"a packet is dropped for one of {DROP_REASONS[1:]}"
+                )
+            self.drop_reason = bytearray(map(DROP_REASONS.index, self.drop_reason))
         lengths = {f.name: len(getattr(self, f.name)) for f in fields(self)}
         if len(set(lengths.values())) > 1:
             raise ContractViolation(f"packet columns differ in length: {lengths}")
@@ -106,12 +117,16 @@ class Packets:
 
 @dataclass
 class TraceSeries:
-    """One simulation run: sampled queue lengths plus the full packet log."""
+    """One simulation run: sampled queue lengths plus the full packet log.
+
+    The sample instants and both queues' lengths at them are ``array('q')``
+    columns, as ``metrics.sample_queues`` returns them.
+    """
 
     sampling_interval: float
-    times_ns: tuple[int, ...]
-    sqf_counts: tuple[int, ...]
-    server_counts: tuple[int, ...]
+    times_ns: array
+    sqf_counts: array
+    server_counts: array
     packets: Packets
     # the admitted packets' rows, selected once; ``packets`` itself when
     # nothing was dropped
@@ -129,7 +144,7 @@ def _trace(packets: Packets, sampling_interval: float, **rest) -> TraceSeries:
         *(metrics.admitted(column, ids) for column in (
             packets.source, packets.is_attack, packets.a_ns,
             packets.t_ns, packets.start_ns, packets.end_ns)),
-        [None] * len(ids),
+        bytearray(len(ids)),
     )
     grid, sqf_counts, server_counts = metrics.sample_queues(kept, sampling_interval)
     return TraceSeries(
@@ -179,12 +194,14 @@ def _engine(
     t_out = array("q", [ABSENT_NS]) * n
     ss_out = array("q", [ABSENT_NS]) * n
     se_out = array("q", [ABSENT_NS]) * n
-    drop_reason: list[Optional[str]] = [None] * n
+    drop_reason = bytearray(n)
 
     # Admitted packets pass both queues in id order, so a queue is the
     # admitted ids from its head on, and a pop is a C-level scan of
-    # drop_reason for the next None.  The gate's head follows the last
-    # release; the device's is the packet after the one that just finished.
+    # drop_reason for the next 0.  The gate's head follows the last release;
+    # the device's is the packet after the one that just finished.  A head
+    # is read before it is scanned from: most heads are admitted, and a
+    # bytearray.index call costs about three reads of a code.
     next_admitted = drop_reason.index
     gate_head = gate_len = 0
     gate_open = 0  # earliest instant the next release may happen
@@ -219,10 +236,15 @@ def _engine(
                 finished, busy, done_at = busy, -1, _INF
                 if server_len:
                     server_len -= 1
-                    start_service(next_admitted(None, finished + 1), now)
+                    j = finished + 1
+                    if drop_reason[j]:
+                        j = next_admitted(0, j)
+                    start_service(j, now)
             elif gate_at <= next_arr:
                 now = gate_at
-                j = next_admitted(None, gate_head)
+                j = gate_head
+                if drop_reason[j]:
+                    j = next_admitted(0, j)
                 gate_head = j + 1
                 gate_len -= 1
                 gate_open = now + d
@@ -234,7 +256,7 @@ def _engine(
                 i += 1
                 next_arr = at[i] if i < n else _INF
                 if gate_filter is not None and not gate_filter.step(now):
-                    drop_reason[j] = "mitigation"
+                    drop_reason[j] = _MITIGATION
                     continue
                 if not use_gate:
                     admit(j, now)
@@ -243,7 +265,7 @@ def _engine(
                     gate_open = now + d
                     admit(j, now)
                 elif sqf_capacity is not None and gate_len >= sqf_capacity:
-                    drop_reason[j] = "capacity"
+                    drop_reason[j] = _CAPACITY
                 else:
                     gate_len += 1
                     if gate_at == _INF:
@@ -378,9 +400,11 @@ def check_records(packets: Packets) -> None:
     columns = zip(packets.a_ns, packets.t_ns, packets.start_ns, packets.end_ns,
                   packets.drop_reason)
     for pid, (a, t, start, end, why) in enumerate(columns):
-        if why is not None:
-            if why not in ("mitigation", "capacity"):
-                raise InvariantViolation(f"packet {pid}: dropped with reason {why!r}")
+        if why:
+            if why >= len(DROP_REASONS):
+                raise InvariantViolation(
+                    f"packet {pid}: dropped with reason code {why}, outside DROP_REASONS"
+                )
             if t != ABSENT_NS or start != ABSENT_NS or end != ABSENT_NS:
                 raise InvariantViolation(f"packet {pid}: dropped yet has gate/device timestamps")
             continue

@@ -1,4 +1,4 @@
-"""Time unit helpers.
+"""Time unit helpers, and the two codes a packet log stores beside its times.
 
 Everything numeric inside the package is integer nanoseconds so that the
 closed-form recursions and the event simulator can be compared for exact
@@ -12,6 +12,10 @@ NS_PER_S = 1_000_000_000
 # the value of a timestamp a packet never got (a dropped packet's gate and
 # device times); every real timestamp is at least 0
 ABSENT_NS = -1
+
+# a packet's drop reason is stored as its index in this table; code 0, None,
+# means the packet was admitted
+DROP_REASONS = (None, "mitigation", "capacity")
 
 
 def s_to_ns(seconds: float) -> int:

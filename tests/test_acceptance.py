@@ -33,7 +33,7 @@ from qdtp.recursions import (
     qdtp_schedule,
     server_waits,
 )
-from qdtp.simulator import ABSENT_NS, simulate, simulate_sequences, verify_trace
+from qdtp.simulator import ABSENT_NS, DROP_REASONS, simulate, simulate_sequences, verify_trace
 
 PROPERTY_CASES = 500
 
@@ -47,7 +47,7 @@ def _occupancy_at(trace, which, instant_ns):
 
 def _reduce(name, manifest, trace, verify_error):
     p = trace.packets
-    completed = [i for i, why in enumerate(p.drop_reason) if why is None]
+    completed = [i for i, code in enumerate(p.drop_reason) if DROP_REASONS[code] is None]
     window = trace.attack_window_ns
     baseline = [i for i in completed if window and p.t_ns[i] < window[0]]
     attacked = [i for i in completed if window and window[0] <= p.t_ns[i] < window[1]]
@@ -269,10 +269,11 @@ def _one_live_burst(count=1000, d_us=3000, tol_ns=500_000):
 
 @pytest.mark.live
 def test_criterion_7_live_pacing():
-    # The host of this single-vCPU sandbox freezes the guest for 0.5-10 ms
-    # about once a second — an *idle* realtime thread measures 0-8 such
-    # stalls per 3 s window, so no in-process discipline can avoid them and
-    # only ~1 in 5 windows is quiet.  Every attempt below runs the complete
+    # The host of this 2-vCPU sandbox freezes the guest for 0.5-10 ms about
+    # once a second — an *idle* realtime thread measures 0-8 such stalls per
+    # 3 s window, so no in-process discipline can avoid them and only ~1 in
+    # 5 windows is quiet — and two CPU-bound processes there get only
+    # 1.0-1.5x the throughput of one.  Every attempt below runs the complete
     # criterion at the stated tolerance; a defective pacer (late sends,
     # drift, schedule mismatch) fails all of them, while a bounded number
     # of retries just waits out the host noise.
@@ -349,10 +350,11 @@ def _prop_conservation(data, d, n, cap):
     times, durs = data
     trace = simulate_sequences(times, durs, d, (n, 2), sqf_capacity=cap or None)
     p = trace.packets
-    completed = sum(1 for why in p.drop_reason if why is None)
-    dropped = sum(1 for why in p.drop_reason if why is not None)
+    reasons = [DROP_REASONS[code] for code in p.drop_reason]
+    completed = sum(1 for why in reasons if why is None)
+    dropped = sum(1 for why in reasons if why is not None)
     assert completed + dropped == len(times)
-    for why, start, end in zip(p.drop_reason, p.start_ns, p.end_ns):
+    for why, start, end in zip(reasons, p.start_ns, p.end_ns):
         if why is not None:
             assert why in ("mitigation", "capacity")
             assert start == ABSENT_NS

@@ -24,11 +24,11 @@ from qdtp.artifacts import (
 from qdtp.errors import ContractViolation, InvariantViolation
 from qdtp.metrics import run_summary
 from qdtp.mitigation import MitigationPolicy
-from qdtp.simulator import ABSENT_NS, Packets, simulate_sequences
+from qdtp.simulator import ABSENT_NS, DROP_REASONS, Packets, simulate_sequences
 
 
 def columns(packets):
-    """Each column as a list: the engine hands over tuples, the reader lists."""
+    """Each column as a list: ``drop_reason`` as its codes."""
     return {f.name: list(getattr(packets, f.name)) for f in fields(packets)}
 
 
@@ -78,16 +78,15 @@ class TestPacketsCsv:
         # as the device stub records: t = a, lists, a mixed is_attack column
         Packets([0, 1, 0], [False, True, False], [0, 5, 9], [0, 5, 9],
                 [3, 8, 12], [7, 11, 15], [None, None, None]),
-        # drop reasons that hold "%", with admitted rows and without
-        Packets([0, 1, 0], [False, True, False], [0, 5, 9], [0, None, None],
-                [3, None, None], [7, None, None], [None, "50%", "%d"]),
-        Packets([0, 1], [False, True], [0, 5], [None, None],
-                [None, None], [None, None], ["%d", "%d"]),
-    ], ids=["empty", "dropped", "stub", "percent_mixed", "percent_only"])
+        # every reason in the table, among admitted rows
+        Packets([0, 1, 0, 1], [False, True, False, True], [0, 5, 9, 10], [0, None, None, 12],
+                [3, None, None, 14], [7, None, None, 20], [None, "mitigation", "capacity", None]),
+    ], ids=["empty", "dropped", "stub", "both_reasons"])
     def test_bytes_match_csv_writer(self, tmp_path, packets):
         def cells(column):  # an absent timestamp is an empty cell
             return ["" if x == ABSENT_NS else x for x in column]
 
+        reasons = [DROP_REASONS[code] for code in packets.drop_reason]
         expected = io.StringIO(newline="")
         writer = csv.writer(expected)
         writer.writerow(PACKET_FIELDS)
@@ -99,8 +98,8 @@ class TestPacketsCsv:
             cells(packets.t_ns),
             cells(packets.start_ns),
             cells(packets.end_ns),
-            [0 if why is None else 1 for why in packets.drop_reason],
-            packets.drop_reason,
+            [0 if why is None else 1 for why in reasons],
+            reasons,
         ))
         path = tmp_path / "packets.csv"
         write_packets_csv(packets, path)
@@ -115,7 +114,29 @@ class TestPacketsCsv:
             assert column.itemsize == 8
         assert isinstance(back.source, array) and back.source.typecode == "i"
         assert type(back.is_attack) is bytearray
-        assert type(back.drop_reason) is list
+        assert type(back.drop_reason) is bytearray
+
+    @pytest.mark.parametrize("reasons", [[None, "50%", "%d"], ["%d", "%d"]],
+                             ids=["percent_mixed", "percent_only"])
+    def test_reason_outside_the_table_never_reaches_the_writer(self, reasons):
+        # the writer pastes each name of the closed table into a row format,
+        # so a name holding "%" or a cell that needs quoting must not exist
+        assert not any(set(why) & set('%,"\r\n') for why in DROP_REASONS[1:])
+        n = len(reasons)
+        with pytest.raises(ContractViolation, match="unknown drop reason"):
+            Packets([0] * n, [False] * n, range(n), [None] * n, [None] * n, [None] * n,
+                    reasons)
+
+    def test_unknown_reason_cell_rejected_naming_the_row(self, tmp_path):
+        path = tmp_path / "packets.csv"
+        path.write_text(",".join(PACKET_FIELDS)
+                        + "\n0,0,0,5,5,5,9,0,\n1,0,0,6,,,,1,overflow\n")
+        with pytest.raises(ContractViolation) as err:
+            read_packets_csv(path)
+        assert str(err.value).endswith(
+            "bad packet row ['1', '0', '0', '6', '', '', '', '1', 'overflow']: "
+            "drop_reason 'overflow' of row 1 is not one of ('mitigation', 'capacity')"
+        )
 
     def test_none_round_trips_as_empty_cells(self, tmp_path):
         # built from lists, as a caller outside the package would: None marks
@@ -132,7 +153,7 @@ class TestPacketsCsv:
 
     def test_sentinel_never_written(self, tmp_path):
         packets = sample_trace().packets  # the mitigation gate drops packet 3
-        assert packets.drop_reason.count("mitigation") == 1
+        assert packets.drop_reason.count(DROP_REASONS.index("mitigation")) == 1
         assert packets.t_ns[3] == packets.start_ns[3] == packets.end_ns[3] == ABSENT_NS
         path = tmp_path / "packets.csv"
         write_packets_csv(packets, path)
@@ -210,7 +231,7 @@ def read_with_csv_module(path) -> Packets:
                 packets.t_ns.append(int(t) if t else ABSENT_NS)
                 packets.start_ns.append(int(start) if start else ABSENT_NS)
                 packets.end_ns.append(int(end) if end else ABSENT_NS)
-                packets.drop_reason.append(why or None)
+                packets.drop_reason.append(DROP_REASONS.index(why or None))
             except (ValueError, OverflowError) as exc:
                 raise ContractViolation(f"bad packet row {row!r}") from exc
     return packets
@@ -232,7 +253,7 @@ def logs_with_drops(draw) -> Packets:
 
 
 CELLS = st.sampled_from(
-    ["-1", str(2**63), str(2**31), "zero", " ", "", "0", "1", " 1", "capacity"]
+    ["-1", str(2**63), str(2**31), "zero", " ", "", "0", "1", " 1", "capacity", "overflow"]
 ) | st.integers(-2, 10**7).map(str)
 
 
@@ -308,9 +329,9 @@ class TestQueuesCsv:
         path = tmp_path / "queues.csv"
         write_queues_csv(trace, path)
         times, sqf, server = read_queues_csv(path)
-        assert tuple(times) == trace.times_ns
-        assert tuple(sqf) == trace.sqf_counts
-        assert tuple(server) == trace.server_counts
+        assert array("q", times) == trace.times_ns
+        assert array("q", sqf) == trace.sqf_counts
+        assert array("q", server) == trace.server_counts
 
 
 class TestSummaryJson:

@@ -1,6 +1,7 @@
 """Exit codes and artifact plumbing of the qdtp command."""
 import contextlib
 import csv
+import dataclasses
 import errno
 import io
 import json
@@ -10,6 +11,7 @@ import socket
 import subprocess
 import sys
 import time
+from array import array
 from collections import Counter
 
 import pytest
@@ -26,6 +28,7 @@ from qdtp.artifacts import (
 )
 from qdtp.cli import build_parser, main
 from qdtp.errors import ContractViolation, InvariantViolation
+from qdtp.forked import Forked
 from qdtp.forwarder import ForwarderConfig
 from qdtp.scenario import MAX_PACKETS, SERVICE_MODES
 from qdtp.simulator import simulate_sequences, verify_trace
@@ -630,6 +633,21 @@ class TestAnalyze:
             "figure_delay_histogram.csv", "figure_queues.csv", "summary.json",
         ]
 
+    def test_compare_child_pipes_typed_series(self, tmp_path, tiny_scenario):
+        b = run_ungated(tmp_path, tiny_scenario)
+        with Forked("loading the compare run", cli._load_sampled, b, 100.0) as other:
+            slim = other.result()
+        assert len(slim.packets) == len(slim.admitted) == 0
+        for name in ("times_ns", "sqf_counts", "server_counts"):
+            column = getattr(slim, name)
+            assert isinstance(column, array) and column.typecode == "q", name
+        assert slim.times_ns == cli._load_run(b, 100.0).times_ns
+        comparison = metrics.compare_runs(cli._load_run(run_tiny(tmp_path, tiny_scenario), 100.0),
+                                          slim)
+        for field in dataclasses.fields(comparison)[1:]:
+            column = getattr(comparison, field.name)
+            assert isinstance(column, array) and column.typecode == "q", field.name
+
     def test_missing_compare_directory_is_io_error(self, tmp_path, tiny_scenario, capsys):
         a = run_tiny(tmp_path, tiny_scenario)
         assert main(["analyze", str(a), "--compare", str(tmp_path / "nope")]) == 4
@@ -709,6 +727,17 @@ class TestAnalyze:
             capsys.readouterr()
             assert main(["analyze", str(seed_dir)]) == 3, column
             assert message in capsys.readouterr().err, column
+
+    def test_unknown_drop_reason_is_invariant_error_naming_the_row(self, tmp_path, capsys):
+        # the reasons form a closed table; an unknown one is rejected as the
+        # log is read, not later by check_records
+        (tmp_path / "packets.csv").write_text(
+            ",".join(PACKET_FIELDS) + "\n0,0,0,5,5,5,9,0,\n1,0,0,6,,,,1,overflow\n"
+        )
+        assert main(["analyze", str(tmp_path)]) == 3
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1
+        assert "drop_reason 'overflow' of row 1 is not one of ('mitigation', 'capacity')" in err
 
     def test_cell_longer_than_the_csv_field_limit_is_invariant_error(self, tmp_path, capsys):
         # 200,000 characters, past csv's 131,072-character field limit: the

@@ -65,12 +65,13 @@ def quiet_timing():
 def retry_timing(attempts=5):
     """Run a live-timing check up to `attempts` times, pass on first clean run.
 
-    The sandbox this suite runs in is a single-vCPU VM whose host freezes
-    the guest for several milliseconds about once a second — measured with
-    an idle realtime thread, so no in-process discipline can mask it.  One
-    clean run demonstrates the pacing contract; a real defect fails every
-    attempt.  Decorated tests must be self-contained (fresh sockets per
-    call).
+    The sandbox this suite runs in is a 2-vCPU VM whose host freezes the
+    guest for several milliseconds about once a second — measured with an
+    idle realtime thread, so no in-process discipline can mask it — and
+    whose two vCPUs do not make two cores: two CPU-bound processes there
+    get 1.0–1.5× the throughput of one.  One clean run demonstrates the
+    pacing contract; a real defect fails every attempt.  Decorated tests
+    must be self-contained (fresh sockets per call).
     """
     def wrap(fn):
         def run(self):

@@ -28,8 +28,8 @@ EXPECTED_MANIFESTS = {
 }
 
 
-# sha256 of each artifact of seed 1 of a bundled manifest.  These files are
-# a stable interface: a change here must be a deliberate schema change.
+# sha256 of each artifact of seed 1 of every bundled manifest.  These files
+# are a stable interface: a change here must be a deliberate schema change.
 ARTIFACT_SHA256 = {
     "fig3_no_sqf": {
         "packets.csv": "dce6210fab4d7432dc88ab0d8358e72cfd31e7d717a2ca88c564cfe94e784052",
@@ -60,6 +60,31 @@ ARTIFACT_SHA256 = {
         "packets.csv": "a0b5dd26272341ece1446c87999966083a5896fa348d392041530a93f6605723",
         "queues.csv": "ba6490c75ee8ec41e84fa2b12e9dfd09800c0c0923f918da759968bf2039b505",
         "summary.json": "0aca105dc4c62321c45b901f36537c6bd2f7e7169214a55ecbe81e682c5599d3",
+    },
+    "fig10_d3_2": {
+        "packets.csv": "7b19687f107603e6d6c7d561fd72b4550defad5f40819f29f099adef7ff97329",
+        "queues.csv": "827cc45980eb03081eea73f2f0b7607424015d2665b13342cc6f88474549d37a",
+        "summary.json": "ad488ff052a48ad3bda326d06944fa559473b6df2c2a5a44e16ac1ed4a9e2325",
+    },
+    "fig3_no_sqf_outliers": {
+        "packets.csv": "8532efbed7c194e75d2dd035709af3b121fc3f99fd7be666e9cae11b4b5cb358",
+        "queues.csv": "b488b083bd0b72ae555dd41bb91428dda88b7bca79f18062d56087325b84bfae",
+        "summary.json": "d2140dfbd25e2a18131585925d402c4604e179f19b0c160cb630dbb0bba0b522",
+    },
+    "fig8_d2_7": {
+        "packets.csv": "612203add41055ea3c4a734de731fc39bbcce54ca441de4008dab756e2177f37",
+        "queues.csv": "37c983ec13d9cb64d9b62f39d795f2b4adab6f3b0edd36ff839d44d68afb8ac5",
+        "summary.json": "e14c54c4b4d0f35963a73b2d7fa82ced199bfb5b3c809d4d8c8a5961f0af0ce6",
+    },
+    "fig9_no_sqf_30s": {
+        "packets.csv": "c5e64c51b973f55924c6b4891b0d734c4efe12a123f1bdf92590b041e1fc9569",
+        "queues.csv": "08d732abc62f050b4c5dcf853f6ccc433101b2483e5081bb1339f24591041bc4",
+        "summary.json": "e6efad972c8c094383028265963729609925e9cfb6230753fbdb824eac01cc3d",
+    },
+    "fig9_with_sqf_30s": {
+        "packets.csv": "c5537642e5cd576b4c4b65b3f936a77cb18a54e140583519b55efde7b630c986",
+        "queues.csv": "9629763ac332a02b9442e47ee9ff4a7ff7e9a543b1a6560ace31d7c8d75998e8",
+        "summary.json": "471d5abe22ed47bddb1798e15acee460cf20c4fdd4e4e1800a199ad68f87281f",
     },
 }
 
@@ -142,6 +167,9 @@ def digests(seed_dir):
 
 
 class TestArtifactBytes:
+    def test_every_bundled_manifest_is_pinned(self):
+        assert set(ARTIFACT_SHA256) == EXPECTED_MANIFESTS
+
     # mitigated runs, whose admitted rows are a copy, and gated and ungated
     # runs that drop nothing, whose admitted rows are the log itself
     @pytest.mark.parametrize("name", sorted(ARTIFACT_SHA256))

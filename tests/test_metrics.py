@@ -29,7 +29,7 @@ from qdtp.metrics import (
     summarize,
 )
 from qdtp.scenario import Scenario, ServiceModel, TrafficModel
-from qdtp.simulator import ABSENT_NS, Packets, simulate, simulate_sequences
+from qdtp.simulator import ABSENT_NS, DROP_REASONS, Packets, simulate, simulate_sequences
 
 from summary_halves import summary_in_process
 
@@ -46,7 +46,7 @@ def make_packets(*rows):
         packets.t_ns.append(t)
         packets.start_ns.append(ss)
         packets.end_ns.append(se)
-        packets.drop_reason.append(reason[0] if reason else None)
+        packets.drop_reason.append(DROP_REASONS.index(reason[0] if reason else None))
     return packets
 
 
@@ -170,12 +170,21 @@ class TestQueueSeries:
     def test_single_packet_example(self):
         rec = make_packets((0, 0, 0, 3 * MS))
         grid, sqf, server = sample_queues(rec, 0.001)
-        assert server == (1, 1, 1, 0)
-        assert sqf == (0, 0, 0, 0)
-        assert grid == (0, MS, 2 * MS, 3 * MS)
+        assert server == array("q", [1, 1, 1, 0])
+        assert sqf == array("q", [0, 0, 0, 0])
+        assert grid == array("q", [0, MS, 2 * MS, 3 * MS])
 
     def test_empty_records(self):
-        assert sample_queues(make_packets(), 0.001) == ((0,), (0,), (0,))
+        assert sample_queues(make_packets(), 0.001) == (array("q", [0]),) * 3
+
+    def test_grid_past_64_bit_ns_rejected(self):
+        # 1e10 s is 1e19 ns: the second instant would not fit an array('q')
+        with pytest.raises(ConfigurationError) as err:
+            sample_queues(make_packets((0, 0, 0, 5)), 1e10)
+        assert str(err.value) == (
+            "sampling interval of 10000000000000 ms puts the last of 2 queue samples "
+            "past 64-bit nanoseconds"
+        )
 
     def test_inconsistent_timestamps_rejected(self):
         # sample_queues validates nothing; the row is rejected on the way in
@@ -232,6 +241,7 @@ class TestQueueSeries:
         exits = sorted(y for _, y in intervals)
         grid = list(range(0, 1001, 37))
         counts = occupancy_counts(entries, exits, grid)
+        assert counts.typecode == "q" and len(counts) == len(grid)
         for g, c in zip(grid, counts):
             assert c == sum(1 for x, y in intervals if x <= g < y)
 
@@ -310,6 +320,21 @@ class TestCompareRuns:
         assert set(cmp.ratios("sqf")) == {1.0}
         assert set(cmp.ratios("server")) == {1.0}
 
+    def test_series_are_typed_and_ratios_streamed(self):
+        a = self._trace([5 * MS] * 3)
+        b = self._trace([MS] * 3)
+        cmp = compare_runs(a, b)
+        for name in ("times_ns", "sqf_a", "sqf_b", "server_a", "server_b"):
+            column = getattr(cmp, name)
+            assert isinstance(column, array) and column.typecode == "q", name
+            assert len(column) == len(cmp.times_ns), name
+        assert list(cmp.times_ns) == [k * MS for k in range(len(cmp.times_ns))]
+        ratios = cmp.ratios("server")
+        assert iter(ratios) is ratios  # an iterator, not a list
+        want = [1.0 if x == y == 0 else math.inf if y == 0 else x / y
+                for x, y in zip(cmp.server_a, cmp.server_b)]
+        assert list(ratios) == want
+
     def test_grid_mismatch_rejected(self):
         a = self._trace([2 * MS] * 3)
         b = simulate_sequences(
@@ -369,6 +394,16 @@ class TestRunSummary:
         assert out["queues"]["sqf"]["peak"] == 2
         assert out["queues"]["server"]["peak"] == 2
 
+    def test_drop_reasons_are_counted_by_name(self):
+        trace = simulate_sequences([0] * 12, [MS] * 12, 3 * MS, (10, 3), sqf_capacity=4)
+        names = [DROP_REASONS[code] for code in trace.packets.drop_reason]
+        out = run_summary(trace)["packets"]
+        assert out["drop_reasons"] == {"mitigation": names.count("mitigation"),
+                                       "capacity": names.count("capacity")}
+        assert min(out["drop_reasons"].values()) > 0
+        assert out["completed"] == names.count(None)
+        assert out["dropped"] == len(names) - names.count(None)
+
     def test_summary_without_attack(self):
         trace = simulate_sequences([0, 10 * MS], [3 * MS, 3 * MS])
         out = run_summary(trace)
@@ -393,4 +428,7 @@ class TestRunSummary:
         assert summary == summary_in_process(trace)
         assert (summary["attack"] is None) == (run == "no_attack")
         assert (summary["packets"]["dropped"] > 0) == (run == "mitigated")
+        assert summary["packets"]["drop_reasons"] == (
+            {"mitigation": summary["packets"]["dropped"]} if run == "mitigated" else {}
+        )
         assert ("gate_delay_ms" in summary) == (run != "ungated")

@@ -15,7 +15,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from qdtp.artifacts import trace_from_records
+from qdtp.artifacts import read_packets_csv, trace_from_records, write_packets_csv
 from qdtp.errors import ConfigurationError, ContractViolation, InvariantViolation
 from qdtp.manifests import resolve_scenario
 from qdtp.metrics import drain_time, queue_intervals
@@ -37,6 +37,7 @@ from qdtp.scenario import (
 )
 from qdtp.simulator import (
     ABSENT_NS,
+    DROP_REASONS,
     Packets,
     _engine,
     check_records,
@@ -51,8 +52,13 @@ from summary_halves import summary_in_process
 MS = 1_000_000
 
 
+def reasons_of(packets):
+    """Each packet's drop reason by name, read through DROP_REASONS."""
+    return [DROP_REASONS[code] for code in packets.drop_reason]
+
+
 def admitted_ids(trace):
-    return [i for i, why in enumerate(trace.packets.drop_reason) if why is None]
+    return [i for i, why in enumerate(reasons_of(trace.packets)) if why is None]
 
 
 def server_waits_of(trace):
@@ -167,7 +173,7 @@ class TestGatedFeed:
             3 * MS,
             sqf_capacity=4,
         )
-        dropped = [why for why in trace.packets.drop_reason if why is not None]
+        dropped = [why for why in reasons_of(trace.packets) if why is not None]
         assert len(dropped) == 5  # first released immediately, 4 queued
         assert all(why == "capacity" for why in dropped)
         verify_trace(trace)
@@ -180,7 +186,7 @@ class TestGatedFeed:
             MitigationPolicy(10, 3),
         )
         admitted = admitted_ids(trace)
-        dropped = [why for why in trace.packets.drop_reason if why is not None]
+        dropped = [why for why in reasons_of(trace.packets) if why is not None]
         assert len(admitted) == 10
         assert len(dropped) == 2
         assert all(why == "mitigation" for why in dropped)
@@ -199,7 +205,7 @@ class TestVerifyTrace:
         trace = simulate_sequences(
             [0] * 10, [MS] * 10, 3 * MS, sqf_capacity=4
         )
-        doctored = trace.packets.drop_reason.index("capacity")
+        doctored = reasons_of(trace.packets).index("capacity")
         trace.packets.t_ns[doctored] = trace.packets.a_ns[doctored]
         with pytest.raises(InvariantViolation, match=f"packet {doctored}: dropped"):
             verify_trace(trace)
@@ -208,7 +214,7 @@ class TestVerifyTrace:
         trace = simulate_sequences([0, 0], [MS] * 2, 3 * MS)
         # a reason on a packet with timestamps makes it a dropped packet
         # that still reached the gate and the device
-        trace.packets.drop_reason[1] = "capacity"
+        trace.packets.drop_reason[1] = DROP_REASONS.index("capacity")
         with pytest.raises(
             InvariantViolation, match="packet 1: dropped yet has gate/device timestamps"
         ):
@@ -305,6 +311,20 @@ class TestCheckRecords:
             check_records(p)
         assert str(err.value) == message
 
+    def test_reason_code_outside_the_table_rejected(self):
+        # Packets turns names into codes once; a code written into the
+        # bytearray after that is caught where the log is checked
+        trace = simulate_sequences([0] * 4, [MS] * 4, 3 * MS, sqf_capacity=1)
+        p = trace.packets
+        assert reasons_of(p) == [None, None, "capacity", "capacity"]
+        check_records(p)
+        p.drop_reason[3] = len(DROP_REASONS)
+        with pytest.raises(InvariantViolation) as err:
+            check_records(p)
+        assert str(err.value) == (
+            f"packet 3: dropped with reason code {len(DROP_REASONS)}, outside DROP_REASONS"
+        )
+
     def test_dropped_packets_arrive_in_order_too(self):
         # the gate sees every arrival, so a dropped one out of order is a bad log
         p = Packets([0] * 3, [0] * 3, [0, 2 * MS, MS], [0, None, MS], [0, None, MS],
@@ -338,8 +358,10 @@ class TestStreamingSelfChecks:
         """The engine's queues are head indices into the log, not deques of ids.
 
         simulate of this flood peaked at 84.3 B per packet under tracemalloc
-        while the gate's deque held up to 49,644 ids; with head indices it
-        peaks at 49.0 B: the columns and the arrivals.
+        while the gate's deque held up to 49,644 ids; with head indices, at
+        49.0 B while ``drop_reason`` was a list of 8 B references; and with
+        a bytearray of codes it peaks at 39.3 B: the columns and the
+        arrivals.
         """
         tracemalloc.start()
         try:
@@ -347,7 +369,25 @@ class TestStreamingSelfChecks:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak / len(trace.packets) < 60
+        assert peak / len(trace.packets) < 45
+
+    def test_read_and_rebuild_peak_per_packet(self, flood, tmp_path):
+        """``analyze``'s load: packets.csv read back into typed columns, then the trace.
+
+        read_packets_csv and trace_from_records of this flood peaked at
+        53.5 B per packet under tracemalloc while ``drop_reason`` was a
+        list, and at 46.1 B with a bytearray of codes.
+        """
+        path = tmp_path / "packets.csv"
+        write_packets_csv(flood.packets, path)
+        tracemalloc.start()
+        try:
+            trace = trace_from_records(read_packets_csv(path), flood.sampling_interval,
+                                       d_ns=flood.d_ns)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak / len(trace.packets) < 50
 
     # run_summary forks for half its work, so both halves run here instead.
     # verify_trace streams the recursions beside the columns; the summary
@@ -373,8 +413,10 @@ class TestStreamingSelfChecks:
         per packet under tracemalloc when the columns were lists and tuples
         of Python ints and generate sorted (t, source, flag) tuples; at 93.3 B
         with typed columns, a deque of ids in the engine and a list per
-        summarised sample; and at 62.0 B without those.  Both halves of the
-        summary run in this process, where tracemalloc sees them.
+        summarised sample; at 61.1 B without those; and at 52.0 B once
+        ``drop_reason`` became a bytearray of codes and the queue series
+        arrays.  Both halves of the summary run in this process, where
+        tracemalloc sees them.
         """
         tracemalloc.start()
         try:
@@ -384,19 +426,30 @@ class TestStreamingSelfChecks:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak / len(trace.packets) < 75
+        assert peak / len(trace.packets) < 56
 
 
 class TestTypedColumns:
-    def test_simulate_returns_typed_columns(self):
-        trace = simulate(constant_scenario(), 4 * MS)
+    @staticmethod
+    def assert_typed(trace):
         p = trace.packets
-        for column in (p.a_ns, p.t_ns, p.start_ns, p.end_ns):
+        for column in (p.a_ns, p.t_ns, p.start_ns, p.end_ns,
+                       trace.times_ns, trace.sqf_counts, trace.server_counts):
             assert isinstance(column, array) and column.typecode == "q"
             assert column.itemsize == 8
         assert isinstance(p.source, array) and p.source.typecode == "i"
         assert type(p.is_attack) is bytearray
-        assert type(p.drop_reason) is list
+        assert type(p.drop_reason) is bytearray
+
+    def test_simulate_returns_typed_columns(self):
+        self.assert_typed(simulate(constant_scenario(), 4 * MS))
+
+    def test_trace_from_records_returns_typed_columns(self):
+        # a mitigated run, so the admitted copy is a selection, not the log
+        trace = simulate_sequences([0] * 12 + [10**9], [MS] * 13, 3 * MS, (10, 3))
+        rebuilt = trace_from_records(trace.packets, trace.sampling_interval)
+        self.assert_typed(rebuilt)
+        self.assert_typed(dataclasses.replace(rebuilt, packets=rebuilt.admitted))
 
     @pytest.mark.parametrize("route", ["simulate", "trace_from_records"])
     def test_intervals_are_the_columns_when_nothing_is_dropped(self, route):
@@ -418,10 +471,10 @@ class TestTypedColumns:
         if route == "trace_from_records":
             trace = trace_from_records(trace.packets, trace.sampling_interval)
         p, kept = trace.packets, trace.admitted
-        ids = [pid for pid, why in enumerate(p.drop_reason) if why is None]
+        ids = [pid for pid, why in enumerate(reasons_of(p)) if why is None]
         assert ids == list(range(10)) + [12]
-        assert kept.drop_reason == [None] * len(ids)
-        for name in ("source", "is_attack", "a_ns", "t_ns", "start_ns", "end_ns"):
+        assert reasons_of(kept) == [None] * len(ids)
+        for name in ("source", "is_attack", "a_ns", "t_ns", "start_ns", "end_ns", "drop_reason"):
             column, selected = getattr(p, name), getattr(kept, name)
             assert type(selected) is type(column)
             assert getattr(selected, "typecode", None) == getattr(column, "typecode", None)
@@ -432,7 +485,7 @@ class TestTypedColumns:
             [0] * 6, [MS] * 6, 3 * MS, sqf_capacity=2
         )
         p = trace.packets
-        for why, t, start, end in zip(p.drop_reason, p.t_ns, p.start_ns, p.end_ns):
+        for why, t, start, end in zip(reasons_of(p), p.t_ns, p.start_ns, p.end_ns):
             assert (why is not None) == (t == start == end == ABSENT_NS)
 
     def test_lists_are_converted_once_and_arrays_kept(self):
@@ -440,10 +493,21 @@ class TestTypedColumns:
                     (None, "capacity"))
         assert list(p.start_ns) == [1, ABSENT_NS]
         assert type(p.is_attack) is bytearray and list(p.is_attack) == [0, 1]
-        assert p.drop_reason == [None, "capacity"]
+        assert p.drop_reason == bytearray([0, DROP_REASONS.index("capacity")])
+        assert reasons_of(p) == [None, "capacity"]
         again = Packets(p.source, p.is_attack, p.a_ns, p.t_ns, p.start_ns, p.end_ns,
                         p.drop_reason)
         assert again.a_ns is p.a_ns and again.is_attack is p.is_attack
+        assert again.drop_reason is p.drop_reason
+
+    @pytest.mark.parametrize("reasons", [
+        [None, "overflow"], [None, "Capacity"], [None, ""], [None, 2], [0, "capacity"],
+    ], ids=["unknown", "case", "empty", "code", "zero"])
+    def test_reason_outside_the_table_rejected(self, reasons):
+        # the table is closed: a name outside it, or a code given in a list
+        # rather than the bytearray, never enters the log
+        with pytest.raises(ContractViolation, match="unknown drop reason"):
+            Packets([0, 0], [0, 0], [0, 5], [0, None], [1, None], [3, None], reasons)
 
     def test_columns_of_different_lengths_rejected(self):
         # a shorter column would end check_records' walk early
@@ -507,12 +571,12 @@ class TestScenarioRuns:
             p = trace.packets
             sqf = sum(
                 1
-                for a, t, why in zip(p.a_ns, p.t_ns, p.drop_reason)
+                for a, t, why in zip(p.a_ns, p.t_ns, reasons_of(p))
                 if why is None and a <= g < t
             )
             srv = sum(
                 1
-                for t, end, why in zip(p.t_ns, p.end_ns, p.drop_reason)
+                for t, end, why in zip(p.t_ns, p.end_ns, reasons_of(p))
                 if why is None and t <= g < end
             )
             assert (sqf, srv) == (sqf_c, srv_c)
@@ -600,7 +664,7 @@ class TestEngineProperties:
         times, durs = arr_svc
         trace = simulate_sequences(times, durs, d, MitigationPolicy(n, k))
         verify_trace(trace)
-        dropped = [why for why in trace.packets.drop_reason if why is not None]
+        dropped = [why for why in reasons_of(trace.packets) if why is not None]
         assert len(admitted_ids(trace)) + len(dropped) == len(times)
 
 
@@ -713,7 +777,7 @@ class TestEngineAgainstDequeLoop:
         assert p.t_ns.tolist() == t
         assert p.start_ns.tolist() == start
         assert p.end_ns.tolist() == end
-        assert p.drop_reason == reasons
+        assert reasons_of(p) == reasons
         assert asked["engine"] == asked["deque"]
 
     def test_mitigated_flood_drops_most_and_matches(self):
@@ -724,6 +788,6 @@ class TestEngineAgainstDequeLoop:
         gate = MitigationGate(MitigationPolicy(2, 1), 3 * MS)
         t, start, end, reasons = deque_engine(
             arrivals, lambda j, _c: services[j], 3 * MS, gate, 100, None)
-        assert trace.packets.drop_reason == reasons
+        assert reasons_of(trace.packets) == reasons
         assert reasons.count("mitigation") > 250
         assert trace.packets.end_ns.tolist() == end
