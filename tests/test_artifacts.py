@@ -78,15 +78,20 @@ class TestPacketsCsv:
         # as the device stub records: t = a, lists, a mixed is_attack column
         Packets([0, 1, 0], [False, True, False], [0, 5, 9], [0, 5, 9],
                 [3, 8, 12], [7, 11, 15], [None, None, None]),
-        # every reason in the table, among admitted rows
+        # every reason the writer pastes into a "%" row format, with admitted
+        # rows and without; test_reason_outside_the_table_never_reaches_the_writer
+        # rejects the reasons that hold "%" before they get here
         Packets([0, 1, 0, 1], [False, True, False, True], [0, 5, 9, 10], [0, None, None, 12],
                 [3, None, None, 14], [7, None, None, 20], [None, "mitigation", "capacity", None]),
-    ], ids=["empty", "dropped", "stub", "both_reasons"])
+        Packets([0, 1], [False, True], [0, 5], [None, None],
+                [None, None], [None, None], ["capacity", "mitigation"]),
+    ], ids=["empty", "dropped", "stub", "percent_mixed", "percent_only"])
     def test_bytes_match_csv_writer(self, tmp_path, packets):
         def cells(column):  # an absent timestamp is an empty cell
             return ["" if x == ABSENT_NS else x for x in column]
 
         reasons = [DROP_REASONS[code] for code in packets.drop_reason]
+        assert not any("%" in why for why in reasons if why is not None)
         expected = io.StringIO(newline="")
         writer = csv.writer(expected)
         writer.writerow(PACKET_FIELDS)
