@@ -4,9 +4,9 @@ The package splits into three layers:
 
 * closed-form waiting-time recursions (``recursions``) — the ground truth
   every other layer is checked against;
-* a deterministic discrete-event simulator (``scenario``, ``simulator``,
-  ``mitigation``, ``metrics``, ``artifacts``, ``manifests``) reproducing
-  the reference flood experiments;
+* a deterministic simulator, one pass per stage of the gate + device
+  tandem (``scenario``, ``simulator``, ``mitigation``, ``metrics``,
+  ``artifacts``, ``manifests``), reproducing the reference flood experiments;
 * a live UDP pacing forwarder and protected-device stub (``forwarder``).
 
 ``qdtp.cli`` wires everything into the ``qdtp`` command.

@@ -1,4 +1,4 @@
-"""Deterministic event-driven simulator for the gate + device pipeline.
+"""Deterministic simulator for the gate + device pipeline.
 
 The model is a two-stage tandem: packets from all sources arrive at a
 shaping gate (optional -- omit the pacing config to model traffic hitting
@@ -7,15 +7,19 @@ and a single-server FIFO device processes them.  While the device's input
 queue holds more packets than the scenario's congestion threshold, service
 times are drawn from the degraded model.
 
-Everything runs on integer nanoseconds, and only three future events can
-exist at any moment: the next raw arrival, the gate's next release, and the
-device's completion.  On ties the completion is processed first, then the
-gate, then the arrival.
+Everything runs on integer nanoseconds.  Every packet passes both stages in
+id order, so the engine makes one pass per stage.  The gate pass drops an
+arrival for mitigation or a full gate, or releases it at
+``max(t_prev + D, a)``; the device pass starts each admitted packet at
+``max(t, end_prev)``.  At one instant a completion comes first, then a
+release, then an arrival.  So an arrival at ``x`` finds the gate emptied of
+the releases at ``x``, while a start at ``x`` queues only the packets
+released strictly before ``x``: one that starts at its own release is alone.
 
 The simulator never uses the closed-form recursions from
-:mod:`qdtp.recursions`; it advances explicit queue/busy state.  That makes
-the exact agreement of the two routes (``verify_trace``) a real check
-rather than a tautology.
+:mod:`qdtp.recursions`; it counts its queues with pointers into the
+releases.  That makes the exact agreement of the two routes
+(``verify_trace``) a real check rather than a tautology.
 """
 from __future__ import annotations
 
@@ -23,7 +27,7 @@ import math
 from array import array
 from dataclasses import dataclass, fields
 from itertools import compress, count, islice
-from operator import gt, ne, sub
+from operator import gt, ne, not_, sub
 from typing import Callable, Iterable, Optional, Sequence
 
 from . import metrics
@@ -49,12 +53,9 @@ __all__ = [
     "verify_trace",
 ]
 
-# Columns hold times below _NO_FIT.  No event reaches _INF, "no event":
-# arrivals and D are checked to be below _NO_FIT, a release is a stored time
-# plus D, and a service end is stored as soon as it is computed, so one past
-# the columns fails there.  An int of this size compares as fast as 1 << 62.
+# Columns hold times below _NO_FIT: arrivals and D are checked up front, and
+# a release or a service end past them fails where it is stored.
 _NO_FIT = 1 << 63
-_INF = 1 << 64
 
 _MITIGATION, _CAPACITY = map(DROP_REASONS.index, ("mitigation", "capacity"))
 
@@ -176,6 +177,8 @@ def _engine(
         raise ConfigurationError("mitigation is defined in units of D; configure the gate")
     if sqf_capacity is not None and not use_gate:
         raise ConfigurationError("gate capacity without a gate")
+    if sqf_capacity is not None and sqf_capacity < 1:
+        raise ConfigurationError("gate capacity must be at least 1 when bounded")
     if use_gate and d_ns < 1:
         raise ConfigurationError(f"spacing D of {d_ns} ns is below 1 ns")
 
@@ -191,93 +194,49 @@ def _engine(
     if mitigation is not None:
         gate_filter = MitigationGate(MitigationPolicy.coerce(mitigation), d)
 
-    t_out = array("q", [ABSENT_NS]) * n
+    # Gate pass.  The gate holds the admitted packets released after a: rel[head:].
+    drop_reason = bytearray(n)
+    rel = array("q")  # the admitted packets' releases, in id order
+    head = opens = 0  # opens: the earliest instant of the next release
+    late = None  # a time that does not fit in the columns
+    try:
+        for j, a in enumerate(at):
+            if gate_filter is not None and not gate_filter.step(a):
+                drop_reason[j] = _MITIGATION
+                continue
+            if sqf_capacity is not None:
+                while head < len(rel) and rel[head] <= a:
+                    head += 1
+                if len(rel) - head >= sqf_capacity:
+                    drop_reason[j] = _CAPACITY
+                    continue
+            t = opens if opens > a else a  # max(t_prev + D, a); a without a gate, D = 0
+            rel.append(t)
+            opens = t + d
+    except OverflowError:  # named after the device pass: an earlier end past it comes first
+        late = t
+
+    # Device pass: the k-th admitted packet, j, starts at max(t, end_prev)
+    # with rel[k:p] queued, the packets released before its start.
+    m = len(rel)
+    t_out = rel if m == n else array("q", [ABSENT_NS]) * n  # no copy when none dropped
     ss_out = array("q", [ABSENT_NS]) * n
     se_out = array("q", [ABSENT_NS]) * n
-    drop_reason = bytearray(n)
-
-    # Admitted packets pass both queues in id order, so a queue is the
-    # admitted ids from its head on, and a pop is a C-level scan of
-    # drop_reason for the next 0.  The gate's head follows the last release;
-    # the device's is the packet after the one that just finished.  A head
-    # is read before it is scanned from: most heads are admitted, and a
-    # bytearray.index call costs about three reads of a code.
-    next_admitted = drop_reason.index
-    gate_head = gate_len = 0
-    gate_open = 0  # earliest instant the next release may happen
-    gate_at = _INF  # pending release event; _INF exactly while the gate is empty
-    server_len = 0
-    busy = -1  # packet index in service, -1 when idle
-    done_at = _INF
-
-    def start_service(j: int, now: int) -> None:
-        nonlocal busy, done_at
-        ss_out[j] = now
-        busy = j
-        done_at = now + service_source(j, server_len + 1 > congestion_threshold)
-        se_out[j] = done_at  # stored now, so an end past the columns fails at once
-
-    def admit(j: int, now: int) -> None:  # into the device, past the gate (if any)
-        nonlocal server_len
-        t_out[j] = now
-        if busy >= 0:
-            server_len += 1
-        else:
-            start_service(j, now)
-
-    i = now = 0
-    next_arr = at[0] if n else _INF
+    end = p = k = 0
     try:
-        while True:
-            if done_at <= gate_at and done_at <= next_arr:
-                if done_at == _INF:
-                    break
-                now = done_at
-                finished, busy, done_at = busy, -1, _INF
-                if server_len:
-                    server_len -= 1
-                    j = finished + 1
-                    if drop_reason[j]:
-                        j = next_admitted(0, j)
-                    start_service(j, now)
-            elif gate_at <= next_arr:
-                now = gate_at
-                j = gate_head
-                if drop_reason[j]:
-                    j = next_admitted(0, j)
-                gate_head = j + 1
-                gate_len -= 1
-                gate_open = now + d
-                gate_at = gate_open if gate_len else _INF
-                admit(j, now)
-            else:
-                now = next_arr
-                j = i
-                i += 1
-                next_arr = at[i] if i < n else _INF
-                if gate_filter is not None and not gate_filter.step(now):
-                    drop_reason[j] = _MITIGATION
-                    continue
-                if not use_gate:
-                    admit(j, now)
-                elif not gate_len and now >= gate_open:
-                    gate_head = i
-                    gate_open = now + d
-                    admit(j, now)
-                elif sqf_capacity is not None and gate_len >= sqf_capacity:
-                    drop_reason[j] = _CAPACITY
-                else:
-                    gate_len += 1
-                    if gate_at == _INF:
-                        gate_at = gate_open
-    except OverflowError:  # a release (now) or a service end did not fit its column
-        raise ConfigurationError(
-            f"event time {now if now >= _NO_FIT else done_at} ns "
-            "does not fit in 64-bit nanoseconds"
-        ) from None
-
-    if gate_len or server_len or busy >= 0:
-        raise InvariantViolation("simulation ended with packets in flight")
+        for j, t in zip(compress(count(), map(not_, drop_reason)), rel):
+            start = t if t > end else end
+            while p < m and rel[p] < start:
+                p += 1
+            end = start + service_source(j, max(1, p - k) > congestion_threshold)
+            t_out[j] = t
+            ss_out[j] = start
+            se_out[j] = end
+            k += 1
+    except OverflowError:
+        late = end
+    if late is not None:
+        raise ConfigurationError(f"event time {late} ns does not fit in 64-bit nanoseconds")
 
     packets = Packets(
         labeled.source_ids, labeled.is_attack, at, t_out, ss_out, se_out, drop_reason

@@ -249,7 +249,7 @@ def logs_with_drops(draw) -> Packets:
     trace = simulate_sequences(
         times, durations, draw(own.spacing_ns),
         draw(st.none() | st.tuples(st.integers(1, 3), st.integers(1, 3))),
-        sqf_capacity=draw(st.integers(0, 1) | st.none()),
+        sqf_capacity=draw(st.integers(1, 2) | st.none()),
     )
     packets, n = trace.packets, len(trace.packets)
     packets.source = array("i", draw(st.lists(st.integers(0, 3), min_size=n, max_size=n)))

@@ -135,6 +135,14 @@ class TestDirectFeed:
         with pytest.raises(ConfigurationError, match=f"event time {2**63} ns does not fit"):
             simulate_sequences([0, 0, 10**9], [MS] * 3, 2**62, sampling_interval=1e9)
 
+    def test_gated_service_end_past_64_bit_ns_rejected(self):
+        # the second packet, released at D = 2**62 ns, starts when the first
+        # ends at 5e18 ns and ends at 1e19 ns; the third release, at 2**63 ns,
+        # would not fit either, but that end comes first in time
+        with pytest.raises(ConfigurationError,
+                           match="event time 10000000000000000000 ns does not fit"):
+            simulate_sequences([0, 0, 0], [5 * 10**18] * 3, 2**62, sampling_interval=1e9)
+
     def test_spacing_past_64_bit_ns_rejected(self):
         with pytest.raises(ConfigurationError, match=f"spacing D of {2**63} ns"):
             simulate_sequences([0], [MS], 2**63)
@@ -177,6 +185,38 @@ class TestGatedFeed:
         assert len(dropped) == 5  # first released immediately, 4 queued
         assert all(why == "capacity" for why in dropped)
         verify_trace(trace)
+
+    @pytest.mark.parametrize("capacity", [0, -1])
+    def test_gate_capacity_below_1_rejected(self, capacity):
+        with pytest.raises(ConfigurationError, match="capacity must be at least 1"):
+            simulate_sequences([0], [MS], 3 * MS, sqf_capacity=capacity)
+        with pytest.raises(ConfigurationError, match="capacity must be at least 1"):
+            simulate(constant_scenario(), 3 * MS, sqf_capacity=capacity)
+
+    def test_ties_complete_then_release_then_arrive(self):
+        # D = 3 ms and a gate of capacity 1.  At 6 ms packet 0 completes,
+        # packet 2 is released and packet 3 arrives.  The completion comes
+        # first, so packet 1 starts alone: its queue is 1, not congested at
+        # threshold 1.  The release comes before the arrival, so the gate is
+        # empty when packet 3 arrives, which is admitted.  The same holds at
+        # 3 ms, where packet 1 is released and packet 2 arrives.
+        arrivals, services = [0, 0, 3 * MS, 6 * MS], [6 * MS, 4 * MS, MS, MS]
+        asked = []
+
+        def draw(j, congested):
+            asked.append((j, congested))
+            return services[j]
+
+        labeled = LabeledArrivals(ArrivalSequence(arrivals), array("i", [0]) * 4, bytearray(4))
+        trace = _engine(labeled, draw, 3 * MS, None, sampling_interval=0.1,
+                        congestion_threshold=1, attack_window_ns=None, seed=None,
+                        sqf_capacity=1)
+        p = trace.packets
+        assert reasons_of(p) == [None] * 4
+        assert p.t_ns.tolist() == [0, 3 * MS, 6 * MS, 9 * MS]
+        assert p.start_ns.tolist() == [0, 6 * MS, 10 * MS, 11 * MS]
+        # packet 2 starts at 10 ms with packet 3 (released at 9 ms) behind it
+        assert asked == [(0, False), (1, False), (2, True), (3, False)]
 
     def test_mitigation_drops_recorded(self):
         trace = simulate_sequences(
@@ -354,18 +394,24 @@ class TestStreamingSelfChecks:
         assert not any(trace.packets.drop_reason)  # the gate admits the whole flood
         return trace
 
-    def test_simulate_peak_per_packet(self):
-        """The engine's queues are head indices into the log, not deques of ids.
+    @pytest.mark.parametrize("options", [
+        pytest.param({}, id="no_option"),
+        pytest.param({"sqf_capacity": 50}, id="capacity_50"),
+        pytest.param({"mitigation": (10, 3)}, id="mitigation_10_3"),
+    ])
+    def test_simulate_peak_per_packet(self, options):
+        """Neither of the engine's passes keeps a per-packet Python list or queue.
 
         simulate of this flood peaked at 84.3 B per packet under tracemalloc
-        while the gate's deque held up to 49,644 ids; with head indices, at
-        49.0 B while ``drop_reason`` was a list of 8 B references; and with
-        a bytearray of codes it peaks at 39.3 B: the columns and the
-        arrivals.
+        while the gate's deque held up to 49,644 ids; at 49.0 B while
+        ``drop_reason`` was a list of 8 B references; and with a bytearray
+        of codes at 39.3 B: the columns and the arrivals.  With a gate
+        capacity of 50 or (N, K) = (10, 3), which drop most of the flood,
+        it peaks at 40.7 B and 39.6 B.
         """
         tracemalloc.start()
         try:
-            trace = simulate(self.scenario(), 3 * MS)
+            trace = simulate(self.scenario(), 3 * MS, **options)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -672,7 +718,7 @@ _NO_EVENT = 1 << 64
 
 
 def deque_engine(at, service_source, d_ns, gate_filter, congestion_threshold, sqf_capacity):
-    """The engine loop before its queues became head indices: explicit FIFOs of ids.
+    """The event loop the engine once ran, with explicit FIFOs of ids.
 
     Returns the ``t``, ``start`` and ``end`` columns as lists and
     ``drop_reason``; ``service_source(j, congested)`` is asked in service order.
@@ -781,8 +827,8 @@ class TestEngineAgainstDequeLoop:
         assert asked["engine"] == asked["deque"]
 
     def test_mitigated_flood_drops_most_and_matches(self):
-        # a burst of 300 at one instant behind (N, K) = (2, 1): the engine's
-        # head scan skips long runs of dropped ids
+        # a burst of 300 at one instant behind (N, K) = (2, 1): the device
+        # pass walks only the admitted ids among long runs of dropped ones
         arrivals, services = [0] * 300 + [10**9], [MS] * 301
         trace = simulate_sequences(arrivals, services, 3 * MS, (2, 1))
         gate = MitigationGate(MitigationPolicy(2, 1), 3 * MS)
