@@ -34,6 +34,7 @@ from .simulator import (
     check_records,
     verify_trace,
 )
+from .timebase import NS_PER_MS
 
 PACKET_FIELDS = [
     "id",
@@ -311,7 +312,7 @@ def write_histogram_csv(edges: Sequence[float], columns: dict, path) -> None:
 
 def trace_from_records(
     packets: Packets,
-    sampling_interval: float = 0.1,
+    interval_ns: int = 100 * NS_PER_MS,
     *,
     d_ns: Optional[int] = None,
     mitigation: Optional[tuple[int, int]] = None,
@@ -322,7 +323,7 @@ def trace_from_records(
     check_records(packets)
     return _trace(
         packets,
-        sampling_interval,
+        interval_ns,
         d_ns=d_ns,
         mitigation=mitigation,
         attack_window_ns=attack_window_ns,

@@ -56,9 +56,9 @@ from .metrics import (
     histogram_counts,
     run_summary,
 )
-from .scenario import SERVICE_MODES, ServiceModel, _is_finite_number
-from .simulator import Packets, _check_interval
-from .timebase import s_to_ns
+from .scenario import SERVICE_MODES, ServiceModel
+from .simulator import Packets
+from .timebase import to_ns
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -152,18 +152,29 @@ def cmd_stub(args) -> int:
 
 # -- analyze ----------------------------------------------------------------
 
-def _is_int(value) -> bool:
-    return type(value) is int
+def _int(value, what: str) -> int:
+    if type(value) is not int:
+        raise ContractViolation(f"{what} must be an integer, got {value!r}")
+    return value
 
 
-def _pair(ok):
-    return lambda value: isinstance(value, list) and len(value) == 2 and all(map(ok, value))
+def _ns(unit: str, minimum_ns: int = 1):
+    return lambda value, what: to_ns(value, unit, what, ContractViolation, minimum_ns)
 
 
-def _stored_field(path: Path, stored: dict, name: str, ok):
+def _pair(read):
+    def pair(value, what: str) -> tuple:
+        if not (isinstance(value, list) and len(value) == 2):
+            raise ContractViolation(f"{what} must be a pair, got {value!r}")
+        return tuple(read(x, what) for x in value)
+    return pair
+
+
+def _stored_field(path: Path, stored: dict, name: str, read):
     """Field ``name`` ("section.key") of the summary read from ``path``, or None.
 
-    A section that is not an object, or a value that fails ``ok``, raises
+    ``read(value, what)`` converts a value that is not None.  A section
+    that is not an object, or a value ``read`` refuses, raises
     ContractViolation naming the file and the field.
     """
     section, key = name.split(".")
@@ -171,30 +182,24 @@ def _stored_field(path: Path, stored: dict, name: str, ok):
     if not isinstance(part, dict):
         raise ContractViolation(f"{path}: {section} is not an object")
     value = part.get(key)
-    if value is not None and not ok(value):
-        raise ContractViolation(f"{path}: bad {name} {value!r}")
-    return value
+    return None if value is None else read(value, f"{path}: {name}")
 
 
-def _load_run(run_dir: Path, fallback_interval_ms: float):
+def _load_run(run_dir: Path, fallback_interval_ns: int):
     packets = read_packets_csv(run_dir / "packets.csv")
-    interval_s = fallback_interval_ms / 1000.0
+    interval_ns = fallback_interval_ns
     d_ns = mitigation = attack_window_ns = seed = None
     summary_path = run_dir / "summary.json"
     if summary_path.is_file():
         field = partial(_stored_field, summary_path, read_summary_json(summary_path))
-        interval_s = field("config.sampling_interval_s", _is_finite_number) or interval_s
-        d_ms = field("config.d_ms", lambda x: _is_finite_number(x) and x > 0)
-        if d_ms is not None:
-            d_ns = round(d_ms * 1e6)
-        if mitigation := field("config.mitigation", _pair(_is_int)):
-            mitigation = tuple(mitigation)
-        seed = field("config.seed", _is_int)
-        if window := field("attack.window_s", _pair(_is_finite_number)):
-            attack_window_ns = (s_to_ns(window[0]), s_to_ns(window[1]))
+        interval_ns = field("config.sampling_interval_s", _ns("s")) or interval_ns
+        d_ns = field("config.d_ms", _ns("ms"))
+        mitigation = field("config.mitigation", _pair(_int))
+        seed = field("config.seed", _int)
+        attack_window_ns = field("attack.window_s", _pair(_ns("s", 0)))
     return trace_from_records(
         packets,
-        interval_s,
+        interval_ns,
         d_ns=d_ns,
         mitigation=mitigation,
         attack_window_ns=attack_window_ns,
@@ -202,13 +207,13 @@ def _load_run(run_dir: Path, fallback_interval_ms: float):
     )
 
 
-def _load_sampled(run_dir: Path, fallback_interval_ms: float):
+def _load_sampled(run_dir: Path, fallback_interval_ns: int):
     """``_load_run`` without the packet log, as ``compare_runs`` reads it.
 
     The compare run loads in a forked child, which pipes this slim trace
     back; each process then holds one run's columns at a time.
     """
-    trace = _load_run(run_dir, fallback_interval_ms)
+    trace = _load_run(run_dir, fallback_interval_ns)
     return dataclasses.replace(trace, packets=Packets(), admitted=Packets())
 
 
@@ -259,18 +264,18 @@ def _write_delay_histogram(trace, path) -> None:
 
 
 def cmd_analyze(args) -> int:
-    _check_interval(args.interval / 1000.0)
+    interval_ns = to_ns(args.interval, "ms", "sampling interval")
     if not args.compare:
-        return _analyze(args, None)
+        return _analyze(args, interval_ns, None)
     # the two loads are independent: the compare run loads in a child meanwhile
     compare_dir = Path(args.compare)
-    with Forked(f"loading {compare_dir}", _load_sampled, compare_dir, args.interval) as other:
-        return _analyze(args, other)
+    with Forked(f"loading {compare_dir}", _load_sampled, compare_dir, interval_ns) as other:
+        return _analyze(args, interval_ns, other)
 
 
-def _analyze(args, other: Forked | None) -> int:
+def _analyze(args, interval_ns: int, other: Forked | None) -> int:
     run_dir = Path(args.run_dir)
-    trace = _load_run(run_dir, args.interval)
+    trace = _load_run(run_dir, interval_ns)
     summary = run_summary(trace)
     out_dir = Path(args.out) if args.out else run_dir
     out_dir.mkdir(parents=True, exist_ok=True)

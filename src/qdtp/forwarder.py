@@ -38,6 +38,7 @@ from .errors import ConfigurationError
 from .mitigation import MitigationGate, MitigationPolicy
 from .scenario import ServiceModel
 from .simulator import Packets
+from .timebase import to_ns
 
 __all__ = [
     "DEFAULT_TOLERANCE_US",
@@ -143,7 +144,7 @@ class ForwarderConfig:
 
     def __post_init__(self) -> None:
         resolution_ns = time.get_clock_info("monotonic").resolution * 1e9
-        if self.d_us < 1 or self.d_us * 1000 < resolution_ns:
+        if self.d_ns < resolution_ns:
             raise ConfigurationError("spacing below clock resolution")
         if self.queue_capacity is not None and self.queue_capacity < 1:
             raise ConfigurationError("queue capacity must be at least 1 when bounded")
@@ -155,7 +156,7 @@ class ForwarderConfig:
 
     @property
     def d_ns(self) -> int:
-        return self.d_us * 1000
+        return to_ns(self.d_us, "us", "d_us")
 
 
 @dataclass(frozen=True)
@@ -345,11 +346,11 @@ class UdpForwarder:
             words = data.decode("ascii", "replace").split()
             if len(words) == 2 and words[0].upper() == "DROP":
                 try:
-                    seconds = float(words[1])
-                except ValueError:
-                    seconds = -1.0
-                if seconds >= 0:
-                    self._gate.force_drop(time.monotonic_ns(), round(seconds * 1e9))
+                    duration_ns = to_ns(float(words[1]), "s", "DROP", minimum_ns=0)
+                except (ValueError, ConfigurationError):
+                    pass
+                else:
+                    self._gate.force_drop(time.monotonic_ns(), duration_ns)
                     reply = b"OK\n"
             try:
                 sock.sendto(reply, addr)

@@ -10,8 +10,7 @@ from __future__ import annotations
 
 import dataclasses
 import json
-import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from importlib import resources
 from pathlib import Path
 from typing import Optional
@@ -20,8 +19,8 @@ from .artifacts import _read_json, write_run_dir
 from .errors import ConfigurationError
 from .mitigation import MitigationPolicy
 from .scenario import Scenario
-from .simulator import _check_interval, simulate
-from .timebase import NS_PER_MS
+from .simulator import simulate
+from .timebase import to_ns
 
 __all__ = [
     "ExperimentManifest",
@@ -53,7 +52,11 @@ def bundled_manifest_names() -> list[str]:
 
 @dataclass(frozen=True)
 class ExperimentManifest:
-    """One named experiment: scenario + gate settings + seeds + output dir."""
+    """One named experiment: scenario + gate settings + seeds + output dir.
+
+    ``d_ns`` (None without a gate) and ``interval_ns`` are ``sqf_d_ms`` and
+    ``sampling_interval_ms`` in nanoseconds, checked when the manifest is built.
+    """
 
     name: str
     scenario: str
@@ -62,6 +65,8 @@ class ExperimentManifest:
     sqf_d_ms: Optional[float] = None
     mitigation: Optional[tuple[int, int]] = None
     sampling_interval_ms: float = 100.0
+    d_ns: Optional[int] = field(init=False, repr=False)
+    interval_ns: int = field(init=False, repr=False)
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "seeds", tuple(int(s) for s in self.seeds))
@@ -71,23 +76,15 @@ class ExperimentManifest:
             raise ConfigurationError("manifest needs at least one seed")
         if len(set(self.seeds)) != len(self.seeds):
             raise ConfigurationError("duplicate seeds in manifest")
-        if self.sqf_d_ms is not None and not (
-            math.isfinite(self.sqf_d_ms) and round(self.sqf_d_ms * NS_PER_MS) >= 1
-        ):
-            raise ConfigurationError("sqf_d_ms must be finite and at least 1 ns")
+        d_ns = None if self.sqf_d_ms is None else to_ns(self.sqf_d_ms, "ms", "sqf_d_ms")
+        object.__setattr__(self, "d_ns", d_ns)
+        object.__setattr__(self, "interval_ns", to_ns(
+            self.sampling_interval_ms, "ms", "sampling_interval_ms"))
         if self.mitigation is not None:
             if self.sqf_d_ms is None:
                 raise ConfigurationError("mitigation requires an sqf gate")
             pol = MitigationPolicy.coerce(self.mitigation)
             object.__setattr__(self, "mitigation", (pol.n_threshold, pol.k_factor))
-        _check_interval(self.sampling_interval_ms / 1000.0)
-
-    @property
-    def d_ns(self) -> Optional[int]:
-        """The gate's spacing D in nanoseconds, or None without a gate."""
-        if self.sqf_d_ms is None:
-            return None
-        return round(self.sqf_d_ms * NS_PER_MS)
 
     def to_dict(self) -> dict:
         return {
@@ -97,7 +94,7 @@ class ExperimentManifest:
             "mitigation": list(self.mitigation) if self.mitigation else None,
             "seeds": list(self.seeds),
             "out": self.out,
-            "sampling_interval_ms": self.sampling_interval_ms,
+            "sampling_interval_ms": float(self.sampling_interval_ms),
         }
 
     @classmethod
@@ -113,7 +110,7 @@ class ExperimentManifest:
                 out=raw.get("out", f"runs/{raw['name']}"),
                 sqf_d_ms=raw.get("sqf_d_ms"),
                 mitigation=tuple(mit) if mit else None,
-                sampling_interval_ms=float(raw.get("sampling_interval_ms", 100.0)),
+                sampling_interval_ms=raw.get("sampling_interval_ms", 100.0),
             )
         except KeyError as exc:
             raise ConfigurationError(f"manifest missing field {exc}") from exc
@@ -189,7 +186,7 @@ def run_manifest(manifest: ExperimentManifest, base_dir=".") -> list[Path]:
                 dataclasses.replace(scenario, seed=seed),
                 manifest.d_ns,
                 manifest.mitigation,
-                sampling_interval=manifest.sampling_interval_ms / 1000.0,
+                interval_ns=manifest.interval_ns,
             )
         except ConfigurationError as exc:  # a run the scenario's numbers cannot hold
             raise ConfigurationError(f"scenario {manifest.scenario}, seed {seed}: {exc}") from exc

@@ -37,7 +37,7 @@ from typing import Iterable, Iterator, Optional, Sequence
 
 from .errors import ConfigurationError, ContractViolation
 from .forked import Forked
-from .timebase import DROP_REASONS, ns_to_s, s_to_ns
+from .timebase import DROP_REASONS, ns_to_s
 
 __all__ = [
     "SummaryStats",
@@ -273,8 +273,8 @@ def _sweep(entries: Sequence[int], exits: Sequence[int]) -> tuple[int, int]:
 MAX_SAMPLE_POINTS = 1_000_000
 
 
-def sample_queues(admitted, interval: float) -> tuple[array, array, array]:
-    """Sample both queues' occupancy every ``interval`` seconds from zero.
+def sample_queues(admitted, interval_ns: int) -> tuple[array, array, array]:
+    """Sample both queues' occupancy every ``interval_ns`` from zero.
 
     ``admitted`` holds only admitted packets, as :func:`queue_intervals`
     reads them.  Returns ``(grid_ns, sqf_counts, server_counts)``, three
@@ -285,21 +285,20 @@ def sample_queues(admitted, interval: float) -> tuple[array, array, array]:
     interval that fits, and so does a grid whose last instant does not fit
     in 64-bit nanoseconds.
     """
-    interval_ns = s_to_ns(interval) if math.isfinite(interval) else 0
-    if interval_ns <= 0:
-        raise ContractViolation("sampling interval must be positive")
+    if not (isinstance(interval_ns, int) and interval_ns >= 1):
+        raise ContractViolation(f"sampling interval of {interval_ns!r} ns is not an int >= 1")
     last = admitted.end_ns[-1] if len(admitted) else 0
     points = -(-last // interval_ns) + 1
     if points > MAX_SAMPLE_POINTS:
         fits_ns = -(-last // (MAX_SAMPLE_POINTS - 1))
         raise ConfigurationError(
-            f"sampling interval of {interval * 1e3:.15g} ms takes {points} queue samples "
+            f"sampling interval of {interval_ns / 1e6:.15g} ms takes {points} queue samples "
             f"up to {last} ns, more than MAX_SAMPLE_POINTS ({MAX_SAMPLE_POINTS}); "
             f"the smallest interval that fits is {fits_ns / 1e6!r} ms"
         )
     if (points - 1) * interval_ns >> 63:
         raise ConfigurationError(
-            f"sampling interval of {interval * 1e3:.15g} ms puts the last of {points} "
+            f"sampling interval of {interval_ns / 1e6:.15g} ms puts the last of {points} "
             "queue samples past 64-bit nanoseconds"
         )
     grid = array("q", range(0, points * interval_ns, interval_ns))
@@ -335,7 +334,7 @@ def drain_time(trace, queue: str = "server") -> float:
 
     That is the last exit of the whole run, not the first instant the queue
     is empty after the attack: when benign traffic goes on after the
-    attack, it is the last benign exit (see ROADMAP.md, item 6).  Zero when
+    attack, it is the last benign exit (see ROADMAP.md, item 4).  Zero when
     there is no attack or no exit falls after the attack's end.
     """
     intervals = queue_intervals(trace.admitted)
@@ -361,7 +360,7 @@ class RunComparison:
     The grid and the four series are ``array('q')`` columns of one length.
     """
 
-    interval: float
+    interval_ns: int
     times_ns: array
     sqf_a: array
     sqf_b: array
@@ -462,7 +461,7 @@ def _whole_run_summary(trace) -> dict:
             "d_ms": trace.d_ns / 1e6 if trace.d_ns is not None else None,
             "mitigation": list(trace.mitigation) if trace.mitigation else None,
             "seed": trace.seed,
-            "sampling_interval_s": trace.sampling_interval,
+            "sampling_interval_s": ns_to_s(trace.interval_ns),
         },
         "service_ms": services,
         "server_wait_ms": _maybe_summary_ms(_seconds(start, t)),
@@ -558,13 +557,12 @@ def compare_runs(a, b) -> RunComparison:
     Both traces must have been sampled with the same interval; the shorter
     series are zero-padded, since a drained queue simply stays empty.
     """
-    if a.sampling_interval != b.sampling_interval:
+    if a.interval_ns != b.interval_ns:
         raise ContractViolation("runs were sampled on different grids")
     n = max(len(a.times_ns), len(b.times_ns))
-    interval_ns = s_to_ns(a.sampling_interval)
     return RunComparison(
-        interval=a.sampling_interval,
-        times_ns=array("q", range(0, n * interval_ns, interval_ns)),
+        interval_ns=a.interval_ns,
+        times_ns=array("q", range(0, n * a.interval_ns, a.interval_ns)),
         sqf_a=_pad(a.sqf_counts, n),
         sqf_b=_pad(b.sqf_counts, n),
         server_a=_pad(a.server_counts, n),

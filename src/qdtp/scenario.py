@@ -20,7 +20,7 @@ from typing import Optional
 
 from .errors import ConfigurationError
 from .recursions import ArrivalSequence
-from .timebase import NS_PER_S, s_to_ns
+from .timebase import s_to_ns, to_ns
 
 __all__ = [
     "MAX_PACKETS",
@@ -44,29 +44,13 @@ MIN_SERVICE_NS = 1_000
 MAX_PACKETS = 10_000_000
 
 
-def _is_finite_number(value) -> bool:
-    number = isinstance(value, (int, float)) and not isinstance(value, bool)
-    return number and abs(value) < math.inf  # NaN compares false
-
-
 def _finite(owner: str, model, *fields: str) -> None:
     """Reject a field of ``model`` that is not a finite number, naming it."""
     for name in fields:
         value = getattr(model, name)
-        if not _is_finite_number(value):
+        number = isinstance(value, (int, float)) and not isinstance(value, bool)
+        if not (number and abs(value) < math.inf):  # NaN compares false
             raise ConfigurationError(f"{owner} {name} must be a finite number, got {value!r}")
-
-
-def _fits_ns(owner: str, what: str, seconds: float) -> None:
-    """Reject a time whose nanosecond value does not fit in 64 bits, naming it.
-
-    Times are integer nanoseconds in ``array('q')`` columns; a larger one
-    would overflow while the run is generated or simulated.
-    """
-    if abs(seconds) * NS_PER_S >= 2.0**63:
-        raise ConfigurationError(
-            f"{owner} {what} of {seconds!r} s does not fit in 64-bit nanoseconds"
-        )
 
 
 @dataclass(frozen=True)
@@ -97,10 +81,10 @@ class ServiceModel:
             raise ConfigurationError("outlier probability must be in [0, 1]")
         if self.outlier_scale < 1.0:
             raise ConfigurationError("outlier scale must be at least 1")
-        _fits_ns("service", "mean", self.mean)
-        _fits_ns("service", "standard deviation", math.sqrt(self.variance))
+        to_ns(self.mean, "s", "service mean", minimum_ns=0)
+        to_ns(math.sqrt(self.variance), "s", "service standard deviation", minimum_ns=0)
         if self.mode == "gaussian_with_outliers":
-            _fits_ns("service", "outlier time", self.mean * self.outlier_scale)
+            to_ns(self.mean * self.outlier_scale, "s", "service outlier time", minimum_ns=0)
 
     def draw_ns(self, u: float, g: float) -> int:
         """Map one uniform and one standard-normal variate to a duration.
@@ -164,9 +148,9 @@ class TrafficModel:
             raise ConfigurationError("start cannot be negative")
         if self.jitter < 0:
             raise ConfigurationError("jitter cannot be negative")
-        _fits_ns("traffic", "period", 1 / self.rate)
-        _fits_ns("traffic", "end", self.end)
-        _fits_ns("traffic", "jitter", self.jitter)
+        to_ns(1 / self.rate, "s", "traffic period", minimum_ns=0)
+        to_ns(self.end, "s", "traffic end", minimum_ns=0)
+        to_ns(self.jitter, "s", "traffic jitter", minimum_ns=0)
         # a poisson source adds its gaps to a float time: a mean gap of half
         # a float step or less leaves the time in place, and the source never ends
         step = math.ulp(self.end)
@@ -244,7 +228,7 @@ class Scenario:
         _finite("scenario", self, "horizon")
         if self.horizon <= 0:
             raise ConfigurationError("horizon must be positive")
-        _fits_ns("scenario", "horizon", self.horizon)
+        to_ns(self.horizon, "s", "scenario horizon", minimum_ns=0)
         if self.congestion_threshold < 1:
             raise ConfigurationError("congestion threshold must be at least 1")
         expected = 0.0

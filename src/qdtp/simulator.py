@@ -23,7 +23,6 @@ releases.  That makes the exact agreement of the two routes
 """
 from __future__ import annotations
 
-import math
 from array import array
 from dataclasses import dataclass, fields
 from itertools import compress, count, islice
@@ -40,7 +39,7 @@ from .recursions import (
     qdtp_schedule,  # unused here; bench/selftest.py reaches it through this module
 )
 from .scenario import LabeledArrivals, Scenario, ServiceSampler, generate_arrivals
-from .timebase import ABSENT_NS, DROP_REASONS, s_to_ns
+from .timebase import ABSENT_NS, DROP_REASONS, NS_PER_MS
 
 __all__ = [
     "ABSENT_NS",
@@ -120,11 +119,12 @@ class Packets:
 class TraceSeries:
     """One simulation run: sampled queue lengths plus the full packet log.
 
-    The sample instants and both queues' lengths at them are ``array('q')``
-    columns, as ``metrics.sample_queues`` returns them.
+    The sample instants, every ``interval_ns`` from 0, and both queues'
+    lengths at them are ``array('q')`` columns, as ``metrics.sample_queues``
+    returns them.
     """
 
-    sampling_interval: float
+    interval_ns: int
     times_ns: array
     sqf_counts: array
     server_counts: array
@@ -138,7 +138,7 @@ class TraceSeries:
     seed: Optional[int] = None
 
 
-def _trace(packets: Packets, sampling_interval: float, **rest) -> TraceSeries:
+def _trace(packets: Packets, interval_ns: int, **rest) -> TraceSeries:
     """``packets`` as a TraceSeries; ``rest`` holds its other fields."""
     ids = metrics.admitted_ids(packets)
     kept = packets if ids is None else Packets(
@@ -147,16 +147,8 @@ def _trace(packets: Packets, sampling_interval: float, **rest) -> TraceSeries:
             packets.t_ns, packets.start_ns, packets.end_ns)),
         bytearray(len(ids)),
     )
-    grid, sqf_counts, server_counts = metrics.sample_queues(kept, sampling_interval)
-    return TraceSeries(
-        sampling_interval, grid, sqf_counts, server_counts, packets, kept, **rest
-    )
-
-
-def _check_interval(seconds: float) -> None:
-    """Reject a sampling interval setting that is not finite or rounds to 0 ns."""
-    if not math.isfinite(seconds) or s_to_ns(seconds) <= 0:
-        raise ConfigurationError("sampling interval must be finite and at least 1 ns")
+    grid, sqf_counts, server_counts = metrics.sample_queues(kept, interval_ns)
+    return TraceSeries(interval_ns, grid, sqf_counts, server_counts, packets, kept, **rest)
 
 
 def _engine(
@@ -165,13 +157,12 @@ def _engine(
     d_ns: Optional[int],
     mitigation,
     *,
-    sampling_interval: float,
+    interval_ns: int,
     congestion_threshold: int,
     attack_window_ns: Optional[tuple[int, int]],
     seed: Optional[int],
     sqf_capacity: Optional[int],
 ) -> TraceSeries:
-    _check_interval(sampling_interval)
     use_gate = d_ns is not None
     if mitigation is not None and not use_gate:
         raise ConfigurationError("mitigation is defined in units of D; configure the gate")
@@ -243,7 +234,7 @@ def _engine(
     )
     return _trace(
         packets,
-        sampling_interval,
+        interval_ns,
         d_ns=d_ns,
         mitigation=(
             (gate_filter.policy.n_threshold, gate_filter.policy.k_factor)
@@ -260,15 +251,16 @@ def simulate(
     d_ns: Optional[int] = None,
     mitigation=None,
     *,
-    sampling_interval: float = 0.1,
+    interval_ns: int = 100 * NS_PER_MS,
     sqf_capacity: Optional[int] = None,
 ) -> TraceSeries:
     """Run one scenario to completion (all generated packets resolved).
 
     ``d_ns=None`` models the unprotected device: traffic hits it directly.
     ``mitigation`` may be a MitigationPolicy or an (N, K) pair and requires
-    a gate.  The run always continues past the scenario horizon until every
-    queue drains, so traces are complete by construction.
+    a gate.  The queues are sampled every ``interval_ns``.  The run always
+    continues past the scenario horizon until every queue drains, so traces
+    are complete by construction.
     """
     labeled = generate_arrivals(s)
     sampler = ServiceSampler(s)
@@ -277,7 +269,7 @@ def simulate(
         lambda _j, congested: sampler.draw_ns(congested),
         d_ns,
         mitigation,
-        sampling_interval=sampling_interval,
+        interval_ns=interval_ns,
         congestion_threshold=s.congestion_threshold,
         attack_window_ns=s.attack_window_ns,
         seed=s.seed,
@@ -291,7 +283,7 @@ def simulate_sequences(
     d_ns: Optional[int] = None,
     mitigation=None,
     *,
-    sampling_interval: float = 0.1,
+    interval_ns: int = 100 * NS_PER_MS,
     congestion_threshold: int = 100,
     sqf_capacity: Optional[int] = None,
 ) -> TraceSeries:
@@ -316,7 +308,7 @@ def simulate_sequences(
         lambda j, _congested: services_ns[j],
         d_ns,
         mitigation,
-        sampling_interval=sampling_interval,
+        interval_ns=interval_ns,
         congestion_threshold=congestion_threshold,
         attack_window_ns=None,
         seed=None,

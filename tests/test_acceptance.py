@@ -89,7 +89,7 @@ def figures():
             dataclasses.replace(scenario, seed=manifest.seeds[0]),
             manifest.d_ns,
             manifest.mitigation,
-            sampling_interval=manifest.sampling_interval_ms / 1000.0,
+            interval_ns=manifest.interval_ns,
         )
         error = None
         try:

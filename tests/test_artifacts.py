@@ -38,7 +38,7 @@ def sample_trace():
         [2_000_000, 3_000_000, 1_000_000, 2_000_000, 1_000_000],
         3_000_000,
         MitigationPolicy(3, 2),
-        sampling_interval=0.001,
+        interval_ns=1_000_000,
     )
 
 
@@ -364,7 +364,7 @@ class TestRunDir:
         paths = write_run_dir(trace, tmp_path / "run")
         packets = read_packets_csv(paths["packets"])
         rebuilt = trace_from_records(
-            packets, trace.sampling_interval, d_ns=trace.d_ns
+            packets, trace.interval_ns, d_ns=trace.d_ns
         )
         assert rebuilt.times_ns == trace.times_ns
         assert rebuilt.sqf_counts == trace.sqf_counts

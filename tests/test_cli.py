@@ -306,17 +306,19 @@ class TestSimulate:
         ]) == 2
         assert not (tmp_path / "runs" / "tiny" / "seed0005").exists()
 
-    @pytest.mark.parametrize("interval", ["nan", "inf"])
+    @pytest.mark.parametrize("interval", ["nan", "inf", "1e303"])
     def test_non_finite_interval_is_config_error(self, tmp_path, tiny_scenario, interval):
+        # 1e303 ms is finite, but as far from fitting in 64-bit ns as inf
         assert main([
             "simulate", "--scenario", str(tiny_scenario), "--name", "tiny",
             "--out", str(tmp_path / "runs"), "--interval", interval,
         ]) == 2
         assert not (tmp_path / "runs" / "tiny" / "seed0005").exists()
 
-    @pytest.mark.parametrize("d_ms", ["nan", "inf", "0.0000001"])
+    @pytest.mark.parametrize("d_ms", ["nan", "inf", "0.0000001", "1e303"])
     def test_bad_spacing_is_config_error(self, tmp_path, tiny_scenario, d_ms):
-        # 1e-7 ms is 0.1 ns, which rounds to a zero spacing
+        # 1e-7 ms is 0.1 ns, which rounds to a zero spacing; 1e303 ms does
+        # not fit in 64-bit ns
         assert main([
             "simulate", "--scenario", str(tiny_scenario), "--name", "tiny",
             "--out", str(tmp_path / "runs"), "--sqf-d", d_ms,
@@ -609,7 +611,7 @@ class TestAnalyze:
         out, ref = tmp_path / "out", tmp_path / "ref"
         assert main(["analyze", str(a), "--compare", str(b), "--out", str(out)]) == 0
         assert main(["analyze", str(a), "--out", str(ref)]) == 0
-        comparison = metrics.compare_runs(cli._load_run(a, 100.0), cli._load_run(b, 100.0))
+        comparison = metrics.compare_runs(cli._load_run(a, 10**8), cli._load_run(b, 10**8))
         write_comparison_csv(comparison, ref / "figure_comparison.csv")
         names = sorted(path.name for path in out.iterdir())
         assert names == sorted(path.name for path in ref.iterdir())
@@ -635,14 +637,14 @@ class TestAnalyze:
 
     def test_compare_child_pipes_typed_series(self, tmp_path, tiny_scenario):
         b = run_ungated(tmp_path, tiny_scenario)
-        with Forked("loading the compare run", cli._load_sampled, b, 100.0) as other:
+        with Forked("loading the compare run", cli._load_sampled, b, 10**8) as other:
             slim = other.result()
         assert len(slim.packets) == len(slim.admitted) == 0
         for name in ("times_ns", "sqf_counts", "server_counts"):
             column = getattr(slim, name)
             assert isinstance(column, array) and column.typecode == "q", name
-        assert slim.times_ns == cli._load_run(b, 100.0).times_ns
-        comparison = metrics.compare_runs(cli._load_run(run_tiny(tmp_path, tiny_scenario), 100.0),
+        assert slim.times_ns == cli._load_run(b, 10**8).times_ns
+        comparison = metrics.compare_runs(cli._load_run(run_tiny(tmp_path, tiny_scenario), 10**8),
                                           slim)
         for field in dataclasses.fields(comparison)[1:]:
             column = getattr(comparison, field.name)
@@ -855,7 +857,7 @@ class TestAnalyze:
         assert float(rows[0]["bin_lo_ms"]) == 3.0
         assert sum(int(r["all"]) for r in rows) == 10
 
-    @pytest.mark.parametrize("interval", ["0", "-5", "nan", "inf"])
+    @pytest.mark.parametrize("interval", ["0", "-5", "nan", "inf", "1e303"])
     def test_analyze_bad_interval_is_config_error(
         self, tmp_path, tiny_scenario, interval, capsys
     ):
@@ -864,7 +866,9 @@ class TestAnalyze:
         seed_dir = run_tiny(tmp_path, tiny_scenario)
         capsys.readouterr()
         assert main(["analyze", str(seed_dir), f"--interval={interval}"]) == 2
-        assert "sampling interval must be finite" in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert err.startswith("configuration error: sampling interval ")
+        assert err.count("\n") == 1
 
     @pytest.mark.parametrize("content", [b"{not json", b"\xff\xfe{}", b"[1, 2]"])
     def test_unreadable_summary_is_invariant_error(self, tmp_path, tiny_scenario, capsys,
@@ -883,6 +887,13 @@ class TestAnalyze:
         ("config", "seed", 1.5),
         ("attack", "window_s", [1.0]),
         ("attack", "window_s", ["0", "1"]),
+        # past 64-bit ns these once ended in an OverflowError; an interval
+        # of 0 once fell back to --interval, and a negative instant was kept
+        ("config", "d_ms", 1e303),
+        ("config", "sampling_interval_s", 1e300),
+        ("config", "sampling_interval_s", 0),
+        ("attack", "window_s", [0.5, 1e300]),
+        ("attack", "window_s", [-0.5, 1.0]),
     ])
     def test_bad_stored_config_is_invariant_error(self, tmp_path, tiny_scenario, capsys,
                                                   section, field, value):
@@ -895,6 +906,7 @@ class TestAnalyze:
         assert main(["analyze", str(seed_dir)]) == 3
         err = capsys.readouterr().err
         assert "summary.json" in err and f"{section}.{field}" in err
+        assert err.count("\n") == 1
 
     def test_stored_section_that_is_not_an_object_is_invariant_error(
         self, tmp_path, tiny_scenario, capsys
@@ -931,6 +943,21 @@ class TestForward:
             "forward", "--listen", "127.0.0.1:0",
             "--upstream", "127.0.0.1:9", "--d-us", "0",
         ]) == 2
+
+    def test_spacing_past_64_bit_ns_is_config_error(self, monkeypatch, capsys):
+        # 1e17 us is 1e20 ns: the pacer's sleep once overflowed on the second datagram
+        def started(cfg):
+            pytest.fail("the forwarder started")
+
+        monkeypatch.setattr(cli, "run_forwarder", started)
+        assert main([
+            "forward", "--listen", "127.0.0.1:0",
+            "--upstream", "127.0.0.1:9", "--d-us", str(10**17),
+        ]) == 2
+        assert capsys.readouterr().err == (
+            "configuration error: d_us of 100000000000000000 us "
+            "does not fit in 64-bit nanoseconds\n"
+        )
 
     def test_bind_conflict_is_io_error(self):
         taken = socket.socket(socket.AF_INET, socket.SOCK_DGRAM)

@@ -133,6 +133,12 @@ class TestConfig:
         with pytest.raises(ConfigurationError):
             ForwarderConfig(listen=(LOOP, 0), upstream=(LOOP, 9), d_us=0)
 
+    @pytest.mark.parametrize("d_us", [10**17, True])
+    def test_spacing_past_64_bit_ns_or_bool_rejected(self, d_us):
+        # 1e17 us is 1e20 ns, past 2**63 - 1: the pacer's time.sleep would overflow
+        with pytest.raises(ConfigurationError, match="d_us"):
+            ForwarderConfig(listen=(LOOP, 0), upstream=(LOOP, 9), d_us=d_us)
+
     def test_bad_capacity_rejected(self):
         with pytest.raises(ConfigurationError):
             ForwarderConfig(
@@ -374,6 +380,25 @@ class TestControlChannel:
             assert reply == b"ERR\n"
             ctl.close()
         finally:
+            fwd.stop()
+            sink.close()
+
+    def test_bad_drop_is_refused_and_the_channel_keeps_serving(self):
+        # DROP inf once raised OverflowError in the control thread, and
+        # every later command went unanswered
+        sink = open_sink()
+        fwd = start_forwarder(sink.getsockname()[1], control=(LOOP, 0), d_us=1000)
+        control_port = fwd._control_sock.getsockname()[1]
+        ctl = socket.socket(socket.AF_INET, socket.SOCK_DGRAM)
+        ctl.settimeout(2.0)
+        try:
+            for command, want in ((b"DROP inf", b"ERR\n"), (b"DROP 1e300", b"ERR\n"),
+                                  (b"DROP nan", b"ERR\n"), (b"DROP -1", b"ERR\n"),
+                                  (b"DROP 0.01", b"OK\n")):
+                ctl.sendto(command + b"\n", (LOOP, control_port))
+                assert ctl.recvfrom(64)[0] == want, command
+        finally:
+            ctl.close()
             fwd.stop()
             sink.close()
 

@@ -212,6 +212,39 @@ class TestManifestValidation:
         with pytest.raises(ConfigurationError):
             tiny_manifest(tmp_path, sqf_d_ms=0.0)
 
+    def test_interval_rounding_to_zero_ns_rejected(self, tmp_path):
+        # 1e-7 ms is 0.1 ns, a 0 ns grid step: a bad setting, found up front
+        with pytest.raises(ConfigurationError,
+                           match="sampling_interval_ms of 1e-07 ms is below 1 ns"):
+            tiny_manifest(tmp_path, sampling_interval_ms=1e-7)
+
+    @pytest.mark.parametrize("interval", [float("nan"), float("inf")])
+    def test_non_finite_interval_rejected(self, tmp_path, interval):
+        with pytest.raises(ConfigurationError):
+            tiny_manifest(tmp_path, sampling_interval_ms=interval)
+
+    def test_times_are_converted_once(self, tmp_path):
+        m = tiny_manifest(tmp_path, sqf_d_ms=2.5, sampling_interval_ms=0.0015)
+        assert (m.d_ns, m.interval_ns) == (2_500_000, 1_500)
+        assert tiny_manifest(tmp_path, sqf_d_ms=None).d_ns is None
+
+    @pytest.mark.parametrize("field, value, message", [
+        ("sqf_d_ms", True, "sqf_d_ms must be a finite number, got True"),
+        ("sampling_interval_ms", True, "sampling_interval_ms must be a finite number, got True"),
+        ("sampling_interval_ms", "100", "sampling_interval_ms must be a finite number, got '100'"),
+        ("sqf_d_ms", 1e303, "sqf_d_ms of 1e+303 ms does not fit in 64-bit nanoseconds"),
+        ("sampling_interval_ms", 1e300,
+         "sampling_interval_ms of 1e+300 ms does not fit in 64-bit nanoseconds"),
+    ])
+    def test_bad_time_field_exits_2(self, tmp_path, capsys, field, value, message):
+        # True once ran as D = 1 ms, and 1e303 ended in an OverflowError
+        path = tmp_path / "m.json"
+        body = dict(tiny_manifest(tmp_path, out=str(tmp_path / "runs")).to_dict())
+        path.write_text(json.dumps(dict(body, **{field: value})))
+        assert main(["simulate", "--manifest", str(path)]) == 2
+        assert capsys.readouterr().err == f"configuration error: {message}\n"
+        assert not (tmp_path / "runs").exists()
+
     def test_roundtrip_through_dict(self):
         m = load_manifest("fig7_with_sqf")
         assert ExperimentManifest.from_dict(m.to_dict()) == m

@@ -169,18 +169,18 @@ class TestBenignBefore:
 class TestQueueSeries:
     def test_single_packet_example(self):
         rec = make_packets((0, 0, 0, 3 * MS))
-        grid, sqf, server = sample_queues(rec, 0.001)
+        grid, sqf, server = sample_queues(rec, MS)
         assert server == array("q", [1, 1, 1, 0])
         assert sqf == array("q", [0, 0, 0, 0])
         assert grid == array("q", [0, MS, 2 * MS, 3 * MS])
 
     def test_empty_records(self):
-        assert sample_queues(make_packets(), 0.001) == (array("q", [0]),) * 3
+        assert sample_queues(make_packets(), MS) == (array("q", [0]),) * 3
 
     def test_grid_past_64_bit_ns_rejected(self):
-        # 1e10 s is 1e19 ns: the second instant would not fit an array('q')
+        # the second instant, 1e19 ns, would not fit an array('q')
         with pytest.raises(ConfigurationError) as err:
-            sample_queues(make_packets((0, 0, 0, 5)), 1e10)
+            sample_queues(make_packets((0, 0, 0, 5)), 10**19)
         assert str(err.value) == (
             "sampling interval of 10000000000000 ms puts the last of 2 queue samples "
             "past 64-bit nanoseconds"
@@ -190,11 +190,11 @@ class TestQueueSeries:
         # sample_queues validates nothing; the row is rejected on the way in
         rec = make_packets((5 * MS, 5 * MS, 5 * MS, 3 * MS))
         with pytest.raises(InvariantViolation, match="packet 0: packet timestamps out of order"):
-            trace_from_records(rec, 0.001)
+            trace_from_records(rec, MS)
 
     def test_nonpositive_interval_rejected(self):
         with pytest.raises(ContractViolation):
-            sample_queues(make_packets(), 0.0)
+            sample_queues(make_packets(), 0)
 
     @pytest.mark.parametrize("interval", [float("nan"), float("inf")])
     def test_non_finite_interval_rejected(self, interval):
@@ -204,7 +204,7 @@ class TestQueueSeries:
     def test_grid_past_the_cap_names_the_smallest_interval_that_fits(self):
         last = MAX_SAMPLE_POINTS * MS  # at 1 ms: one instant too many
         with pytest.raises(ConfigurationError) as err:
-            sample_queues(make_packets((0, 0, 0, last)), 0.001)
+            sample_queues(make_packets((0, 0, 0, last)), MS)
         assert str(err.value) == (
             f"sampling interval of 1 ms takes {MAX_SAMPLE_POINTS + 1} queue samples up to "
             f"{last} ns, more than MAX_SAMPLE_POINTS ({MAX_SAMPLE_POINTS}); "
@@ -216,7 +216,7 @@ class TestQueueSeries:
             (0, 0, 0, 3 * MS),
             (0, ABSENT_NS, ABSENT_NS, ABSENT_NS, "mitigation"),
         )
-        trace = trace_from_records(rec, 0.001)
+        trace = trace_from_records(rec, MS)
         assert len(trace.admitted) == 1
         assert max(trace.server_counts) == 1
         assert max(trace.sqf_counts) == 0
@@ -230,7 +230,7 @@ class TestQueueSeries:
         entries = sorted([0, MS])
         exits = sorted([3 * MS, 5 * MS])
         assert littles_law_check(entries, exits)["peak"] == 2
-        _, _, server = sample_queues(rec, 0.004)
+        _, _, server = sample_queues(rec, 4 * MS)
         assert max(server) <= 2
 
     @given(st.lists(st.tuples(st.integers(0, 1000), st.integers(0, 1000)), max_size=30))
@@ -310,7 +310,7 @@ class TestCompareRuns:
     def _trace(self, services):
         return simulate_sequences(
             [0, MS, 2 * MS], services, 3 * MS,
-            sampling_interval=0.001,
+            interval_ns=MS,
         )
 
     def test_identical_runs_all_ratios_one(self):
@@ -339,7 +339,7 @@ class TestCompareRuns:
         a = self._trace([2 * MS] * 3)
         b = simulate_sequences(
             [0, MS, 2 * MS], [2 * MS] * 3, 3 * MS,
-            sampling_interval=0.002,
+            interval_ns=2 * MS,
         )
         with pytest.raises(ContractViolation):
             compare_runs(a, b)
